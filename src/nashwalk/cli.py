@@ -182,7 +182,8 @@ def _cmd_pne_stats(args) -> int:
 
 def _cmd_percolation(args) -> int:
     report = percolation_audit(
-        args.n, args.alpha, args.trials, args.seed, deadline=_deadline(args)
+        args.n, args.alpha, args.trials, args.seed,
+        n_workers=resolve_workers(args.threads), deadline=_deadline(args),
     )
     payload = dict(report, command="percolation")
     _emit(report_to_json(payload), args.out)
@@ -197,7 +198,7 @@ def _cmd_walk(args) -> int:
     )
     records = run_trials(
         params, parse_policy(args.policy), config, args.trials,
-        n_workers=resolve_workers(args.threads),
+        n_workers=resolve_workers(args.threads), deadline=_deadline(args),
     )
     echo = {
         "command": "walk", "n": args.n, "alpha": args.alpha, "seed": args.seed,

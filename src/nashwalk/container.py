@@ -21,5 +21,27 @@ def unpack_container(data: bytes, magic: bytes) -> tuple[dict, bytes]:
     (hlen,) = struct.unpack("<I", data[8:12])
     if len(data) < 12 + hlen:
         raise IncompleteTable("truncated container header")
-    header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
+    try:
+        header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise IncompleteTable(f"unreadable container header: {exc}") from None
+    if not isinstance(header, dict):
+        raise IncompleteTable("container header must be a JSON object")
     return header, data[12 + hlen :]
+
+
+def check_header(header: dict, fields: dict) -> None:
+    """Require exactly the keys of `fields`, each value an instance of the
+    type(s) listed for it.  A JSON true/false never passes as a number."""
+    if set(header) != set(fields):
+        missing = sorted(set(fields) - set(header))
+        unexpected = sorted(set(header) - set(fields))
+        raise IncompleteTable(
+            f"header fields: missing {missing}, unexpected {unexpected}"
+        )
+    for key, types in fields.items():
+        value = header[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise IncompleteTable(
+                f"header field {key!r} has type {type(value).__name__}"
+            )

@@ -10,21 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrialCount, NoConditionedTrials, TimeBudgetExceeded
-from .medium import build_medium
+from .errors import EmptyTrialCount, NoConditionedTrials
+from .medium import build_medium, edge_count
 from .parallel import map_ordered
-from .percolation import (
-    coupling_run,
-    fragment_stats,
-    largest_component,
-    sample_percolation,
-)
-from .rng import TAG_MEDIUM, TAG_PERC, TAG_WALK, fold
+from .percolation import run_coupling_trials
+from .rng import TAG_MEDIUM, TAG_WALK, fold
 from .sinks import sink_components
 from .walkers import DETECT_EXACT, WalkConfig, parse_policy, run_walk
 
@@ -79,11 +73,6 @@ class PneCountReport:
     prob_zero: float
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeBudgetExceeded("wall-clock budget exhausted")
-
-
 # -- workers (top level so they pickle) --------------------------------------
 
 
@@ -132,9 +121,8 @@ def walk_length_quantiles(
         raise EmptyTrialCount(f"trials must be >= 1, got {trials}")
     rows: list[QuantileRow] = []
     for alpha in alphas:
-        _check_deadline(deadline)
         jobs = [(n, alpha, seed, i, tuple(policies), max_steps) for i in range(trials)]
-        results = map_ordered(_walk_trial, jobs, n_workers)
+        results = map_ordered(_walk_trial, jobs, n_workers, deadline)
         for label in policies:
             taus = sorted(
                 tau
@@ -183,9 +171,8 @@ def absorption_trend(
         raise EmptyTrialCount(f"trials must be >= 1, got {trials}")
     rows: list[TrendRow] = []
     for n in n_list:
-        _check_deadline(deadline)
         jobs = [(n, alpha, seed, i, (policy,), max_steps) for i in range(trials)]
-        results = map_ordered(_walk_trial, jobs, n_workers)
+        results = map_ordered(_walk_trial, jobs, n_workers, deadline)
         successes = 0
         excluded = 0
         for res in results:
@@ -225,10 +212,8 @@ def pne_count_stats(
     """PNE-count distribution over fresh media, with CLT-normalized moments."""
     if samples < 1:
         raise EmptyTrialCount(f"samples must be >= 1, got {samples}")
-    _check_deadline(deadline)
     jobs = [(n, alpha, seed, i) for i in range(samples)]
-    counts = np.array(map_ordered(_pne_trial, jobs, n_workers), dtype=np.float64)
-    _check_deadline(deadline)
+    counts = np.array(map_ordered(_pne_trial, jobs, n_workers, deadline), dtype=np.float64)
     mu = float((1.0 + alpha) ** n)
     sigma = float((1.0 + alpha) ** (n / 2.0))
     standardized = (counts - mu) / sigma
@@ -250,31 +235,13 @@ def percolation_audit(
     alpha: float,
     trials: int,
     seed: int,
+    n_workers: int | None = None,
     deadline: float | None = None,
 ) -> dict:
     """Coupling identity, marginal preservation, and fragment statistics over
     fresh media and fresh initial percolations."""
-    if trials < 1:
-        raise EmptyTrialCount(f"trials must be >= 1, got {trials}")
+    results = run_coupling_trials(n, alpha, trials, seed, n_workers, deadline)
     beta = (1.0 - alpha) / 2.0
-    identity_ok = 0
-    open_edges = 0
-    total_edges = 0
-    fragment_sum = 0
-    lemma_mismatches = 0
-    for i in range(trials):
-        _check_deadline(deadline)
-        medium = build_medium(n, alpha, fold(seed, TAG_MEDIUM, i))
-        initial = sample_percolation(n, beta, fold(seed, TAG_PERC, i))
-        final, audit = coupling_run(medium, initial)
-        identity_ok += int(audit.identity_holds)
-        open_edges += int(final.open_edges.sum())
-        total_edges += final.open_edges.size
-        fs = fragment_stats(final)
-        fragment_sum += fs.fragment_size
-        big = frozenset(int(v) for v in largest_component(final))
-        if big != audit.reverse_accessible:
-            lemma_mismatches += 1
     return {
         "schema_version": SCHEMA_VERSION,
         "n": n,
@@ -282,12 +249,13 @@ def percolation_audit(
         "beta": beta,
         "seed": seed,
         "trials": trials,
-        "identity_ok": identity_ok,
-        "pooled_open_fraction": open_edges / total_edges,
+        "identity_ok": sum(r.identity_holds for r in results),
+        "pooled_open_fraction": sum(r.open_edges for r in results)
+        / (trials * edge_count(n)),
         "expected_open_fraction": beta,
-        "fragment_mean": fragment_sum / trials,
+        "fragment_mean": sum(r.fragment_size for r in results) / trials,
         "fragment_expected": (2.0 * (1.0 - beta)) ** n,
-        "lemma_mismatch_frequency": lemma_mismatches / trials,
+        "lemma_mismatch_frequency": sum(r.lemma_mismatch for r in results) / trials,
     }
 
 

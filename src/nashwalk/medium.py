@@ -11,6 +11,16 @@ materialize the whole table (n * 2^(n-1) entries); lazy media hash on demand
 and agree with their exhaustive twin edge-for-edge.  Media can also be derived
 from an explicit payoff table: the edge along axis i is oriented toward the
 endpoint where player i earns strictly more, Tie on equal payoffs.
+
+Layout.  The table is axis-major: axis i's block holds its 2^(n-1) canonical
+edges ordered by base vertex.  A per-vertex array (length 2^n, index = vertex)
+reshaped to (2^(n-1-i), 2, 2^i) puts the vertices with bit i clear in
+[:, 0, :] and their axis-i partners in [:, 1, :], both in ascending base
+order -- exactly the order of axis i's table block reshaped to
+(2^(n-1-i), 2^i).  :func:`axis_view` is that reshape; every vectorized walk
+over an axis's edges (hashing, degrees, edge lists, payoff comparison, file
+order, percolation) goes through it, with strided views instead of index
+arrays.  Scalar lookups use :func:`squeeze_bit` / :func:`edge_index`.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .container import pack_container, unpack_container
+from .container import check_header, pack_container, unpack_container
 from .errors import (
     AlphaOutOfRange,
     AxisOutOfRange,
@@ -94,6 +104,18 @@ def edge_index(base: Vertex, axis: int, n: int) -> int:
     return axis * (1 << (n - 1)) + squeeze_bit(base, axis)
 
 
+def axis_view(per_vertex: np.ndarray, axis: int) -> np.ndarray:
+    """View a per-vertex array as (2^(n-1-axis), 2, 2^axis) along `axis`.
+
+    ``[:, 0, :]`` holds the vertices whose bit `axis` is clear -- the
+    canonical edge bases, in the order of axis `axis`'s table block -- and
+    ``[:, 1, :]`` their partners ``base | 1 << axis`` in the same positions.
+    A table block reshaped with ``.reshape(-1, 1 << axis)`` lines up with
+    either half elementwise.  No copy is made for a contiguous input.
+    """
+    return per_vertex.reshape(-1, 2, 1 << axis)
+
+
 def _tie_up_thresholds(alpha: float) -> tuple[int, int]:
     # [0, t_tie) -> Tie, [t_tie, t_up) -> Up, [t_up, 2^64) -> Down.  The
     # Up/Down split is the exact integer midpoint of the non-tie mass.
@@ -103,6 +125,8 @@ def _tie_up_thresholds(alpha: float) -> tuple[int, int]:
 
 
 def _validate_params(params: MediumParams) -> None:
+    if params.mode not in (MODE_EXHAUSTIVE, MODE_LAZY):
+        raise ValueError(f"unknown mode {params.mode!r}")
     if not (0.0 <= params.alpha < 1.0):
         raise AlphaOutOfRange(f"alpha must be in [0, 1), got {params.alpha}")
     if params.n_players < 1:
@@ -112,8 +136,6 @@ def _validate_params(params: MediumParams) -> None:
         raise DimensionTooLarge(
             f"n_players={params.n_players} exceeds {params.mode} cap {cap}"
         )
-    if params.mode not in (MODE_EXHAUSTIVE, MODE_LAZY):
-        raise ValueError(f"unknown mode {params.mode!r}")
 
 
 class Medium:
@@ -223,53 +245,52 @@ class Medium:
         return self._table
 
     def axis_block(self, axis: int) -> np.ndarray:
-        """Orientation codes for all canonical edges along one axis."""
+        """Orientation codes for axis's canonical edges, shaped to line up
+        with ``axis_view(per_vertex, axis)[:, 0, :]``."""
         table = self.require_table()
-        return table[axis * self._half : (axis + 1) * self._half]
+        block = table[axis * self._half : (axis + 1) * self._half]
+        return block.reshape(-1, 1 << axis)
 
     def axis_bases(self, axis: int) -> np.ndarray:
-        """Base vertices for axis_block(axis), in block order (uint64)."""
-        s = np.arange(self._half, dtype=np.uint64)
-        low = s & np.uint64((1 << axis) - 1)
-        return low | ((s >> np.uint64(axis)) << np.uint64(axis + 1))
+        """Base vertices for axis_block(axis), flattened in block order (uint64)."""
+        vertices = np.arange(1 << self.n_players, dtype=np.uint64)
+        return axis_view(vertices, axis)[:, 0, :].ravel()
 
     def degrees(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(out_degree, in_degree, tie_degree) arrays over all vertices."""
+        """(out_degree, in_degree, tie_degree) int16 arrays over all vertices."""
         n = self.n_players
-        size = 1 << n
-        out_deg = np.zeros(size, dtype=np.int16)
-        in_deg = np.zeros(size, dtype=np.int16)
-        tie_deg = np.zeros(size, dtype=np.int16)
+        out_deg = np.zeros(1 << n, dtype=np.int16)
+        in_deg = np.zeros(1 << n, dtype=np.int16)
         for axis in range(n):
             block = self.axis_block(axis)
-            bases = self.axis_bases(axis).astype(np.int64)
-            partners = bases | (1 << axis)
             up = block == UP
             down = block == DOWN
-            t = block == TIE
-            out_deg[bases] += up
-            in_deg[partners] += up
-            out_deg[partners] += down
-            in_deg[bases] += down
-            tie_deg[bases] += t
-            tie_deg[partners] += t
-        return out_deg, in_deg, tie_deg
+            out_v = axis_view(out_deg, axis)
+            in_v = axis_view(in_deg, axis)
+            out_v[:, 0, :] += up
+            out_v[:, 1, :] += down
+            in_v[:, 0, :] += down
+            in_v[:, 1, :] += up
+        return out_deg, in_deg, n - out_deg - in_deg
 
     def oriented_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """All oriented edges as (src, dst) int64 arrays (ties excluded)."""
+        """All oriented edges as (src, dst) int64 arrays (ties excluded).
+
+        Per axis: the Up edges base -> partner, then the Down edges
+        partner -> base, each in ascending base order.
+        """
         n = self.n_players
+        vertices = np.arange(1 << n, dtype=np.int64)
         srcs: list[np.ndarray] = []
         dsts: list[np.ndarray] = []
         for axis in range(n):
-            block = self.axis_block(axis)
-            bases = self.axis_bases(axis).astype(np.int64)
-            partners = bases | (1 << axis)
-            up = block == UP
-            down = block == DOWN
-            srcs.append(bases[up])
-            dsts.append(partners[up])
-            srcs.append(partners[down])
-            dsts.append(bases[down])
+            block = self.axis_block(axis).ravel()
+            bases = axis_view(vertices, axis)[:, 0, :]
+            # np.compress flattens in C order, like the block
+            up_bases = np.compress(block == UP, bases)
+            down_bases = np.compress(block == DOWN, bases)
+            srcs += (up_bases, down_bases | (1 << axis))
+            dsts += (up_bases | (1 << axis), down_bases)
         return np.concatenate(srcs), np.concatenate(dsts)
 
     # -- serialization ------------------------------------------------------
@@ -294,10 +315,23 @@ class Medium:
     @classmethod
     def load_bytes(cls, data: bytes) -> "Medium":
         header, payload = unpack_container(data, MEDIUM_MAGIC)
-        n = int(header["n_players"])
-        params = MediumParams(
-            n, float(header["alpha"]), int(header["seed"]), str(header["mode"])
-        )
+        check_header(header, {
+            "n_players": int, "alpha": (int, float), "seed": int, "mode": str,
+            "format_version": int,
+        })
+        if header["format_version"] != MEDIUM_FORMAT_VERSION:
+            raise IncompleteTable(
+                f"unsupported medium format_version {header['format_version']}"
+            )
+        if header["mode"] != MODE_EXHAUSTIVE:
+            raise IncompleteTable(
+                f"medium files hold exhaustive tables, header says mode "
+                f"{header['mode']!r}"
+            )
+        if not (0 <= header["seed"] <= MASK64):
+            raise IncompleteTable(f"seed {header['seed']} is not a 64-bit word")
+        n = header["n_players"]
+        params = MediumParams(n, float(header["alpha"]), header["seed"], MODE_EXHAUSTIVE)
         _validate_params(params)
         file_order = _unpack2(payload, edge_count(n))
         table = file_order[file_positions(n)].astype(np.int8)
@@ -326,11 +360,11 @@ def file_positions(n: int) -> np.ndarray:
     pos = np.empty(edge_count(n), dtype=np.int64)
     offsets = _edge_offsets(n)
     for axis in range(n):
-        s = np.arange(half, dtype=np.uint64)
-        low = s & np.uint64((1 << axis) - 1)
-        bases = (low | ((s >> np.uint64(axis)) << np.uint64(axis + 1))).astype(np.int64)
-        rank = axis - _popcount(bases & ((1 << axis) - 1))
-        pos[axis * half : (axis + 1) * half] = offsets[bases] + rank
+        # a base's rank among its own edges is the number of clear bits below
+        # `axis`; those bits are the base's position along the view's last dim
+        rank = axis - _popcount(np.arange(1 << axis))
+        block = pos[axis * half : (axis + 1) * half].reshape(-1, 1 << axis)
+        np.add(axis_view(offsets, axis)[:, 0, :], rank, out=block)
     return pos
 
 
@@ -345,9 +379,9 @@ def _pack2(codes: np.ndarray) -> bytes:
 
 
 def _unpack2(payload: bytes, count: int) -> np.ndarray:
-    if len(payload) < (count + 3) // 4:
+    if len(payload) != (count + 3) // 4:
         raise IncompleteTable(
-            f"payload holds {len(payload) * 4} entries, need {count}"
+            f"payload is {len(payload)} bytes, {count} entries need {(count + 3) // 4}"
         )
     raw = np.frombuffer(payload, dtype=np.uint8)
     out = np.empty(len(raw) * 4, dtype=np.uint8)
@@ -379,16 +413,12 @@ def build_medium(
     half = 1 << (n - 1)
     table = np.empty(edge_count(n), dtype=np.int8)
     tt, tu = np.uint64(t_tie), np.uint64(t_up)
+    vertices = np.arange(1 << n, dtype=np.uint64)
     for axis in range(n):
-        s = np.arange(half, dtype=np.uint64)
-        low = s & np.uint64((1 << axis) - 1)
-        bases = low | ((s >> np.uint64(axis)) << np.uint64(axis + 1))
-        h = fold_np(params.seed, bases, axis)
-        codes = np.full(half, DOWN, dtype=np.int8)
-        codes[h < tu] = UP
-        if t_tie > 0:
-            codes[h < tt] = TIE
-        table[axis * half : (axis + 1) * half] = codes
+        h = fold_np(params.seed, axis_view(vertices, axis)[:, 0, :], axis)
+        codes = table[axis * half : (axis + 1) * half].reshape(h.shape)
+        # TIE = 0, UP = 1, DOWN = 2: the code counts the thresholds h clears
+        np.add(h >= tt, h >= tu, out=codes, dtype=np.int8)
     return Medium(params, table)
 
 
@@ -476,16 +506,12 @@ def medium_from_payoffs(game: PayoffGame) -> Medium:
     half = 1 << (n - 1)
     table = np.empty(edge_count(n), dtype=np.int8)
     for axis in range(n):
-        s = np.arange(half, dtype=np.uint64)
-        low = s & np.uint64((1 << axis) - 1)
-        bases = (low | ((s >> np.uint64(axis)) << np.uint64(axis + 1))).astype(np.int64)
-        partners = bases | (1 << axis)
-        at_base = game.payoffs[axis, bases]
-        at_partner = game.payoffs[axis, partners]
-        codes = np.full(half, TIE, dtype=np.int8)
+        view = axis_view(game.payoffs[axis], axis)
+        at_base, at_partner = view[:, 0, :], view[:, 1, :]
+        codes = table[axis * half : (axis + 1) * half].reshape(at_base.shape)
+        codes[...] = TIE
         codes[at_partner > at_base] = UP
         codes[at_base > at_partner] = DOWN
-        table[axis * half : (axis + 1) * half] = codes
     params = MediumParams(n, game.spec.induced_alpha(), 0, MODE_EXHAUSTIVE)
     return Medium(params, table)
 

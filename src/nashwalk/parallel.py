@@ -3,13 +3,17 @@
 Trials are embarrassingly parallel and every trial derives its randomness from
 its index, so distributing them over processes cannot change any result — only
 the wall time.  NASHWALK_THREADS caps the worker count when no explicit count
-is given.
+is given.  A wall-clock deadline is checked before every trial (serial) or as
+every result arrives (parallel, after which the pending trials are cancelled).
 """
 
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
+
+from .errors import TimeBudgetExceeded
 
 ENV_THREADS = "NASHWALK_THREADS"
 
@@ -26,11 +30,31 @@ def resolve_workers(n_workers: int | None = None) -> int:
     return 1
 
 
-def map_ordered(fn, jobs: list, n_workers: int | None = None) -> list:
+def check_deadline(deadline: float | None) -> None:
+    """Raise TimeBudgetExceeded once time.monotonic() has passed `deadline`."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeBudgetExceeded("wall-clock budget exhausted")
+
+
+def map_ordered(
+    fn, jobs: list, n_workers: int | None = None, deadline: float | None = None
+) -> list:
     """map(fn, jobs) with results in job order, optionally across processes."""
     workers = resolve_workers(n_workers)
+    results = []
     if workers <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
+        for job in jobs:
+            check_deadline(deadline)
+            results.append(fn(job))
+        return results
+    check_deadline(deadline)
     chunk = max(1, len(jobs) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, jobs, chunksize=chunk))
+        try:
+            for result in ex.map(fn, jobs, chunksize=chunk):
+                check_deadline(deadline)
+                results.append(result)
+        except BaseException:
+            ex.shutdown(wait=True, cancel_futures=True)
+            raise
+    return results

@@ -13,12 +13,13 @@ Every run re-checks that identity; the run itself is the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .container import pack_container, unpack_container
+from .container import check_header, pack_container, unpack_container
 from .errors import (
     BetaOutOfRange,
     DimensionTooLarge,
@@ -31,11 +32,13 @@ from .medium import (
     EXHAUSTIVE_CAP,
     Medium,
     Vertex,
+    axis_view,
     build_medium,
     edge_count,
     file_positions,
     squeeze_bit,
 )
+from .parallel import map_ordered
 from .rng import MASK64, TAG_MEDIUM, TAG_PERC, fold, fold_np, threshold
 
 PERC_MAGIC = b"NWPERC\x00\x00"  # 8-byte field, name NUL-padded
@@ -89,18 +92,33 @@ class PercolationGraph:
     @classmethod
     def load_bytes(cls, data: bytes) -> "PercolationGraph":
         header, payload = unpack_container(data, PERC_MAGIC)
-        n = int(header["n"])
+        check_header(header, {
+            "n": int, "beta": (int, float, type(None)), "seed": (int, type(None)),
+            "format_version": int,
+        })
+        if header["format_version"] != PERC_FORMAT_VERSION:
+            raise IncompleteTable(
+                f"unsupported percolation format_version {header['format_version']}"
+            )
+        n, beta, seed = header["n"], header["beta"], header["seed"]
+        if not (1 <= n <= EXHAUSTIVE_CAP):
+            raise DimensionTooLarge(f"percolation needs 1 <= n <= {EXHAUSTIVE_CAP}")
+        if beta is not None and not (0.0 <= beta <= 1.0):
+            raise BetaOutOfRange(f"beta must be in [0, 1], got {beta}")
+        if seed is not None and not (0 <= seed <= MASK64):
+            raise IncompleteTable(f"seed {seed} is not a 64-bit word")
+        count = edge_count(n)
+        if len(payload) != (count + 7) // 8:
+            raise IncompleteTable(
+                f"payload is {len(payload)} bytes, {count} entries need {(count + 7) // 8}"
+            )
         bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
-        if bits.size < edge_count(n):
-            raise IncompleteTable("percolation payload too short")
-        file_order = bits[: edge_count(n)].astype(bool)
-        beta = header.get("beta")
-        seed = header.get("seed")
+        file_order = bits[:count].astype(bool)
         return cls(
             n,
             file_order[file_positions(n)],
             None if beta is None else float(beta),
-            None if seed is None else int(seed),
+            seed,
         )
 
 
@@ -119,12 +137,10 @@ def sample_percolation(n: int, beta: float, seed: int) -> PercolationGraph:
     half = 1 << (n - 1)
     t = np.uint64(threshold(beta))
     open_edges = np.empty(edge_count(n), dtype=bool)
+    vertices = np.arange(1 << n, dtype=np.uint64)
     for axis in range(n):
-        s = np.arange(half, dtype=np.uint64)
-        low = s & np.uint64((1 << axis) - 1)
-        bases = low | ((s >> np.uint64(axis)) << np.uint64(axis + 1))
-        h = fold_np(seed, TAG_PERC, bases, axis)
-        open_edges[axis * half : (axis + 1) * half] = h < t
+        h = fold_np(seed, TAG_PERC, axis_view(vertices, axis)[:, 0, :], axis)
+        np.less(h, t, out=open_edges[axis * half : (axis + 1) * half].reshape(h.shape))
     return PercolationGraph(n, open_edges, beta, seed)
 
 
@@ -135,14 +151,12 @@ def _component_labels(perc: PercolationGraph) -> np.ndarray:
     n = perc.n
     size = 1 << n
     half = 1 << (n - 1)
+    vertices = np.arange(size, dtype=np.int64)
     srcs = []
     dsts = []
     for axis in range(n):
         block = perc.open_edges[axis * half : (axis + 1) * half]
-        s = np.arange(half, dtype=np.uint64)
-        low = s & np.uint64((1 << axis) - 1)
-        bases = (low | ((s >> np.uint64(axis)) << np.uint64(axis + 1))).astype(np.int64)
-        open_bases = bases[block]
+        open_bases = np.compress(block, axis_view(vertices, axis)[:, 0, :])
         srcs.append(open_bases)
         dsts.append(open_bases | (1 << axis))
     src = np.concatenate(srcs)
@@ -294,21 +308,52 @@ def coupling_run(
     return final, audit
 
 
+class CouplingTrial(NamedTuple):
+    identity_holds: bool
+    open_edges: int  # open edges of the final percolation
+    fragment_size: int  # 2^n minus the largest final component
+    lemma_mismatch: bool  # largest final component != reverse-accessible set
+
+
+def coupling_trial(args) -> CouplingTrial:
+    """Trial `trial` of a coupling experiment: a fresh medium and initial
+    percolation from (seed, trial), one coupling run, one component labelling.
+    Top level so it pickles for worker processes."""
+    n, alpha, seed, trial = args
+    medium = build_medium(n, alpha, fold(seed, TAG_MEDIUM, trial))
+    initial = sample_percolation(n, (1.0 - alpha) / 2.0, fold(seed, TAG_PERC, trial))
+    final, audit = coupling_run(medium, initial)
+    big = largest_component(final)
+    return CouplingTrial(
+        identity_holds=audit.identity_holds,
+        open_edges=int(np.count_nonzero(final.open_edges)),
+        fragment_size=(1 << n) - len(big),
+        lemma_mismatch=frozenset(big.tolist()) != audit.reverse_accessible,
+    )
+
+
+def run_coupling_trials(
+    n: int,
+    alpha: float,
+    trials: int,
+    seed: int,
+    n_workers: int | None = None,
+    deadline: float | None = None,
+) -> list[CouplingTrial]:
+    """coupling_trial for trials 0..trials-1, in trial order."""
+    if trials < 1:
+        raise EmptyTrialCount(f"trials must be >= 1, got {trials}")
+    jobs = [(n, alpha, seed, i) for i in range(trials)]
+    return map_ordered(coupling_trial, jobs, n_workers, deadline)
+
+
 def check_lemma_finally(n: int, alpha: float, trials: int, seed: int) -> dict:
     """Frequency of {largest open component != reverse-accessible set} over
     fresh (medium, percolation, coupling) trials."""
-    if trials < 1:
-        raise EmptyTrialCount(f"trials must be >= 1, got {trials}")
+    results = run_coupling_trials(n, alpha, trials, seed)
+    assert all(r.identity_holds for r in results)
     beta = (1.0 - alpha) / 2.0
-    mismatches = 0
-    for i in range(trials):
-        medium = build_medium(n, alpha, fold(seed, TAG_MEDIUM, i))
-        initial = sample_percolation(n, beta, fold(seed, TAG_PERC, i))
-        final, audit = coupling_run(medium, initial)
-        assert audit.identity_holds
-        big = frozenset(int(v) for v in largest_component(final))
-        if big != audit.reverse_accessible:
-            mismatches += 1
+    mismatches = sum(r.lemma_mismatch for r in results)
     return {
         "schema_version": 1,
         "n": n,

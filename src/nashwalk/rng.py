@@ -45,10 +45,15 @@ def fold(seed: int, *words: int) -> int:
 
 
 def mix64_np(x: np.ndarray) -> np.ndarray:
+    """mix64 on a uint64 array.  The first add makes a fresh array; every
+    later pass works in place on it, so the input is never modified."""
     x = x + np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    tmp = np.empty_like(x)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        x ^= np.right_shift(x, np.uint64(shift), out=tmp)
+        x *= np.uint64(mult)
+    x ^= np.right_shift(x, np.uint64(31), out=tmp)
+    return x
 
 
 def fold_np(seed: int, *words) -> np.ndarray:
@@ -62,12 +67,12 @@ def fold_np(seed: int, *words) -> np.ndarray:
     for w in words:
         if out is None:
             if isinstance(w, np.ndarray):
-                out = mix64_np(np.uint64(h) ^ w.astype(np.uint64))
+                out = mix64_np(np.uint64(h) ^ w.astype(np.uint64, copy=False))
             else:
                 h = mix64(h ^ (int(w) & MASK64))
         else:
             if isinstance(w, np.ndarray):
-                out = mix64_np(out ^ w.astype(np.uint64))
+                out = mix64_np(out ^ w.astype(np.uint64, copy=False))
             else:
                 out = mix64_np(out ^ np.uint64(int(w) & MASK64))
     if out is None:

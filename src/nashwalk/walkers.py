@@ -166,25 +166,6 @@ def sample_categorical(dist: list[tuple[Vertex, float]], u: float) -> Vertex:
     return dist[-1][0]
 
 
-def exponential_race_step(
-    dist: list[tuple[Vertex, float]], exponentials: list[float]
-) -> Vertex:
-    """Pick argmin_i exponentials[i] / p_i — the classic race construction.
-
-    Distributionally identical to categorical sampling when the exponentials
-    are i.i.d. rate-1 draws; kept (and tested) as an independent cross-check of
-    the sampler actually used.
-    """
-    best = None
-    best_val = math.inf
-    for (w, p), e in zip(dist, exponentials):
-        val = e / p
-        if val < best_val:
-            best_val = val
-            best = w
-    return best
-
-
 def verify_assumption(
     policy: Policy,
     medium: Medium,
@@ -348,12 +329,14 @@ def run_trials(
     trials: int,
     fresh_medium_per_trial: bool = True,
     n_workers: int = 1,
+    deadline: float | None = None,
 ) -> list[WalkRecord]:
     """Run independent trials; trial i derives its own medium and walk seeds.
 
     Results are ordered by trial index regardless of worker count, and every
     per-trial quantity is a pure function of (base seeds, i), so reruns are
-    bit-identical.
+    bit-identical.  `deadline` (a time.monotonic() value) is checked before
+    every trial.
     """
     if trials < 1:
         raise EmptyTrialCount(f"trials must be >= 1, got {trials}")
@@ -365,7 +348,7 @@ def run_trials(
         (params, policy, config, trial, fresh_medium_per_trial)
         for trial in range(trials)
     ]
-    return map_ordered(_trial_worker, jobs, n_workers)
+    return map_ordered(_trial_worker, jobs, n_workers, deadline)
 
 
 # -- serialization -----------------------------------------------------------

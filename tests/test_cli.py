@@ -84,6 +84,31 @@ def test_percolation_audit_json(capsys):
     assert payload["trials"] == 40
 
 
+def test_percolation_is_thread_count_invariant(tmp_path):
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"perc{threads}.json"
+        assert run_cli([
+            "percolation", "--n", "6", "--alpha", "0.5", "--trials", "24",
+            "--seed", "4", "--threads", threads, "--out", str(out),
+        ]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure1", "--n", "12", "--alpha", "0.5", "--trials", "400"],
+    ["theorem", "--n", "12", "--alpha", "0.5", "--trials", "400"],
+    ["pne-stats", "--n", "14", "--alpha", "0.5", "--trials", "400"],
+    ["percolation", "--n", "10", "--alpha", "0.5", "--trials", "400"],
+    ["walk", "--n", "12", "--alpha", "0.5", "--trials", "400"],
+], ids=lambda argv: argv[0])
+def test_time_budget_is_checked_per_trial(argv):
+    # each run is one cell of 400 fresh media, seconds of work: the budget
+    # must stop it between trials, not only between cells
+    assert run_cli(argv + ["--time-budget", "0.01"]) == 3
+
+
 def test_walk_csv_and_jsonl(capsys):
     assert run_cli(["walk", "--n", "5", "--alpha", "0.5", "--trials", "3"]) == 0
     csv_text = capsys.readouterr().out

@@ -1,0 +1,139 @@
+"""Byte-identity guard: sha256 digests of serialized media, percolations and
+their derived arrays over a fixed (n, alpha, seed) grid.
+
+The digests in golden_digests.json were recorded from a known-good build.
+Any rewrite of the table, hashing, degree or component code must reproduce
+them exactly.  To re-record (only on a commit known to be right):
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from nashwalk.medium import PayoffSpec, build_medium, medium_from_payoffs, sample_payoff_game
+from nashwalk.percolation import coupling_run, largest_component, sample_percolation
+from nashwalk.rng import MASK64
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_digests.json")
+
+MEDIUM_GRID = [
+    (n, alpha, seed)
+    for n in (1, 2, 3, 5, 8, 11, 16)
+    for alpha in (0.0, 0.5, 0.9)
+    for seed in (0, 12345, MASK64)
+]
+
+PAYOFF_GRID = [
+    (n, spec, seed)
+    for n in (1, 3, 6, 9)
+    for spec in ("continuous_uniform", "bernoulli", "discrete_uniform")
+    for seed in (0, 7)
+]
+
+PERC_GRID = [
+    (n, beta, seed)
+    for n in (1, 2, 5, 9, 12, 16)
+    for beta in (0.05, 0.25, 0.5)
+    for seed in (0, 99)
+]
+
+COUPLING_GRID = [(n, alpha, 1000 + n) for n in (1, 3, 6, 9) for alpha in (0.0, 0.5, 0.9)]
+
+
+def _sha(*chunks) -> str:
+    h = hashlib.sha256()
+    for c in chunks:
+        h.update(c if isinstance(c, bytes) else np.ascontiguousarray(c).tobytes())
+    return h.hexdigest()
+
+
+def _spec(kind: str) -> PayoffSpec:
+    if kind == "bernoulli":
+        return PayoffSpec(kind, p=0.5)
+    if kind == "discrete_uniform":
+        return PayoffSpec(kind, k=3)
+    return PayoffSpec(kind)
+
+
+def medium_digests(n, alpha, seed) -> dict:
+    med = build_medium(n, alpha, seed)
+    src, dst = med.oriented_edge_arrays()
+    return {
+        "dump": _sha(med.dump_bytes()),
+        "degrees": _sha(*med.degrees()),
+        "edges": _sha(src.astype(np.int64), dst.astype(np.int64)),
+    }
+
+
+def payoff_digest(n, kind, seed) -> str:
+    return _sha(medium_from_payoffs(sample_payoff_game(n, _spec(kind), seed)).dump_bytes())
+
+
+def perc_digests(n, beta, seed) -> dict:
+    perc = sample_percolation(n, beta, seed)
+    return {
+        "dump": _sha(perc.dump_bytes()),
+        "largest": _sha(largest_component(perc).astype(np.int64)),
+    }
+
+
+def coupling_digest(n, alpha, seed) -> str:
+    medium = build_medium(n, alpha, seed)
+    initial = sample_percolation(n, (1.0 - alpha) / 2.0, seed + 1)
+    final, audit = coupling_run(medium, initial)
+    return _sha(final.dump_bytes(), str(audit.rounds_to_fixpoint).encode())
+
+
+def _key(*parts) -> str:
+    return "/".join(str(p) for p in parts)
+
+
+def compute_all() -> dict:
+    return {
+        "medium": {_key(*c): medium_digests(*c) for c in MEDIUM_GRID},
+        "payoff": {_key(*c): payoff_digest(*c) for c in PAYOFF_GRID},
+        "perc": {_key(*c): perc_digests(*c) for c in PERC_GRID},
+        "coupling": {_key(*c): coupling_digest(*c) for c in COUPLING_GRID},
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", MEDIUM_GRID, ids=lambda c: _key(*c))
+def test_medium_digests(golden, case):
+    assert medium_digests(*case) == golden["medium"][_key(*case)]
+
+
+@pytest.mark.parametrize("case", PAYOFF_GRID, ids=lambda c: _key(*c))
+def test_payoff_medium_digests(golden, case):
+    assert payoff_digest(*case) == golden["payoff"][_key(*case)]
+
+
+@pytest.mark.parametrize("case", PERC_GRID, ids=lambda c: _key(*c))
+def test_percolation_digests(golden, case):
+    assert perc_digests(*case) == golden["perc"][_key(*case)]
+
+
+@pytest.mark.parametrize("case", COUPLING_GRID, ids=lambda c: _key(*c))
+def test_coupling_digests(golden, case):
+    assert coupling_digest(*case) == golden["coupling"][_key(*case)]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        json.dump(compute_all(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

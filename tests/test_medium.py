@@ -154,6 +154,41 @@ def test_degrees_sum_to_dimension():
     assert np.array_equal(np.bincount(dst, minlength=1 << 7), in_deg)
 
 
+@st.composite
+def media_up_to_9(draw):
+    """Hashed, payoff-derived or arbitrary-table media with n <= 9."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    seed = draw(st.integers(min_value=0, max_value=2**64 - 1))
+    kind = draw(st.sampled_from(("hashed", "payoff", "table")))
+    if kind == "hashed":
+        alpha = draw(st.sampled_from((0.0, 0.2, 0.5, 0.9)))
+        return build_medium(n, alpha, seed)
+    if kind == "payoff":
+        return medium_from_payoffs(
+            sample_payoff_game(n, PayoffSpec("discrete_uniform", k=3), seed)
+        )
+    codes = np.random.default_rng(seed).integers(0, 3, size=edge_count(n))
+    return Medium.from_orientation_table(n, codes)
+
+
+@given(media_up_to_9())
+def test_vectorized_views_match_per_vertex_oracle(med):
+    # Independent oracle: scalar per-vertex neighbor_partition reads.
+    n = med.n_players
+    out_deg, in_deg, tie_deg = med.degrees()
+    edges = set()
+    for v in range(1 << n):
+        part = med.neighbor_partition(v)
+        assert (len(part.out), len(part.inward), len(part.tie)) == (
+            out_deg[v], in_deg[v], tie_deg[v]
+        )
+        edges.update((v, w) for w in part.out)
+    src, dst = med.oriented_edge_arrays()
+    assert src.dtype == dst.dtype == np.int64
+    assert len(src) == len(edges)
+    assert set(zip(src.tolist(), dst.tolist())) == edges
+
+
 def test_partition_agrees_with_degrees():
     med = build_medium(6, 0.6, 5)
     out_deg, in_deg, tie_deg = med.degrees()

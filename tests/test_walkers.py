@@ -27,7 +27,6 @@ from nashwalk.walkers import (
     TERMINAL_UNKNOWN,
     Policy,
     WalkConfig,
-    exponential_race_step,
     parse_policy,
     records_to_csv,
     records_to_jsonl,
@@ -128,6 +127,23 @@ def test_sample_categorical_extremes():
     # monotone in u
     picks = [sample_categorical(dist, u) for u in np.linspace(0, 0.999, 200)]
     assert picks == sorted(picks)
+
+
+def exponential_race_step(dist, exponentials):
+    """Pick argmin_i exponentials[i] / p_i -- the classic race construction.
+
+    Distributionally identical to categorical sampling when the exponentials
+    are i.i.d. rate-1 draws: an independent cross-check of the sampler the
+    walkers actually use.
+    """
+    best = None
+    best_val = math.inf
+    for (w, p), e in zip(dist, exponentials):
+        val = e / p
+        if val < best_val:
+            best_val = val
+            best = w
+    return best
 
 
 def test_exponential_race_picks_smallest_scaled_clock():
