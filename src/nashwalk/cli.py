@@ -10,6 +10,7 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -100,8 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("analyze", help="sink decomposition of one medium")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--n", type=int, default=None, help="required unless --in is given")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="required unless --in is given")
     p.add_argument("--in", dest="infile", type=str, default=None,
                    help="read a dumped medium instead of building one")
     _add_common(p)
@@ -116,11 +118,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _file_errors(path: str):
+    """Report an unreadable or unwritable --in/--out path as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise NashwalkError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with _file_errors(out), open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
@@ -215,8 +226,11 @@ def _cmd_analyze(args) -> int:
     if args.infile:
         from .medium import Medium
 
-        with open(args.infile, "rb") as fh:
-            medium = Medium.load_bytes(fh.read())
+        with _file_errors(args.infile), open(args.infile, "rb") as fh:
+            data = fh.read()
+        medium = Medium.load_bytes(data)
+    elif args.n is None or args.alpha is None:
+        raise NashwalkError("analyze needs --n and --alpha unless --in is given")
     else:
         medium = build_medium(args.n, args.alpha, args.seed)
     _emit(sink_components(medium).to_json() + "\n", args.out)
@@ -230,8 +244,9 @@ def _cmd_generate(args) -> int:
         return 0
     if args.out is None:
         raise NashwalkError("generate --mode exhaustive requires --out FILE")
-    with open(args.out, "wb") as fh:
-        fh.write(medium.dump_bytes())
+    blob = medium.dump_bytes()
+    with _file_errors(args.out), open(args.out, "wb") as fh:
+        fh.write(blob)
     return 0
 
 

@@ -21,6 +21,18 @@ order -- exactly the order of axis i's table block reshaped to
 over an axis's edges (hashing, degrees, edge lists, payoff comparison, file
 order, percolation) goes through it, with strided views instead of index
 arrays.  Scalar lookups use :func:`squeeze_bit` / :func:`edge_index`.
+
+Lazy rows.  A lazy medium answers ``neighbor_partition(v)`` from a row: two
+n-bit masks, bit i of ``out_bits`` / ``in_bits`` set when v's axis-i edge
+points out of / into v (a tie sets neither).  Edge hashes are
+``fold(seed, base, axis) = mix64(mix64(mix64(seed) ^ base) ^ axis)``; the
+seed's pass is the same for every edge and is computed once per medium, and
+``mix64(h0 ^ v)`` is shared by every axis whose bit in v is clear (v is
+those edges' base), so a row costs 1 + n + popcount(v) passes instead of
+3n.  Rows are memoized per medium, at most 2^min(n, 16) of them (the default
+closure budget, so the whole cube for n <= 16); a full memo is emptied
+before the next row is stored.  Closure probes revisit the same vertices
+many times, and with the memo those revisits hash nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ from .errors import (
     IncompleteTable,
     NonCanonicalEdge,
 )
-from .rng import MASK64, fold, fold_np, threshold
+from .rng import MASK64, fold_np, mix64, threshold
 
 Vertex = int
 
@@ -124,11 +136,15 @@ def _tie_up_thresholds(alpha: float) -> tuple[int, int]:
     return t_tie, t_up
 
 
-def _validate_params(params: MediumParams) -> None:
+def _validate_params(params: MediumParams, sampled: bool = True) -> None:
+    """Check mode, alpha and dimension.  A sampled medium needs alpha < 1 to
+    orient anything; an explicit table (a file, a payoff game) may record
+    alpha = 1 for an all-tie game."""
     if params.mode not in (MODE_EXHAUSTIVE, MODE_LAZY):
         raise ValueError(f"unknown mode {params.mode!r}")
-    if not (0.0 <= params.alpha < 1.0):
-        raise AlphaOutOfRange(f"alpha must be in [0, 1), got {params.alpha}")
+    if not (0.0 <= params.alpha < 1.0 or (not sampled and params.alpha == 1.0)):
+        bound = "1)" if sampled else "1]"
+        raise AlphaOutOfRange(f"alpha must be in [0, {bound}, got {params.alpha}")
     if params.n_players < 1:
         raise DimensionTooLarge("n_players must be >= 1")
     cap = EXHAUSTIVE_CAP if params.mode == MODE_EXHAUSTIVE else LAZY_CAP
@@ -152,6 +168,12 @@ class Medium:
         self._half = 1 << (n - 1)
         if table is None:
             self._t_tie, self._t_up = _tie_up_thresholds(params.alpha)
+            # fold(seed, base, axis) == mix64(mix64(h0 ^ base) ^ axis); the
+            # seed's own pass is the same for every edge, so it is done once
+            self._h0 = mix64(params.seed)
+            self._rows: dict[int, tuple[int, int]] = {}
+            self._row_cap = 1 << min(n, 16)
+            self._axis_bits = tuple(1 << axis for axis in range(n))
 
     # -- construction -----------------------------------------------------
 
@@ -198,10 +220,36 @@ class Medium:
         return self._hash_orientation(edge.base, edge.axis)
 
     def _hash_orientation(self, base: int, axis: int) -> int:
-        h = fold(self.params.seed, base, axis)
+        h = mix64(mix64(self._h0 ^ base) ^ axis)
         if h < self._t_tie:
             return TIE
         return UP if h < self._t_up else DOWN
+
+    def _lazy_row(self, v: Vertex) -> tuple[int, int]:
+        """(out_bits, in_bits) of v in lazy mode: bit i set when v's axis-i
+        edge points out of / into v; neither bit for a tie.  Memoized."""
+        row = self._rows.get(v)
+        if row is not None:
+            return row
+        h0, t_tie, t_up = self._h0, self._t_tie, self._t_up
+        h_v = mix64(h0 ^ v)  # shared by every edge whose base is v itself
+        out_bits = in_bits = 0
+        for axis, bit in enumerate(self._axis_bits):
+            if v & bit:
+                h = mix64(mix64(h0 ^ (v ^ bit)) ^ axis)
+            else:
+                h = mix64(h_v ^ axis)
+            if h < t_tie:
+                continue
+            # UP runs from the base (bit clear) to the partner (bit set)
+            if (h < t_up) == (not v & bit):
+                out_bits |= bit
+            else:
+                in_bits |= bit
+        if len(self._rows) >= self._row_cap:
+            self._rows.clear()
+        row = self._rows[v] = (out_bits, in_bits)
+        return row
 
     def orientation_seen_from(self, v: Vertex, axis: int) -> int:
         """Edge state relative to v: UP = out of v, DOWN = into v, TIE = tie."""
@@ -221,11 +269,19 @@ class Medium:
         inward: list[int] = []
         tie: list[int] = []
         table = self._table
+        if table is None:
+            # fresh lists per call, so callers cannot corrupt the memo
+            out_bits, in_bits = self._lazy_row(v)
+            for bit in self._axis_bits:
+                if out_bits & bit:
+                    out.append(v ^ bit)
+                elif in_bits & bit:
+                    inward.append(v ^ bit)
+                else:
+                    tie.append(v ^ bit)
+            return NeighborPartition(out, inward, tie)
         for axis in range(n):
-            if table is not None:
-                code = int(table[axis * self._half + squeeze_bit(v, axis)])
-            else:
-                code = self._hash_orientation(v & ~(1 << axis), axis)
+            code = int(table[axis * self._half + squeeze_bit(v, axis)])
             w = v ^ (1 << axis)
             if code == TIE:
                 tie.append(w)
@@ -332,7 +388,7 @@ class Medium:
             raise IncompleteTable(f"seed {header['seed']} is not a 64-bit word")
         n = header["n_players"]
         params = MediumParams(n, float(header["alpha"]), header["seed"], MODE_EXHAUSTIVE)
-        _validate_params(params)
+        _validate_params(params, sampled=False)
         file_order = _unpack2(payload, edge_count(n))
         table = file_order[file_positions(n)].astype(np.int8)
         if table.size and table.max() > DOWN:

@@ -156,6 +156,32 @@ def test_generate_then_analyze_file(tmp_path, capsys):
     assert payload["pnes"] == sink_components(med).pnes
 
 
+def test_analyze_file_needs_no_n_or_alpha(tmp_path, capsys):
+    blob_path = tmp_path / "medium.bin"
+    blob_path.write_bytes(build_medium(5, 0.3, 8).dump_bytes())
+    assert run_cli(["analyze", "--in", str(blob_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n_players"] == 5 and payload["seed"] == 8
+
+
+def test_analyze_without_in_needs_n_and_alpha():
+    assert run_cli(["analyze"]) == 2
+    assert run_cli(["analyze", "--n", "5"]) == 2
+    assert run_cli(["analyze", "--alpha", "0.5"]) == 2
+
+
+def test_analyze_missing_in_path_exits_2(tmp_path):
+    missing = str(tmp_path / "nonexistent.bin")
+    assert run_cli(["analyze", "--in", missing]) == 2
+    assert run_cli(["analyze", "--n", "5", "--alpha", "0.5", "--in", missing]) == 2
+
+
+def test_unwritable_out_path_exits_2(tmp_path):
+    out = str(tmp_path / "no-such-dir" / "out")
+    assert run_cli(["analyze", "--n", "5", "--alpha", "0.5", "--out", out]) == 2
+    assert run_cli(["generate", "--n", "5", "--alpha", "0.5", "--out", out]) == 2
+
+
 def test_generate_lazy_emits_header_json(capsys):
     assert run_cli(["generate", "--n", "40", "--alpha", "0.5", "--mode", "lazy"]) == 0
     payload = json.loads(capsys.readouterr().out)

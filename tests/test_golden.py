@@ -1,5 +1,5 @@
-"""Byte-identity guard: sha256 digests of serialized media, percolations and
-their derived arrays over a fixed (n, alpha, seed) grid.
+"""Byte-identity guard: sha256 digests of serialized media, percolations,
+their derived arrays and lazy-mode walk records over fixed grids.
 
 The digests in golden_digests.json were recorded from a known-good build.
 Any rewrite of the table, hashing, degree or component code must reproduce
@@ -18,6 +18,7 @@ import sys
 import numpy as np
 import pytest
 
+from nashwalk.cli import main
 from nashwalk.medium import PayoffSpec, build_medium, medium_from_payoffs, sample_payoff_game
 from nashwalk.percolation import coupling_run, largest_component, sample_percolation
 from nashwalk.rng import MASK64
@@ -46,6 +47,17 @@ PERC_GRID = [
 ]
 
 COUPLING_GRID = [(n, alpha, 1000 + n) for n in (1, 3, 6, 9) for alpha in (0.0, 0.5, 0.9)]
+
+# `walk --mode lazy` at alpha 0.5: (trials, --max-steps) per n.  The srw and
+# lambda cases at n=30 overrun the closure budget (terminal "unknown").
+LAZY_WALK_SIZES = {3: (40, None), 8: (60, None), 11: (4, 2000), 30: (2, 60)}
+
+LAZY_WALK_GRID = [
+    (policy, n, seed)
+    for policy in ("brd", "srw", "lambda:0.7")
+    for n in LAZY_WALK_SIZES
+    for seed in (0, 5, MASK64)
+]
 
 
 def _sha(*chunks) -> str:
@@ -92,16 +104,34 @@ def coupling_digest(n, alpha, seed) -> str:
     return _sha(final.dump_bytes(), str(audit.rounds_to_fixpoint).encode())
 
 
+def lazy_walk_digest(policy, n, seed, tmp_dir) -> str:
+    trials, max_steps = LAZY_WALK_SIZES[n]
+    out = os.path.join(tmp_dir, "walk.csv")
+    argv = [
+        "walk", "--mode", "lazy", "--n", str(n), "--alpha", "0.5",
+        "--policy", policy, "--trials", str(trials), "--seed", str(seed),
+        "--out", out,
+    ]
+    if max_steps is not None:
+        argv += ["--max-steps", str(max_steps)]
+    assert main(argv) == 0
+    with open(out, "rb") as fh:
+        return _sha(fh.read())
+
+
 def _key(*parts) -> str:
     return "/".join(str(p) for p in parts)
 
 
-def compute_all() -> dict:
+def compute_all(tmp_dir: str) -> dict:
     return {
         "medium": {_key(*c): medium_digests(*c) for c in MEDIUM_GRID},
         "payoff": {_key(*c): payoff_digest(*c) for c in PAYOFF_GRID},
         "perc": {_key(*c): perc_digests(*c) for c in PERC_GRID},
         "coupling": {_key(*c): coupling_digest(*c) for c in COUPLING_GRID},
+        "lazy_walk": {
+            _key(*c): lazy_walk_digest(*c, tmp_dir) for c in LAZY_WALK_GRID
+        },
     }
 
 
@@ -131,9 +161,18 @@ def test_coupling_digests(golden, case):
     assert coupling_digest(*case) == golden["coupling"][_key(*case)]
 
 
+@pytest.mark.parametrize("case", LAZY_WALK_GRID, ids=lambda c: _key(*c))
+def test_lazy_walk_digests(golden, case, tmp_path):
+    assert lazy_walk_digest(*case, str(tmp_path)) == golden["lazy_walk"][_key(*case)]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        digests = compute_all(tmp_dir)
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
-        json.dump(compute_all(), fh, indent=1, sort_keys=True)
+        json.dump(digests, fh, indent=1, sort_keys=True)
         fh.write("\n")

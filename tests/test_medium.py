@@ -36,6 +36,7 @@ from nashwalk.medium import (
     squeeze_bit,
 )
 from nashwalk.rng import fold, TAG_MEDIUM
+from nashwalk.sinks import VertexClass, classify_vertex
 
 from conftest import CYCLIC2_PAYOFFS, GAMMA2_PAYOFFS, make_all_tie
 
@@ -139,6 +140,38 @@ def test_lazy_matches_exhaustive(alpha):
         for base in ex.axis_bases(axis):
             ref = EdgeRef(int(base), axis)
             assert ex.orientation(ref) == lz.orientation(ref)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=9),
+    alpha=st.sampled_from((0.0, 0.2, 0.5, 0.9)),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_lazy_partition_matches_exhaustive_twin(n, alpha, seed):
+    ex = build_medium(n, alpha, seed)
+    lz = build_medium(n, alpha, seed, mode=MODE_LAZY)
+    for v in range(1 << n):
+        want = ex.neighbor_partition(v)
+        assert lz.neighbor_partition(v) == want  # row hashed
+        part = lz.neighbor_partition(v)  # row read back from the memo
+        assert part == want
+        part.out.append(-1)  # the caller owns the lists, not the memo
+    for v in range(1 << n):
+        assert lz.neighbor_partition(v) == ex.neighbor_partition(v)
+
+
+def test_lazy_row_memo_is_bounded():
+    n = 20
+    lz = build_medium(n, 0.5, 0, mode=MODE_LAZY)
+    # seven probes, each overrunning the 2^16 budget, hash 68,672 distinct
+    # rows between them: more than the memo may hold
+    for start in (0, (1 << n) - 1, 0x55555, 0xAAAAA, 0x0F0F0, 0xF0F0F, 0x33333):
+        assert classify_vertex(lz, start) == VertexClass.UNKNOWN
+    assert 0 < len(lz._rows) <= 1 << 16
+    assert 0 not in lz._rows  # the first probe's rows were dropped
+    ex = build_medium(n, 0.5, 0)
+    for v in (0, 1, 12345, (1 << n) - 1, *list(lz._rows)[:50]):
+        assert lz.neighbor_partition(v) == ex.neighbor_partition(v)
 
 
 def test_degrees_sum_to_dimension():
@@ -273,6 +306,20 @@ def test_medium_from_payoffs_matches_naive_comparison(spec):
                 assert got == naive_orientation_from_payoffs(game, int(base), axis)
 
 
+@pytest.mark.parametrize("spec", [
+    PayoffSpec("bernoulli", p=1.0),
+    PayoffSpec("bernoulli", p=0.0),
+    PayoffSpec("discrete_uniform", k=1),
+], ids=("bernoulli-p1", "bernoulli-p0", "discrete-k1"))
+def test_degenerate_payoff_media_roundtrip(spec):
+    # constant payoffs: every edge is a tie and the induced alpha is 1
+    med = medium_from_payoffs(sample_payoff_game(3, spec, seed=1))
+    assert med.params.alpha == 1.0
+    back = Medium.load_bytes(med.dump_bytes())
+    assert back.params == med.params
+    assert (back.require_table() == TIE).all()
+
+
 def test_medium_from_payoffs_records_induced_alpha():
     game = sample_payoff_game(4, PayoffSpec("discrete_uniform", k=2), seed=1)
     med = medium_from_payoffs(game)
@@ -288,6 +335,8 @@ def test_alpha_out_of_range_rejected():
         build_medium(4, -0.1, 0)
     with pytest.raises(AlphaOutOfRange):
         build_medium(4, 1.1, 0)
+    with pytest.raises(AlphaOutOfRange):  # only medium files may say alpha = 1
+        build_medium(4, 1.0, 0)
 
 
 def test_dimension_caps():

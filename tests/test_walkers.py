@@ -296,6 +296,23 @@ def test_lazy_detection_matches_exact():
         assert (exact.tau, exact.xi, exact.terminal) == (lazy.tau, lazy.xi, lazy.terminal)
 
 
+def test_lazy_walks_do_not_depend_on_the_row_memo():
+    # a memo emptied every 32 rows must give the records a full memo gives
+    emptied = 0
+    for i in range(4):
+        seed = fold(515, i)
+        for policy in (Policy.brd(), Policy.srw(), Policy.lambda_walk(0.7)):
+            cfg = WalkConfig(
+                walk_seed=i, max_steps=2000, trap_detection=DETECT_LAZY, record_path=True
+            )
+            full = build_medium(11, 0.5, seed, mode=MODE_LAZY)
+            small = build_medium(11, 0.5, seed, mode=MODE_LAZY)
+            small._row_cap = 32
+            assert run_walk(small, policy, cfg) == run_walk(full, policy, cfg)
+            emptied += len(full._rows) > 32
+    assert emptied  # the small memo really was emptied mid-walk
+
+
 def test_lazy_detection_with_starved_budget(cyclic2_medium):
     cfg = WalkConfig(
         walk_seed=3, max_steps=20, trap_detection=DETECT_LAZY, lazy_budget=3
