@@ -252,13 +252,27 @@ class Medium:
         return row
 
     def orientation_seen_from(self, v: Vertex, axis: int) -> int:
-        """Edge state relative to v: UP = out of v, DOWN = into v, TIE = tie."""
-        code = self.orientation(EdgeRef(v & ~(1 << axis), axis))
-        if code == TIE:
-            return TIE
-        if (v >> axis) & 1:
-            return DOWN if code == UP else UP
-        return code
+        """Edge state relative to v: UP = out of v, DOWN = into v, TIE = tie.
+
+        The coupling's per-edge read: axis and v are checked once, then the
+        entry is read straight from the table (or hashed in lazy mode).
+        """
+        n = self.params.n_players
+        if not 0 <= axis < n:
+            raise AxisOutOfRange(f"axis {axis} outside [0, {n})")
+        if not 0 <= v < self._half << 1:
+            raise NonCanonicalEdge(f"vertex {v} outside the {n}-cube")
+        bit = 1 << axis
+        table = self._table
+        if table is None:
+            code = self._hash_orientation(v & ~bit, axis)
+        else:
+            # edge_index(base, axis, n) with squeeze_bit inlined
+            squeezed = (v & (bit - 1)) | ((v >> (axis + 1)) << axis)
+            code = table.item(axis * self._half + squeezed)
+        if code == TIE or not v & bit:
+            return code
+        return DOWN if code == UP else UP
 
     def neighbor_partition(self, v: Vertex) -> NeighborPartition:
         """Split v's n neighbors into (out, inward, tie), ordered by axis."""

@@ -7,11 +7,15 @@ the current set, while the percolation status of each set-to-boundary edge is
 overwritten by that edge's "points inward" indicator — a fresh beta coin.  The
 recursion's fixpoint is, deterministically, both the open component of vertex
 0 in the final percolation and the set of vertices with an oriented path to 0.
-Every run re-checks that identity; the run itself is the oracle.
+Every run re-checks that identity; the run itself is the oracle.  The open
+component of 0 is read off scipy component labels of the final percolation;
+:func:`connected_component`, a plain Python BFS over open edges, is kept as
+the independent oracle the tests compare those labels against.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -225,7 +229,7 @@ def reverse_accessible_from_zero(medium: Medium) -> set[int]:
             (np.ones(len(src), dtype=np.int8), (dst, src)), shape=(size, size)
         )
         order = breadth_first_order(rev, 0, directed=True, return_predecessors=False)
-        return set(int(x) for x in order)
+        return set(order.tolist())
     seen = {0}
     queue = [0]
     while queue:
@@ -246,6 +250,48 @@ class CouplingAudit:
     identity_holds: bool
 
 
+def _grow(medium: Medium, open_edges: np.ndarray) -> tuple[np.ndarray, frozenset, int]:
+    """The growth recursion of :func:`coupling_run`: (final open edges,
+    grown set, rounds to the fixpoint)."""
+    n = medium.n_players
+    half = 1 << (n - 1)
+    # (axis, its bit, its block offset, the mask of the bits below it)
+    axes = [(axis, 1 << axis, axis * half, (1 << axis) - 1) for axis in range(n)]
+    seen_from = medium.orientation_seen_from
+    grown = {0}
+    frontier = [0]
+    # assigned edge ids in assignment order (a C int holds any of the
+    # n * 2^(n-1) < 2^31 ids up to EXHAUSTIVE_CAP), and their "oriented into
+    # the set" indicators: raw words and bytes, so no int objects are kept
+    eids = array("i")
+    opens = bytearray()
+    rounds = 0
+    while frontier:
+        rounds += 1
+        joined: set[int] = set()
+        for u in frontier:
+            for axis, bit, offset, low in axes:
+                w = u ^ bit
+                if w in grown:
+                    continue  # settled edge; never boundary again
+                inward = seen_from(u, axis) == DOWN  # oriented w -> u
+                eids.append(offset + ((u & low) | ((u >> (axis + 1)) << axis)))
+                opens.append(inward)
+                if inward:
+                    joined.add(w)
+        frontier = sorted(joined)
+        grown.update(frontier)
+    # set-once: each boundary edge is assigned exactly when its first
+    # endpoint joins (assignments would be idempotent anyway)
+    assigned = np.frombuffer(eids, dtype=np.intc)
+    touched = np.zeros(open_edges.size, dtype=bool)
+    touched[assigned] = True
+    assert np.count_nonzero(touched) == assigned.size  # no edge id repeats
+    final_open = open_edges.copy()
+    final_open[assigned] = np.frombuffer(opens, dtype=bool)
+    return final_open, frozenset(grown), rounds
+
+
 def coupling_run(
     medium: Medium, initial: PercolationGraph
 ) -> tuple[PercolationGraph, CouplingAudit]:
@@ -253,9 +299,11 @@ def coupling_run(
 
     Each round assigns every edge between the current set and its complement
     (once — assignments are idempotent, asserted) the indicator "oriented into
-    the set member", then admits outside endpoints of the open ones.  Returns
-    the final percolation and an audit of the set identity, which must hold on
-    every run.
+    the set member", then admits outside endpoints of the open ones.  Each
+    assigned edge costs one ``medium.orientation_seen_from`` read; the
+    assignments are written into the final percolation in one step after the
+    fixpoint.  Returns the final percolation and an audit of the set
+    identity, which must hold on every run.
     """
     n = medium.n_players
     if initial.n != n:
@@ -264,39 +312,10 @@ def coupling_run(
         raise SeedCollision(
             "medium and initial percolation share a seed; use distinct streams"
         )
-    half = 1 << (n - 1)
-    final_open = initial.open_edges.copy()
-    updated = np.zeros(final_open.size, dtype=bool)
-    in_set = np.zeros(1 << n, dtype=bool)
-    in_set[0] = True
-    frontier = [0]
-    rounds = 0
-    while frontier:
-        rounds += 1
-        joined: list[int] = []
-        for u in frontier:
-            for axis in range(n):
-                w = u ^ (1 << axis)
-                if in_set[w]:
-                    continue  # settled edge; never boundary again
-                eid = axis * half + squeeze_bit(u, axis)
-                # set-once: each boundary edge is assigned exactly when its
-                # first endpoint joins, and assignments are idempotent anyway
-                assert not updated[eid]
-                code = medium.orientation_seen_from(u, axis)
-                opens = code == DOWN  # oriented w -> u, into the set
-                final_open[eid] = opens
-                updated[eid] = True
-                if opens:
-                    joined.append(w)
-        joined = sorted(set(joined))
-        for w in joined:
-            in_set[w] = True
-        frontier = joined
-
+    final_open, q_final, rounds = _grow(medium, initial.open_edges)
     final = PercolationGraph(n, final_open, initial.beta, None)
-    q_final = frozenset(int(v) for v in np.nonzero(in_set)[0])
-    comp_zero = frozenset(connected_component(final, 0))
+    labels = _component_labels(final)
+    comp_zero = frozenset(np.flatnonzero(labels == labels[0]).tolist())
     rev = frozenset(reverse_accessible_from_zero(medium))
     audit = CouplingAudit(
         q_final=q_final,

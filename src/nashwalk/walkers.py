@@ -253,6 +253,9 @@ def run_walk(
         elif verdict == VertexClass.IN_TRAP:
             members = forward_closure(medium, u, lazy_budget).visited
             lazy_trap_union.update(members)
+            # the trap is strongly connected and closed: probing any member
+            # finds this same closure, so none of them is probed again
+            classified.update(members)
             if xi is None:
                 xi = next(i for i, x in enumerate(path) if x in members)
 

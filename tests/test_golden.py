@@ -1,5 +1,6 @@
 """Byte-identity guard: sha256 digests of serialized media, percolations,
-their derived arrays and lazy-mode walk records over fixed grids.
+their derived arrays, lazy-mode walk records and percolation-audit reports
+over fixed grids.
 
 The digests in golden_digests.json were recorded from a known-good build.
 Any rewrite of the table, hashing, degree or component code must reproduce
@@ -57,6 +58,17 @@ LAZY_WALK_GRID = [
     for policy in ("brd", "srw", "lambda:0.7")
     for n in LAZY_WALK_SIZES
     for seed in (0, 5, MASK64)
+]
+
+# `percolation` CLI reports: trials per n, at 1 and 2 worker processes.
+PERC_CLI_TRIALS = {4: 40, 8: 12, 12: 3}
+
+PERC_CLI_GRID = [
+    (n, alpha, seed, threads)
+    for n in PERC_CLI_TRIALS
+    for alpha in (0.3, 0.5)
+    for seed in (0, 5, MASK64)
+    for threads in (1, 2)
 ]
 
 
@@ -119,6 +131,17 @@ def lazy_walk_digest(policy, n, seed, tmp_dir) -> str:
         return _sha(fh.read())
 
 
+def perc_cli_digest(n, alpha, seed, threads, tmp_dir) -> str:
+    out = os.path.join(tmp_dir, "perc.json")
+    assert main([
+        "percolation", "--n", str(n), "--alpha", str(alpha),
+        "--trials", str(PERC_CLI_TRIALS[n]), "--seed", str(seed),
+        "--threads", str(threads), "--out", out,
+    ]) == 0
+    with open(out, "rb") as fh:
+        return _sha(fh.read())
+
+
 def _key(*parts) -> str:
     return "/".join(str(p) for p in parts)
 
@@ -131,6 +154,9 @@ def compute_all(tmp_dir: str) -> dict:
         "coupling": {_key(*c): coupling_digest(*c) for c in COUPLING_GRID},
         "lazy_walk": {
             _key(*c): lazy_walk_digest(*c, tmp_dir) for c in LAZY_WALK_GRID
+        },
+        "perc_cli": {
+            _key(*c): perc_cli_digest(*c, tmp_dir) for c in PERC_CLI_GRID
         },
     }
 
@@ -164,6 +190,11 @@ def test_coupling_digests(golden, case):
 @pytest.mark.parametrize("case", LAZY_WALK_GRID, ids=lambda c: _key(*c))
 def test_lazy_walk_digests(golden, case, tmp_path):
     assert lazy_walk_digest(*case, str(tmp_path)) == golden["lazy_walk"][_key(*case)]
+
+
+@pytest.mark.parametrize("case", PERC_CLI_GRID, ids=lambda c: _key(*c))
+def test_percolation_cli_digests(golden, case, tmp_path):
+    assert perc_cli_digest(*case, str(tmp_path)) == golden["perc_cli"][_key(*case)]
 
 
 if __name__ == "__main__":

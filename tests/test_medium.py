@@ -222,6 +222,21 @@ def test_vectorized_views_match_per_vertex_oracle(med):
     assert set(zip(src.tolist(), dst.tolist())) == edges
 
 
+@given(media_up_to_9(), st.booleans())
+def test_orientation_seen_from_matches_neighbor_partition(med, lazy):
+    # Oracle: neighbor_partition's out / inward / tie lists, per vertex.
+    n = med.n_players
+    if lazy:
+        med = build_medium(n, med.params.alpha, med.params.seed, mode=MODE_LAZY)
+    for v in range(1 << n):
+        part = med.neighbor_partition(v)
+        expect = {w: UP for w in part.out}
+        expect.update((w, DOWN) for w in part.inward)
+        expect.update((w, TIE) for w in part.tie)
+        for axis in range(n):
+            assert med.orientation_seen_from(v, axis) == expect[v ^ (1 << axis)]
+
+
 def test_partition_agrees_with_degrees():
     med = build_medium(6, 0.6, 5)
     out_deg, in_deg, tie_deg = med.degrees()
@@ -351,6 +366,20 @@ def test_non_canonical_edge_rejected(gamma2_medium):
         gamma2_medium.orientation(EdgeRef(1, 0))  # bit 0 of base is set
     with pytest.raises(AxisOutOfRange):
         gamma2_medium.orientation(EdgeRef(0, 2))
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", MODE_LAZY])
+def test_orientation_seen_from_rejects_bad_arguments(mode):
+    med = build_medium(4, 0.5, 3, mode=mode)
+    for axis in (-1, -5, 4, 9):
+        with pytest.raises(AxisOutOfRange, match=f"axis {axis} outside"):
+            med.orientation_seen_from(0, axis)
+    for v in (-1, -16, 16, 1 << 40):
+        with pytest.raises(NonCanonicalEdge, match=f"vertex {v} outside"):
+            med.orientation_seen_from(v, 0)
+    # the axis is checked first when both are out of range
+    with pytest.raises(AxisOutOfRange):
+        med.orientation_seen_from(-1, -1)
 
 
 def test_lazy_medium_has_no_table():

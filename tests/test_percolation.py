@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nashwalk.errors import (
     BetaOutOfRange,
@@ -14,7 +15,7 @@ from nashwalk.errors import (
     IncompleteTable,
     SeedCollision,
 )
-from nashwalk.medium import build_medium
+from nashwalk.medium import DOWN, MODE_LAZY, Medium, build_medium, squeeze_bit
 from nashwalk.percolation import (
     PercolationGraph,
     check_lemma_finally,
@@ -211,6 +212,87 @@ def test_coupling_identity_random_media():
         assert audit.identity_holds
         assert audit.q_final == audit.reverse_accessible
         assert set(connected_component(final, 0)) == set(audit.q_final)
+
+
+def long_hand_coupling(medium, initial):
+    """The growth recursion edge by edge, with numpy set-once bookkeeping and
+    a BFS for the open component of 0: (final_open, q_final, rounds,
+    component_of_zero)."""
+    n = medium.n_players
+    half = 1 << (n - 1)
+    final_open = initial.open_edges.copy()
+    updated = np.zeros(final_open.size, dtype=bool)
+    in_set = np.zeros(1 << n, dtype=bool)
+    in_set[0] = True
+    frontier = [0]
+    rounds = 0
+    while frontier:
+        rounds += 1
+        joined = []
+        for u in frontier:
+            for axis in range(n):
+                w = u ^ (1 << axis)
+                if in_set[w]:
+                    continue
+                eid = axis * half + squeeze_bit(u, axis)
+                assert not updated[eid]
+                opens = medium.orientation_seen_from(u, axis) == DOWN
+                final_open[eid] = opens
+                updated[eid] = True
+                if opens:
+                    joined.append(w)
+        joined = sorted(set(joined))
+        for w in joined:
+            in_set[w] = True
+        frontier = joined
+    q_final = {int(v) for v in np.nonzero(in_set)[0]}
+    final = PercolationGraph(n, final_open, initial.beta, None)
+    return final_open, q_final, rounds, connected_component(final, 0)
+
+
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.sampled_from((0.0, 0.3, 0.5, 0.9)),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.booleans(),
+)
+def test_coupling_run_matches_long_hand_oracle(n, alpha, seed, lazy):
+    medium = build_medium(n, alpha, seed, mode=MODE_LAZY if lazy else "exhaustive")
+    initial = sample_percolation(n, (1.0 - alpha) / 2.0, seed ^ 1)
+    final, audit = coupling_run(medium, initial)
+    final_open, q_final, rounds, comp_zero = long_hand_coupling(medium, initial)
+    assert np.array_equal(final.open_edges, final_open)
+    assert audit.q_final == q_final
+    assert audit.rounds_to_fixpoint == rounds
+    assert audit.component_of_zero == comp_zero
+    assert audit.identity_holds
+
+
+def edges_touching(vertices, n):
+    """Cube edges with at least one endpoint in `vertices`."""
+    return len({(min(v, v ^ (1 << a)), a) for v in vertices for a in range(n)})
+
+
+@pytest.mark.parametrize("n,alpha,seed,mode", [
+    (6, 0.5, 12, "exhaustive"), (9, 0.3, 12, "exhaustive"), (10, 0.9, 13, "exhaustive"),
+    (6, 0.5, 12, MODE_LAZY),
+])
+def test_coupling_reads_each_assigned_edge_once(monkeypatch, n, alpha, seed, mode):
+    # One Medium.orientation_seen_from call per edge touching the grown set:
+    # every such edge is on the boundary exactly once.
+    calls = []
+    read = Medium.orientation_seen_from
+
+    def counted(medium, v, axis):
+        calls.append((v, axis))
+        return read(medium, v, axis)
+
+    monkeypatch.setattr(Medium, "orientation_seen_from", counted)
+    medium = build_medium(n, alpha, seed, mode=mode)
+    _, audit = coupling_run(medium, sample_percolation(n, (1.0 - alpha) / 2.0, seed + 1))
+    assert len(audit.q_final) > 1
+    assert len(calls) == edges_touching(audit.q_final, n)
+    assert len({(min(v, v ^ (1 << a)), a) for v, a in calls}) == len(calls)
 
 
 def test_coupling_preserves_open_marginal():

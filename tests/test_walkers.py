@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+import nashwalk.walkers as walkers
+from nashwalk.cli import main
 from nashwalk.errors import (
     EmptyTrialCount,
     MissingSinkAnalysis,
@@ -311,6 +314,45 @@ def test_lazy_walks_do_not_depend_on_the_row_memo():
             assert run_walk(small, policy, cfg) == run_walk(full, policy, cfg)
             emptied += len(full._rows) > 32
     assert emptied  # the small memo really was emptied mid-walk
+
+
+def test_lazy_walk_never_reprobes_a_found_trap(monkeypatch, tmp_path):
+    # Once an IN_TRAP probe has closed over a trap, probing any member would
+    # find the same closure, so no member is probed again in that walk.  The
+    # digest was recorded while every first revisit was still probed.
+    walks = []  # per walk: ("probe", v) and ("trap", members) events
+    for name in ("run_walk", "classify_vertex", "forward_closure"):
+        original = getattr(walkers, name)
+
+        def traced(medium, v, *args, _name=name, _original=original, **kwargs):
+            if _name == "run_walk":
+                walks.append([])
+            result = _original(medium, v, *args, **kwargs)
+            if _name == "classify_vertex":
+                walks[-1].append(("probe", v))
+            elif _name == "forward_closure":
+                walks[-1].append(("trap", result.visited))
+            return result
+
+        monkeypatch.setattr(walkers, name, traced)
+    monkeypatch.delenv("NASHWALK_THREADS", raising=False)
+    out = tmp_path / "walk.csv"
+    argv = "walk --n 8 --alpha 0.0 --mode lazy --policy lambda:0.5 --trials 6 --seed 13"
+    assert main(argv.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fdd1b60f60eef69fbcc9c5ee98a0ffb408ffa32ad4105871132d2e68f9d5f3f2"
+    )
+    assert len(walks) == 6
+    for events in walks:
+        known = set()
+        for kind, x in events:
+            if kind == "probe":
+                assert x not in known
+            else:
+                known |= x
+    probes = sum(kind == "probe" for events in walks for kind, _ in events)
+    traps = sum(kind == "trap" for events in walks for kind, _ in events)
+    assert (probes, traps) == (310, 3)  # every first revisit probed: 1071, 764
 
 
 def test_lazy_detection_with_starved_budget(cyclic2_medium):
