@@ -3,8 +3,9 @@
 Subcommands: figure1 (walk-length quantile table), theorem (absorption trend
 across dimensions), pne-stats (PNE count moments), percolation (coupling
 audit), walk (raw walk records), analyze (sink decomposition), generate
-(medium files).  Exit codes: 0 success, 2 invalid arguments, 3 wall-clock
-budget exceeded.
+(medium files).  Exit codes: 0 success, 2 invalid arguments (including
+--threads below 1 and a NaN or negative --time-budget), 3 wall-clock budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -133,6 +134,16 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with _file_errors(out), open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _check_common(args) -> None:
+    """Reject --threads and --time-budget values that would be ignored: a
+    worker count below 1, and a NaN or negative budget (never exceeded)."""
+    if args.threads is not None and args.threads < 1:
+        raise NashwalkError(f"--threads must be at least 1, got {args.threads}")
+    budget = args.time_budget
+    if budget is not None and not budget >= 0.0:
+        raise NashwalkError(f"--time-budget must be a number >= 0, got {budget}")
 
 
 def _deadline(args) -> float | None:
@@ -265,6 +276,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_common(args)
         return _HANDLERS[args.command](args)
     except TimeBudgetExceeded as exc:
         print(f"nashwalk: {exc}", file=sys.stderr)

@@ -125,22 +125,38 @@ def sink_components(medium: Medium) -> SinkAnalysis:
 
 CLOSED = "closed"
 BUDGET_EXCEEDED = "budget_exceeded"
+PNE_REACHED = "pne_reached"
 
 
 @dataclass
 class ClosureResult:
-    status: str  # CLOSED or BUDGET_EXCEEDED
+    """Outcome of a budgeted forward closure.
+
+    status is CLOSED when ``visited`` is the whole forward closure,
+    BUDGET_EXCEEDED when the search stopped at the budget (``visited`` is
+    then a partial set), and PNE_REACHED when a ``stop_at_pne`` search
+    stopped at its first PNE (``visited`` is partial, ``contains_pne`` True).
+    """
+
+    status: str  # CLOSED, BUDGET_EXCEEDED or PNE_REACHED
     visited: set[int]
     contains_pne: bool
 
 
-def forward_closure(medium: Medium, v: Vertex, budget: int | None = None) -> ClosureResult:
-    """BFS along oriented out-edges from v, capped at `budget` visited vertices.
+def forward_closure(
+    medium: Medium, v: Vertex, budget: int | None = None, *, stop_at_pne: bool = False
+) -> ClosureResult:
+    """DFS along oriented out-edges from v, capped at `budget` visited vertices.
 
-    Works in either storage mode.  Default budget is 2^min(n, 16).
+    Works in either storage mode.  Default budget is 2^min(n, 16).  With
+    `stop_at_pne`, a search whose budget covers the whole cube (so it can
+    never overrun) stops at the first PNE it pops and reports PNE_REACHED;
+    with a smaller budget the flag changes nothing, since a closure that
+    would overrun must still say so.
     """
     if budget is None:
         budget = 1 << min(medium.n_players, 16)
+    stop_at_pne = stop_at_pne and budget >= 1 << medium.n_players
     visited = {v}
     queue = [v]
     contains_pne = False
@@ -149,6 +165,8 @@ def forward_closure(medium: Medium, v: Vertex, budget: int | None = None) -> Clo
         u = queue.pop()
         out = medium.neighbor_partition(u).out
         if not out:
+            if stop_at_pne:
+                return ClosureResult(PNE_REACHED, visited, True)
             contains_pne = True
             continue
         for w in out:
@@ -178,10 +196,15 @@ def classify_vertex(medium: Medium, v: Vertex, budget: int | None = None) -> Ver
     reaches v (so the closure is strongly connected).  Doomed: closed, PNE-free
     closure not strongly connected to v — best-response play from v must end in
     a trap.  Transient: closure contains a PNE.  Unknown: budget exceeded.
+
+    One reachable PNE settles Transient (traps are closed and PNE-free), so
+    when the budget covers the whole cube the closure stops at its first
+    PNE.  A smaller budget explores in full, so a closure that overruns it
+    stays Unknown even when a PNE lies inside.
     """
     if is_pne(medium, v):
         return VertexClass.PNE
-    closure = forward_closure(medium, v, budget)
+    closure = forward_closure(medium, v, budget, stop_at_pne=True)
     if closure.status == BUDGET_EXCEEDED:
         return VertexClass.UNKNOWN
     if closure.contains_pne:

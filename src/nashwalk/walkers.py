@@ -29,7 +29,7 @@ from .errors import (
 )
 from .medium import MODE_EXHAUSTIVE, Medium, MediumParams, Vertex, build_medium
 from .parallel import map_ordered
-from .rng import TAG_MEDIUM, TAG_STEP, TAG_WALK, fold, unit_interval
+from .rng import TAG_MEDIUM, TAG_STEP, TAG_WALK, fold, mix64, unit_interval
 from .sinks import SinkAnalysis, VertexClass, classify_vertex, forward_closure, sink_components
 
 POLICY_BRD = "brd"
@@ -232,11 +232,16 @@ def run_walk(
     classified: set[int] = set()
     lazy_trap_union: set[int] = set()
     budget_blind = False  # a lazy closure test overran its budget
+    # v's neighbor partition when already decoded; each vertex the walk
+    # enters is decoded once, for the PNE test or for its next step
+    part = None
 
     def at_pne(u: Vertex) -> bool:
+        nonlocal part
         if pne_mask is not None:
             return bool(pne_mask[u])
-        return not medium.neighbor_partition(u).out
+        part = medium.neighbor_partition(u)
+        return not part.out
 
     def in_trap(u: Vertex) -> bool:
         if trap_mask is not None:
@@ -272,11 +277,15 @@ def run_walk(
             terminal = TERMINAL_IN_TRAP
 
     if terminal is None:
+        # step t draws fold(walk_seed, TAG_STEP, t - 1); the first two of
+        # its three mix passes do not depend on t
+        step_key = fold(config.walk_seed, TAG_STEP)
         for t in range(1, max_steps + 1):
-            part = medium.neighbor_partition(v)
+            if part is None:
+                part = medium.neighbor_partition(v)
             dist = _distribution(policy, n, v, part.out, part.inward)
-            u = unit_interval(fold(config.walk_seed, TAG_STEP, t - 1))
-            v = sample_categorical(dist, u)
+            v = sample_categorical(dist, unit_interval(mix64(step_key ^ (t - 1))))
+            part = None
             path.append(v)
             steps = t
             if at_pne(v):

@@ -204,6 +204,25 @@ def test_bad_flags_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--threads", "0"],
+    ["--threads", "-1"],
+    ["--time-budget", "nan"],
+    ["--time-budget", "-1"],
+    ["--time-budget", "-0.5"],
+], ids=" ".join)
+@pytest.mark.parametrize("command", [
+    ["figure1", "--n", "4", "--alpha", "0.5", "--trials", "2"],
+    ["walk", "--n", "4", "--alpha", "0.5", "--trials", "2"],
+    ["percolation", "--n", "4", "--alpha", "0.5", "--trials", "2"],
+], ids=lambda argv: argv[0])
+def test_ignored_threads_and_budget_values_exit_2(command, flags, capsys):
+    # Each of these used to run to exit 0: a NaN or negative budget is never
+    # exceeded, and a worker count below 1 silently became 1.
+    assert run_cli(command + flags) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_time_budget_exit_3():
     assert run_cli([
         "figure1", "--n", "10", "--alpha", "0.5", "--trials", "400",

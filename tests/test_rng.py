@@ -60,6 +60,17 @@ def test_fold_np_agrees_with_scalar(seed, tagged_words):
     assert int(got[0]) == fold(seed, *[w for w, _ in tagged_words])
 
 
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=3),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_fold_extends_a_prefix_with_one_pass(seed, words, last):
+    # Walks hoist fold(walk_seed, TAG_STEP) out of the step loop and draw
+    # step t from mix64(key ^ (t - 1)); that is this prefix property.
+    assert fold(seed, *words, last) == mix64(fold(seed, *words) ^ last)
+
+
 def test_mix64_np_agrees_with_scalar_vectorised():
     xs = np.array([0, 1, 2**63, 2**64 - 1, 12345], dtype=np.uint64)
     out = mix64_np(xs)

@@ -7,14 +7,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nashwalk.errors import AlphaOutOfRange
-from nashwalk.medium import DOWN, TIE, UP, Medium, build_medium
+from nashwalk.medium import DOWN, MODE_EXHAUSTIVE, MODE_LAZY, TIE, UP, Medium, build_medium
 from nashwalk.rng import fold, TAG_MEDIUM
 from nashwalk.sinks import (
     BUDGET_EXCEEDED,
     CLOSED,
+    PNE_REACHED,
     VertexClass,
     classify_vertex,
     enumerate_pnes,
@@ -236,6 +237,47 @@ def test_classify_vertex_matches_oracle(seed):
     pne_set = set(enumerate_pnes(med))
     for v in range(1 << 7):
         assert classify_vertex(med, v) == oracle_classify(med, closures, pne_set, v)
+
+
+
+# Derandomized: one n=9, alpha=0 exhaustive example can cost seconds (full
+# closures from most vertices), so a fixed example set keeps the time steady.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.sampled_from((0.0, 0.3, 0.8)),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.sampled_from((MODE_EXHAUSTIVE, MODE_LAZY)),
+)
+def test_early_pne_exit_keeps_every_verdict(n, alpha, seed, mode):
+    # A probe whose budget covers the cube stops at its first PNE; one
+    # budget short of the cube it explores in full and may say UNKNOWN.
+    med = build_medium(n, alpha, seed, mode)
+    closures = closure_sets(med)
+    pne_set = {v for v in range(1 << n) if not med.neighbor_partition(v).out}
+    short = (1 << n) - 1
+    for v in range(1 << n):
+        want = oracle_classify(med, closures, pne_set, v)
+        assert classify_vertex(med, v) == want
+        assert classify_vertex(med, v, short) in (want, VertexClass.UNKNOWN)
+
+        full = forward_closure(med, v)
+        assert full.status == CLOSED
+        assert full.visited == closures[v]
+        assert full.contains_pne == bool(closures[v] & pne_set)
+
+        early = forward_closure(med, v, stop_at_pne=True)
+        if full.contains_pne:
+            assert early.status == PNE_REACHED and early.contains_pne
+            assert early.visited & pne_set and early.visited <= closures[v]
+        else:
+            assert early == full
+        # below the cube the flag changes nothing: full closure or overrun
+        capped = forward_closure(med, v, short, stop_at_pne=True)
+        if len(closures[v]) <= short:
+            assert capped == full
+        else:
+            assert capped.status == BUDGET_EXCEEDED
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import nashwalk.sinks as sinks
 import nashwalk.walkers as walkers
 from nashwalk.cli import main
 from nashwalk.errors import (
@@ -353,6 +354,32 @@ def test_lazy_walk_never_reprobes_a_found_trap(monkeypatch, tmp_path):
     probes = sum(kind == "probe" for events in walks for kind, _ in events)
     traps = sum(kind == "trap" for events in walks for kind, _ in events)
     assert (probes, traps) == (310, 3)  # every first revisit probed: 1071, 764
+
+
+def test_lazy_probes_stop_at_the_first_pne(monkeypatch, tmp_path):
+    # nwbench's lazy-n8 workload: 246 of its 250 closures are TRANSIENT
+    # probes, which stop at their first PNE since the budget covers the cube.
+    # The digest and the 49,840 visited vertices were recorded while every
+    # probe still explored its whole closure.
+    visited = []
+    original = sinks.forward_closure
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        visited.append(len(result.visited))
+        return result
+
+    monkeypatch.setattr(sinks, "forward_closure", counted)
+    monkeypatch.setattr(walkers, "forward_closure", counted)
+    monkeypatch.delenv("NASHWALK_THREADS", raising=False)
+    out = tmp_path / "walk.csv"
+    argv = "walk --n 8 --alpha 0.5 --mode lazy --max-steps 1000 --trials 700 --seed 300"
+    assert main(argv.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "1de3a7900d1625d2e56fa49bc5976919f13537e05526f196b576256336cb4272"
+    )
+    assert len(visited) == 250
+    assert sum(visited) <= 49_840 // 5
 
 
 def test_lazy_detection_with_starved_budget(cyclic2_medium):
