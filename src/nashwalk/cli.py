@@ -4,7 +4,8 @@ Subcommands: figure1 (walk-length quantile table), theorem (absorption trend
 across dimensions), pne-stats (PNE count moments), percolation (coupling
 audit), walk (raw walk records), analyze (sink decomposition), generate
 (medium files).  Exit codes: 0 success, 2 invalid arguments (including
---threads below 1 and a NaN or negative --time-budget), 3 wall-clock budget
+--threads below 1, a NASHWALK_THREADS value that is set but not an integer of
+at least 1, and a NaN or negative --time-budget), 3 wall-clock budget
 exceeded.
 """
 
@@ -137,10 +138,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _check_common(args) -> None:
-    """Reject --threads and --time-budget values that would be ignored: a
-    worker count below 1, and a NaN or negative budget (never exceeded)."""
+    """Reject --threads, NASHWALK_THREADS and --time-budget values that would
+    be ignored: a worker count below 1 or not an integer, and a NaN or
+    negative budget (never exceeded)."""
     if args.threads is not None and args.threads < 1:
         raise NashwalkError(f"--threads must be at least 1, got {args.threads}")
+    resolve_workers()  # a malformed NASHWALK_THREADS fails every subcommand
     budget = args.time_budget
     if budget is not None and not budget >= 0.0:
         raise NashwalkError(f"--time-budget must be a number >= 0, got {budget}")

@@ -2,9 +2,11 @@
 
 Trials are embarrassingly parallel and every trial derives its randomness from
 its index, so distributing them over processes cannot change any result — only
-the wall time.  NASHWALK_THREADS caps the worker count when no explicit count
-is given.  A wall-clock deadline is checked before every trial (serial) or as
-every result arrives (parallel, after which the pending trials are cancelled).
+the wall time.  NASHWALK_THREADS sets the worker count when no explicit count
+is given; unset or empty it means 1, and any other value that is not an
+integer of at least 1 is an error.  A wall-clock deadline is checked before
+every trial (serial) or as every result arrives (parallel, after which the
+pending trials are cancelled).
 """
 
 from __future__ import annotations
@@ -13,21 +15,29 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import TimeBudgetExceeded
+from .errors import NashwalkError, TimeBudgetExceeded
 
 ENV_THREADS = "NASHWALK_THREADS"
 
 
 def resolve_workers(n_workers: int | None = None) -> int:
+    """`n_workers` (at least 1) when given, else NASHWALK_THREADS, else 1.
+
+    Raises NashwalkError when NASHWALK_THREADS is set, non-empty and not an
+    integer of at least 1.
+    """
     if n_workers is not None:
         return max(1, int(n_workers))
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    env = os.environ.get(ENV_THREADS, "")
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise NashwalkError(f"{ENV_THREADS} must be an integer of at least 1, got {env!r}")
+    return workers
 
 
 def check_deadline(deadline: float | None) -> None:

@@ -5,13 +5,29 @@ oriented edge.  A trap is a sink strongly-connected component of the oriented
 graph with at least two vertices; tie edges are not traversable.  The cube is
 bipartite, so oriented cycles have even length >= 4 and a sink SCC can never
 have size 2 or 3 — that is asserted, not filtered.
+
+Traps are closed and hold no PNE, so every trap lies in the set of vertices
+that cannot reach a PNE, and that set is itself closed under out-edges.
+:func:`sink_components` therefore finds the vertices that reach a PNE first,
+on packed bitsets, and runs the SCC only on the closed remainder (the
+reachability-then-SCC pruning of Fleischer, Hendrickson & Pinar, "On
+identifying strongly connected components in parallel", 2000).  Typical
+media leave a small remainder or none.
+
+Bitsets.  A per-vertex bool array packs into little-endian uint64 words,
+vertex v at bit ``v % 64`` of word ``v // 64`` (one word, zero-padded, for
+n < 6).  Crossing axis ``i < 6`` swaps bits within each word: a shift by
+``2^i`` under a constant mask.  Crossing axis ``i >= 6`` swaps whole words,
+and the word array viewed through :func:`axis_view` along ``i - 6`` lines
+each word up with its partner.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -19,21 +35,29 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import AlphaOutOfRange
-from .medium import Medium, Vertex
+from .medium import DOWN, UP, Medium, Vertex, axis_view
 
 
 @dataclass
 class SinkAnalysis:
-    """Full absorbing-structure decomposition of an exhaustive medium."""
+    """Full absorbing-structure decomposition of an exhaustive medium.
+
+    ``scc_id`` (component index per vertex) is computed on first access by
+    one SCC over the whole oriented graph; nothing on the hot path reads it.
+    """
 
     n_players: int
     alpha: float
     seed: int
     pnes: list[int]
     traps: list[list[int]]
-    scc_id: np.ndarray  # component index per vertex
     pne_mask: np.ndarray  # bool per vertex
     trap_mask: np.ndarray  # bool per vertex
+    medium: Medium = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def scc_id(self) -> np.ndarray:
+        return _whole_graph_scc(self.medium)[0]
 
     @property
     def pne_count(self) -> int:
@@ -73,53 +97,176 @@ def expected_pne_count(n: int, alpha: float) -> float:
     return (1.0 + alpha) ** n
 
 
-def sink_components(medium: Medium) -> SinkAnalysis:
-    """Decompose the oriented graph into SCCs and classify the sinks.
+def _sink_sccs(
+    src: np.ndarray, dst: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(labels, comp_sizes, is_sink) of scipy's SCC of the graph src -> dst
+    on `size` vertices; a component is a sink when no edge leaves it."""
+    graph = csr_matrix(
+        (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(size, size)
+    )
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
+    comp_sizes = np.bincount(labels, minlength=n_comp)
+    is_sink = np.ones(n_comp, dtype=bool)
+    is_sink[labels[src[labels[src] != labels[dst]]]] = False
+    return labels, comp_sizes, is_sink
 
-    Sink SCCs of size 1 are exactly the PNEs; sink SCCs of size >= 4 are the
-    traps.  Sizes 2 and 3 are impossible (bipartiteness) and asserted absent.
+
+def _whole_graph_scc(medium: Medium) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scc_id, pne_mask, trap_mask) from one SCC over every oriented edge of
+    the cube.  Backs the lazy ``SinkAnalysis.scc_id``, and is the tests'
+    oracle for :func:`sink_components`."""
+    src, dst = medium.oriented_edge_arrays()
+    labels, comp_sizes, is_sink = _sink_sccs(src, dst, 1 << medium.n_players)
+    pne_comp = is_sink & (comp_sizes == 1)
+    trap_comp = is_sink & (comp_sizes >= 2)
+    return labels, pne_comp[labels], trap_comp[labels]
+
+
+# Bits of a word whose in-word axis bit (axes 0-5) is clear.
+_LOW_HALVES = np.array(
+    [0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+     0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF],
+    dtype=np.uint64,
+)
+_SHIFTS = tuple(np.uint64(1 << axis) for axis in range(6))
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Little-endian uint64 words of a per-vertex bool array, zero-padded."""
+    packed = np.packbits(bits, bitorder="little")
+    if packed.size % 8:
+        packed = np.concatenate([packed, np.zeros(8 - packed.size % 8, np.uint8)])
+    return packed.view("<u8")
+
+
+def _unpack(words: np.ndarray, size: int) -> np.ndarray:
+    """Inverse of :func:`_pack`: the first `size` bits as a bool array."""
+    return np.unpackbits(words.view(np.uint8), count=size, bitorder="little").view(bool)
+
+
+def _out_words(medium: Medium) -> np.ndarray:
+    """(n, words) bitsets: bit v of row i set when v's axis-i edge points
+    out of v."""
+    n = medium.n_players
+    buf = np.empty(1 << n, dtype=bool)
+    rows = []
+    for axis in range(n):
+        block = medium.axis_block(axis)
+        view = axis_view(buf, axis)
+        np.equal(block, UP, out=view[:, 0, :])
+        np.equal(block, DOWN, out=view[:, 1, :])
+        rows.append(_pack(buf))
+    return np.stack(rows)
+
+
+def _reach_pnes(out_words: np.ndarray, seed: np.ndarray) -> tuple[np.ndarray, int]:
+    """Every vertex with an oriented path into `seed`, and the round count.
+
+    One round sweeps the axes in order, adding each vertex whose axis edge
+    points out of it into an already reached partner; rounds repeat until
+    one adds nothing.  Updates within a round are seen by later axes, so the
+    round count is at most one more than the longest shortest path to the
+    seed.
+    """
+    reach = seed.copy()
+    rounds = 0
+    while True:
+        before = reach.copy()
+        for axis, out in enumerate(out_words):
+            if axis < 6:
+                low, shift = _LOW_HALVES[axis], _SHIFTS[axis]
+                partner = ((reach & low) << shift) | ((reach >> shift) & low)
+                reach |= partner & out
+            else:
+                r = axis_view(reach, axis - 6)
+                o = axis_view(out, axis - 6)
+                r[:, 0, :] |= r[:, 1, :] & o[:, 0, :]
+                r[:, 1, :] |= r[:, 0, :] & o[:, 1, :]
+        rounds += 1
+        if np.array_equal(before, reach):
+            return reach, rounds
+
+
+def _remainder_edges(medium: Medium, rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Out-edges of the vertices `rest` (ascending) as local (src, dst)
+    indices into `rest`, read from the table axis by axis.  Asserts that
+    `rest` is closed: every out-neighbour has a local index."""
+    n = medium.n_players
+    local = np.full(1 << n, -1, dtype=np.int64)
+    local[rest] = np.arange(rest.size)
+    srcs: list[np.ndarray] = []
+    dsts: list[np.ndarray] = []
+    for axis in range(n):
+        bit = 1 << axis
+        # squeeze_bit(v, axis): v's edge's position in the axis block
+        codes = medium.axis_block(axis).ravel()[
+            (rest & (bit - 1)) | ((rest >> (axis + 1)) << axis)
+        ]
+        upper = (rest & bit) != 0
+        out = np.where(upper, codes == DOWN, codes == UP)
+        src = np.flatnonzero(out)
+        srcs.append(src)
+        dsts.append(local[rest[src] ^ bit])
+    src, dst = np.concatenate(srcs), np.concatenate(dsts)
+    assert (dst >= 0).all(), "the vertices reaching no PNE are not closed"
+    return src, dst
+
+
+def sink_components(medium: Medium) -> SinkAnalysis:
+    """Find the PNEs and the traps (sink SCCs of size >= 4) of the medium.
+
+    The PNEs are the out-degree-0 vertices of ``degrees()``.  Packed per-axis
+    out-edge bitsets then spread that set backwards along oriented edges
+    until it stops growing: the result is every vertex that can reach a
+    PNE.  The rest is closed under out-edges and holds every trap, so
+    scipy's SCC runs on the rest's out-edges alone, and its sink components
+    are the traps.  The rest holds no PNE, so no such sink is a single
+    vertex; sizes 2 and 3 are impossible (bipartiteness) and asserted
+    absent.
+
+    The number of rounds is bounded by the longest shortest path to a PNE,
+    so random media settle in a handful, while crafted snake-like tables
+    stay correct but cost more rounds.
     """
     n = medium.n_players
     size = 1 << n
-    src, dst = medium.oriented_edge_arrays()
-    graph = csr_matrix(
-        (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(size, size)
-    )
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
-
-    comp_sizes = np.bincount(labels, minlength=n_comp)
-    is_sink = np.ones(n_comp, dtype=bool)
-    cross = labels[src] != labels[dst]
-    is_sink[labels[src[cross]]] = False
-
-    pne_comp = is_sink & (comp_sizes == 1)
-    trap_comp = is_sink & (comp_sizes >= 2)
-    bad = np.nonzero(trap_comp & (comp_sizes < 4))[0]
-    assert bad.size == 0, (
-        f"sink SCCs of size {comp_sizes[bad].tolist()} violate bipartiteness"
-    )
-
-    pne_mask = pne_comp[labels]
-    trap_mask = trap_comp[labels]
-
-    # Cross-check: singleton sinks must be exactly the out-degree-0 vertices.
     out_deg, _, _ = medium.degrees()
-    assert np.array_equal(pne_mask, out_deg == 0)
+    pne_mask = out_deg == 0
+    out_words = _out_words(medium)
+    # Cross-check: no out-bit on any axis is exactly out-degree 0.
+    no_out = ~np.bitwise_or.reduce(out_words, axis=0)
+    assert np.array_equal(_unpack(no_out, size), pne_mask)
 
+    reach, _ = _reach_pnes(out_words, _pack(pne_mask))
+    rest = np.flatnonzero(~_unpack(reach, size))
+    trap_mask = np.zeros(size, dtype=bool)
     traps: list[list[int]] = []
-    for comp in np.nonzero(trap_comp)[0]:
-        traps.append(np.nonzero(labels == comp)[0].tolist())
-    traps.sort(key=lambda t: t[0])
+    if rest.size:
+        labels, comp_sizes, is_sink = _sink_sccs(
+            *_remainder_edges(medium, rest), rest.size
+        )
+        bad = np.nonzero(is_sink & (comp_sizes < 4))[0]
+        assert bad.size == 0, (
+            f"sink SCCs of size {comp_sizes[bad].tolist()} violate bipartiteness"
+        )
+        in_trap = np.flatnonzero(is_sink[labels])
+        trap_mask[rest[in_trap]] = True
+        # members ascend within a trap since `rest` ascends
+        order = np.argsort(labels[in_trap], kind="stable")
+        members = rest[in_trap[order]]
+        ends = np.cumsum(comp_sizes[is_sink])[:-1]
+        traps = sorted((t.tolist() for t in np.split(members, ends)), key=lambda t: t[0])
 
     return SinkAnalysis(
         n_players=n,
         alpha=medium.params.alpha,
         seed=medium.params.seed,
-        pnes=np.nonzero(pne_mask)[0].tolist(),
+        pnes=np.flatnonzero(pne_mask).tolist(),
         traps=traps,
-        scc_id=labels,
         pne_mask=pne_mask,
         trap_mask=trap_mask,
+        medium=medium,
     )
 
 

@@ -223,6 +223,40 @@ def test_ignored_threads_and_budget_values_exit_2(command, flags, capsys):
     assert capsys.readouterr().out == ""
 
 
+ALL_SUBCOMMANDS = [
+    ["figure1", "--n", "4", "--alpha", "0.5", "--trials", "2"],
+    ["theorem", "--n", "4", "--alpha", "0.5", "--trials", "2"],
+    ["pne-stats", "--n", "4", "--alpha", "0.5", "--trials", "2"],
+    ["percolation", "--n", "4", "--alpha", "0.5", "--trials", "2"],
+    ["walk", "--n", "4", "--alpha", "0.5", "--trials", "2"],
+    ["analyze", "--n", "4", "--alpha", "0.5"],
+    ["generate", "--n", "4", "--alpha", "0.5", "--mode", "lazy"],
+]
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "1.5"])
+@pytest.mark.parametrize("command", ALL_SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_malformed_threads_env_exits_2(command, value, monkeypatch, capsys):
+    # Each of these used to run one worker and exit 0.
+    monkeypatch.setenv("NASHWALK_THREADS", value)
+    assert run_cli(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "NASHWALK_THREADS" in captured.err and repr(value) in captured.err
+
+
+def test_malformed_threads_env_fails_even_with_threads_flag(monkeypatch):
+    monkeypatch.setenv("NASHWALK_THREADS", "0")
+    assert run_cli(ALL_SUBCOMMANDS[0] + ["--threads", "1"]) == 2
+
+
+@pytest.mark.parametrize("value", ["", "1", "2"])
+def test_unset_empty_or_valid_threads_env_runs(value, monkeypatch, capsys):
+    monkeypatch.setenv("NASHWALK_THREADS", value)
+    assert run_cli(ALL_SUBCOMMANDS[2]) == 0
+    assert json.loads(capsys.readouterr().out)["samples"] == 2
+
+
 def test_time_budget_exit_3():
     assert run_cli([
         "figure1", "--n", "10", "--alpha", "0.5", "--trials", "400",

@@ -1,10 +1,12 @@
 """Byte-identity guard: sha256 digests of serialized media, percolations,
-their derived arrays, lazy-mode walk records and percolation-audit reports
-over fixed grids.
+their derived arrays, lazy-mode walk records, percolation-audit reports and
+the sink-analysis, figure1 and theorem CLI outputs over fixed grids.
 
 The digests in golden_digests.json were recorded from a known-good build.
-Any rewrite of the table, hashing, degree or component code must reproduce
-them exactly.  To re-record (only on a commit known to be right):
+Any rewrite of the table, hashing, degree, sink or component code must
+reproduce them exactly.  To record the digests of grid points that have none
+yet (only on a commit known to be right; existing digests are kept, so
+re-recording one means deleting it first and saying why):
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -67,6 +69,34 @@ PERC_CLI_GRID = [
     (n, alpha, seed, threads)
     for n in PERC_CLI_TRIALS
     for alpha in (0.3, 0.5)
+    for seed in (0, 5, MASK64)
+    for threads in (1, 2)
+]
+
+
+# `analyze` JSON: alpha 0 gives cubes with no PNE and large traps.
+ANALYZE_GRID = [
+    (n, alpha, seed)
+    for n in range(1, 14)
+    for alpha in (0.0, 0.5, 0.9)
+    for seed in (0, 5, MASK64)
+]
+
+# `figure1` over alpha 0, 0.5 and 0.9 (brd and srw), --max-steps 1000 so the
+# srw walks stuck in alpha-0 traps stay cheap: trials per n.
+FIGURE1_TRIALS = {4: 40, 8: 20, 11: 12}
+
+FIGURE1_GRID = [
+    (n, seed, threads)
+    for n in FIGURE1_TRIALS
+    for seed in (0, 5, MASK64)
+    for threads in (1, 2)
+]
+
+# `theorem --n 4 --n 7 --n 10`, 20 trials per n.
+THEOREM_GRID = [
+    (alpha, policy, seed, threads)
+    for alpha, policy in ((0.3, "brd"), (0.9, "srw"))
     for seed in (0, 5, MASK64)
     for threads in (1, 2)
 ]
@@ -142,23 +172,64 @@ def perc_cli_digest(n, alpha, seed, threads, tmp_dir) -> str:
         return _sha(fh.read())
 
 
+def _cli_digest(argv, tmp_dir) -> str:
+    out = os.path.join(tmp_dir, "cli.out")
+    assert main(argv + ["--out", out]) == 0
+    with open(out, "rb") as fh:
+        return _sha(fh.read())
+
+
+def analyze_digest(n, alpha, seed, tmp_dir) -> str:
+    return _cli_digest([
+        "analyze", "--n", str(n), "--alpha", str(alpha), "--seed", str(seed),
+    ], tmp_dir)
+
+
+def figure1_digest(n, seed, threads, tmp_dir) -> str:
+    return _cli_digest([
+        "figure1", "--n", str(n), "--alpha", "0", "--alpha", "0.5", "--alpha", "0.9",
+        "--trials", str(FIGURE1_TRIALS[n]), "--max-steps", "1000",
+        "--seed", str(seed), "--threads", str(threads),
+    ], tmp_dir)
+
+
+def theorem_digest(alpha, policy, seed, threads, tmp_dir) -> str:
+    return _cli_digest([
+        "theorem", "--n", "4", "--n", "7", "--n", "10", "--alpha", str(alpha),
+        "--policy", policy, "--trials", "20", "--seed", str(seed),
+        "--threads", str(threads),
+    ], tmp_dir)
+
+
 def _key(*parts) -> str:
     return "/".join(str(p) for p in parts)
 
 
-def compute_all(tmp_dir: str) -> dict:
-    return {
-        "medium": {_key(*c): medium_digests(*c) for c in MEDIUM_GRID},
-        "payoff": {_key(*c): payoff_digest(*c) for c in PAYOFF_GRID},
-        "perc": {_key(*c): perc_digests(*c) for c in PERC_GRID},
-        "coupling": {_key(*c): coupling_digest(*c) for c in COUPLING_GRID},
-        "lazy_walk": {
-            _key(*c): lazy_walk_digest(*c, tmp_dir) for c in LAZY_WALK_GRID
-        },
-        "perc_cli": {
-            _key(*c): perc_cli_digest(*c, tmp_dir) for c in PERC_CLI_GRID
-        },
-    }
+# section -> (grid, digest function, whether it takes a scratch directory)
+SECTIONS = {
+    "medium": (MEDIUM_GRID, medium_digests, False),
+    "payoff": (PAYOFF_GRID, payoff_digest, False),
+    "perc": (PERC_GRID, perc_digests, False),
+    "coupling": (COUPLING_GRID, coupling_digest, False),
+    "lazy_walk": (LAZY_WALK_GRID, lazy_walk_digest, True),
+    "perc_cli": (PERC_CLI_GRID, perc_cli_digest, True),
+    "analyze": (ANALYZE_GRID, analyze_digest, True),
+    "figure1": (FIGURE1_GRID, figure1_digest, True),
+    "theorem": (THEOREM_GRID, theorem_digest, True),
+}
+
+
+def record_missing(digests: dict, tmp_dir: str) -> int:
+    """Compute the digest of every grid point that has none; return the count."""
+    added = 0
+    for section, (grid, digest, needs_dir) in SECTIONS.items():
+        recorded = digests.setdefault(section, {})
+        for case in grid:
+            if _key(*case) not in recorded:
+                extra = (tmp_dir,) if needs_dir else ()
+                recorded[_key(*case)] = digest(*case, *extra)
+                added += 1
+    return added
 
 
 @pytest.fixture(scope="module")
@@ -197,13 +268,40 @@ def test_percolation_cli_digests(golden, case, tmp_path):
     assert perc_cli_digest(*case, str(tmp_path)) == golden["perc_cli"][_key(*case)]
 
 
+@pytest.mark.parametrize("case", ANALYZE_GRID, ids=lambda c: _key(*c))
+def test_analyze_cli_digests(golden, case, tmp_path):
+    assert analyze_digest(*case, str(tmp_path)) == golden["analyze"][_key(*case)]
+
+
+@pytest.mark.parametrize("case", FIGURE1_GRID, ids=lambda c: _key(*c))
+def test_figure1_cli_digests(golden, case, tmp_path):
+    assert figure1_digest(*case, str(tmp_path)) == golden["figure1"][_key(*case)]
+
+
+@pytest.mark.parametrize("case", THEOREM_GRID, ids=lambda c: _key(*c))
+def test_theorem_cli_digests(golden, case, tmp_path):
+    assert theorem_digest(*case, str(tmp_path)) == golden["theorem"][_key(*case)]
+
+
+@pytest.mark.parametrize("section", ["perc_cli", "figure1", "theorem"])
+def test_digests_do_not_depend_on_thread_count(golden, section):
+    by_threads = {}
+    for key, digest in golden[section].items():
+        rest, threads = key.rsplit("/", 1)
+        by_threads.setdefault(rest, {})[threads] = digest
+    for rest, digests in by_threads.items():
+        assert digests["1"] == digests["2"], rest
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
     import tempfile
 
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        digests = json.load(fh)
     with tempfile.TemporaryDirectory() as tmp_dir:
-        digests = compute_all(tmp_dir)
+        print(f"recorded {record_missing(digests, tmp_dir)} new digests")
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
         json.dump(digests, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nashwalk.errors import AlphaOutOfRange
 from nashwalk.medium import DOWN, MODE_EXHAUSTIVE, MODE_LAZY, TIE, UP, Medium, build_medium
 from nashwalk.rng import fold, TAG_MEDIUM
+from nashwalk.sinks import _out_words, _pack, _reach_pnes, _whole_graph_scc
 from nashwalk.sinks import (
     BUDGET_EXCEEDED,
     CLOSED,
@@ -174,6 +175,119 @@ def test_sink_components_match_reachability_oracle(alpha, seed):
     pnes, traps = oracle_sink_structure(med)
     assert analysis.pnes == pnes
     assert analysis.traps == traps
+
+
+def same_partition(a, b) -> bool:
+    """True when two label arrays group the vertices identically."""
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+def check_against_scc_oracle(med: Medium):
+    """sink_components agrees with one SCC over the whole oriented graph."""
+    analysis = sink_components(med)
+    labels, pne_mask, trap_mask = _whole_graph_scc(med)
+    assert np.array_equal(analysis.pne_mask, pne_mask)
+    assert np.array_equal(analysis.trap_mask, trap_mask)
+    assert analysis.pnes == np.flatnonzero(pne_mask).tolist()
+    groups = {}
+    for v in np.flatnonzero(trap_mask).tolist():
+        groups.setdefault(int(labels[v]), []).append(v)
+    assert analysis.traps == sorted(groups.values(), key=lambda t: t[0])
+    assert same_partition(analysis.scc_id, labels)
+    return analysis
+
+
+def random_table(n: int, weights, seed: int) -> Medium:
+    rng = np.random.default_rng(seed)
+    return Medium.from_orientation_table(n, rng.choice(3, n << (n - 1), p=weights))
+
+
+# Derandomized so the example set, and with it the run time, stays fixed.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(range(1, 11)),
+    st.one_of(
+        st.tuples(st.just("hashed"), st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.9))),
+        st.tuples(st.just("table"), st.sampled_from(
+            ((1 / 3, 1 / 3, 1 / 3), (0.0, 0.5, 0.5), (0.6, 0.2, 0.2), (0.1, 0.8, 0.1))
+        )),
+    ),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_sink_components_match_whole_graph_scc(n, source, seed):
+    kind, param = source
+    if kind == "hashed":
+        med = build_medium(n, param, seed)
+    else:
+        med = random_table(n, param, seed)
+    analysis = check_against_scc_oracle(med)
+    if n <= 6:
+        # scc_id groups exactly the mutually reachable vertices
+        closures = closure_sets(med)
+        for u in range(1 << n):
+            for w in closures[u]:
+                same = u in closures[w]
+                assert (analysis.scc_id[u] == analysis.scc_id[w]) == same
+
+
+def test_no_pne_cube_leaves_the_whole_cube_to_the_scc():
+    # n=8, alpha=0, seed 0 has no PNE: nothing reaches one, so the
+    # remainder the SCC runs on is the whole cube.
+    med = build_medium(8, 0.0, 0)
+    assert enumerate_pnes(med) == []
+    reach, rounds = _reach_pnes(_out_words(med), _pack(np.zeros(256, dtype=bool)))
+    assert not reach.any() and rounds == 1
+    analysis = check_against_scc_oracle(med)
+    assert analysis.pnes == [] and analysis.traps
+    assert analysis.trap_mask.sum() == sum(map(len, analysis.traps))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cubes_below_64_vertices_fit_one_word(n):
+    for i in range(40):
+        alpha = (0.0, 0.3, 0.8)[i % 3]
+        med = build_medium(n, alpha, fold(606, TAG_MEDIUM, i))
+        assert _out_words(med).shape == (n, 1)
+        check_against_scc_oracle(med)
+        check_against_scc_oracle(random_table(n, (1 / 3, 1 / 3, 1 / 3), i))
+
+
+def snake_cube(n: int) -> Medium:
+    """Gray-code Hamiltonian path g(0) -> g(1) -> ... -> g(2^n - 1), all
+    other edges ties: one PNE at the end, 2^n - 1 steps from the start."""
+    table = np.zeros(n << (n - 1), dtype=np.int8)
+    half = 1 << (n - 1)
+    for i in range((1 << n) - 1):
+        u, w = i ^ (i >> 1), (i + 1) ^ ((i + 1) >> 1)
+        axis = (u ^ w).bit_length() - 1
+        base = min(u, w)
+        squeezed = (base & ((1 << axis) - 1)) | ((base >> (axis + 1)) << axis)
+        table[axis * half + squeezed] = UP if u == base else DOWN
+    return Medium.from_orientation_table(n, table)
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_snake_needs_many_rounds_and_still_matches(n):
+    med = snake_cube(n)
+    last = (1 << n) - 1
+    pne = last ^ (last >> 1)  # g(2^n - 1)
+    assert enumerate_pnes(med) == [pne]
+    reach, rounds = _reach_pnes(_out_words(med), _pack(np.arange(1 << n) == pne))
+    assert rounds > (1 << n) // 4  # a random medium settles in under ten
+    analysis = check_against_scc_oracle(med)
+    assert analysis.pnes == [pne] and analysis.traps == []
+
+
+def test_fixture_sink_structures(cyclic2_medium, gamma2_medium, escape_cube_medium):
+    cyclic = check_against_scc_oracle(cyclic2_medium)
+    assert (cyclic.pnes, cyclic.traps) == ([], [[0, 1, 2, 3]])
+    gamma = check_against_scc_oracle(gamma2_medium)
+    assert (gamma.pnes, gamma.traps) == ([0], [])
+    assert not gamma.trap_mask.any()
+    escape = check_against_scc_oracle(escape_cube_medium)
+    assert (escape.pnes, escape.traps) == ([7], [[0, 1, 2, 3]])
+    assert escape.trap_mask.tolist() == [True] * 4 + [False] * 4
 
 
 def test_analysis_serializes_to_sorted_json(cyclic2_medium):
