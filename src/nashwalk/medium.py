@@ -22,17 +22,20 @@ over an axis's edges (hashing, degrees, edge lists, payoff comparison, file
 order, percolation) goes through it, with strided views instead of index
 arrays.  Scalar lookups use :func:`squeeze_bit` / :func:`edge_index`.
 
-Lazy rows.  A lazy medium answers ``neighbor_partition(v)`` from a row: two
-n-bit masks, bit i of ``out_bits`` / ``in_bits`` set when v's axis-i edge
-points out of / into v (a tie sets neither).  Edge hashes are
+Rows.  Every per-vertex query (``is_pne``, closures, walk steps,
+``neighbor_partition``) reads ``row(v)``: two n-bit masks, bit i of
+``out_bits`` / ``in_bits`` set when v's axis-i edge points out of / into v
+(a tie sets neither).  Rows are memoized per medium in either storage mode,
+at most 2^min(n, 16) of them (the default closure budget, so the whole cube
+for n <= 16); a full memo is emptied before the next row is stored.  A memo
+miss is the one place the storage modes differ.  An exhaustive medium reads
+v's n table entries.  A lazy medium hashes them:
 ``fold(seed, base, axis) = mix64(mix64(mix64(seed) ^ base) ^ axis)``; the
 seed's pass is the same for every edge and is computed once per medium, and
 ``mix64(h0 ^ v)`` is shared by every axis whose bit in v is clear (v is
 those edges' base), so a row costs 1 + n + popcount(v) passes instead of
-3n.  Rows are memoized per medium, at most 2^min(n, 16) of them (the default
-closure budget, so the whole cube for n <= 16); a full memo is emptied
-before the next row is stored.  Closure probes revisit the same vertices
-many times, and with the memo those revisits hash nothing.
+3n.  Closure probes and walks revisit the same vertices many times, and with
+the memo those revisits read nothing.
 """
 
 from __future__ import annotations
@@ -93,6 +96,17 @@ class NeighborPartition(NamedTuple):
     out: list[Vertex]
     inward: list[Vertex]
     tie: list[Vertex]
+
+
+def neighbors(v: Vertex, bits: int) -> list[Vertex]:
+    """v's neighbors across the axes set in `bits`, in ascending axis order
+    (the decode of a :meth:`Medium.row` mask)."""
+    out = []
+    while bits:
+        bit = bits & -bits
+        bits ^= bit
+        out.append(v ^ bit)
+    return out
 
 
 def edge_count(n: int) -> int:
@@ -164,16 +178,18 @@ class Medium:
     def __init__(self, params: MediumParams, table: np.ndarray | None):
         self.params = params
         self._table = table  # int8, axis-major, or None in lazy mode
+        if table is not None:
+            table.flags.writeable = False  # memoized rows must not go stale
         n = params.n_players
         self._half = 1 << (n - 1)
+        self._rows: dict[int, tuple[int, int]] = {}
+        self._row_cap = 1 << min(n, 16)
+        self._axis_bits = tuple(1 << axis for axis in range(n))
         if table is None:
             self._t_tie, self._t_up = _tie_up_thresholds(params.alpha)
             # fold(seed, base, axis) == mix64(mix64(h0 ^ base) ^ axis); the
             # seed's own pass is the same for every edge, so it is done once
             self._h0 = mix64(params.seed)
-            self._rows: dict[int, tuple[int, int]] = {}
-            self._row_cap = 1 << min(n, 16)
-            self._axis_bits = tuple(1 << axis for axis in range(n))
 
     # -- construction -----------------------------------------------------
 
@@ -181,8 +197,9 @@ class Medium:
     def from_orientation_table(
         cls, n: int, table, alpha: float = 0.0, seed: int = 0
     ) -> "Medium":
-        """Wrap an explicit axis-major orientation table (tests, fixtures)."""
-        arr = np.ascontiguousarray(table, dtype=np.int8)
+        """Wrap a copy of an explicit axis-major orientation table (tests,
+        fixtures); later changes to `table` do not reach the medium."""
+        arr = np.array(table, dtype=np.int8)
         if arr.shape != (edge_count(n),):
             raise IncompleteTable(
                 f"orientation table must have {edge_count(n)} entries, got {arr.shape}"
@@ -225,27 +242,44 @@ class Medium:
             return TIE
         return UP if h < self._t_up else DOWN
 
-    def _lazy_row(self, v: Vertex) -> tuple[int, int]:
-        """(out_bits, in_bits) of v in lazy mode: bit i set when v's axis-i
-        edge points out of / into v; neither bit for a tie.  Memoized."""
+    def row(self, v: Vertex) -> tuple[int, int]:
+        """(out_bits, in_bits) of v: bit i set when v's axis-i edge points
+        out of / into v; neither bit for a tie.  Memoized."""
         row = self._rows.get(v)
         if row is not None:
             return row
-        h0, t_tie, t_up = self._h0, self._t_tie, self._t_up
-        h_v = mix64(h0 ^ v)  # shared by every edge whose base is v itself
+        n = self.params.n_players
+        if not 0 <= v < self._half << 1:
+            raise NonCanonicalEdge(f"vertex {v} outside the {n}-cube")
+        table = self._table
         out_bits = in_bits = 0
-        for axis, bit in enumerate(self._axis_bits):
-            if v & bit:
-                h = mix64(mix64(h0 ^ (v ^ bit)) ^ axis)
-            else:
-                h = mix64(h_v ^ axis)
-            if h < t_tie:
-                continue
-            # UP runs from the base (bit clear) to the partner (bit set)
-            if (h < t_up) == (not v & bit):
-                out_bits |= bit
-            else:
-                in_bits |= bit
+        if table is None:
+            h0, t_tie, t_up = self._h0, self._t_tie, self._t_up
+            h_v = mix64(h0 ^ v)  # shared by every edge whose base is v itself
+            for axis, bit in enumerate(self._axis_bits):
+                if v & bit:
+                    h = mix64(mix64(h0 ^ (v ^ bit)) ^ axis)
+                else:
+                    h = mix64(h_v ^ axis)
+                if h < t_tie:
+                    continue
+                # UP runs from the base (bit clear) to the partner (bit set)
+                if (h < t_up) == (not v & bit):
+                    out_bits |= bit
+                else:
+                    in_bits |= bit
+        else:
+            half = self._half
+            for axis, bit in enumerate(self._axis_bits):
+                # edge_index(v & ~bit, axis, n) with squeeze_bit inlined
+                squeezed = (v & (bit - 1)) | ((v >> (axis + 1)) << axis)
+                code = table.item(axis * half + squeezed)
+                if code == TIE:
+                    continue
+                if (code == UP) == (not v & bit):
+                    out_bits |= bit
+                else:
+                    in_bits |= bit
         if len(self._rows) >= self._row_cap:
             self._rows.clear()
         row = self._rows[v] = (out_bits, in_bits)
@@ -275,35 +309,13 @@ class Medium:
         return DOWN if code == UP else UP
 
     def neighbor_partition(self, v: Vertex) -> NeighborPartition:
-        """Split v's n neighbors into (out, inward, tie), ordered by axis."""
-        n = self.params.n_players
-        if not (0 <= v < (1 << n)):
-            raise NonCanonicalEdge(f"vertex {v} outside the {n}-cube")
-        out: list[int] = []
-        inward: list[int] = []
-        tie: list[int] = []
-        table = self._table
-        if table is None:
-            # fresh lists per call, so callers cannot corrupt the memo
-            out_bits, in_bits = self._lazy_row(v)
-            for bit in self._axis_bits:
-                if out_bits & bit:
-                    out.append(v ^ bit)
-                elif in_bits & bit:
-                    inward.append(v ^ bit)
-                else:
-                    tie.append(v ^ bit)
-            return NeighborPartition(out, inward, tie)
-        for axis in range(n):
-            code = int(table[axis * self._half + squeeze_bit(v, axis)])
-            w = v ^ (1 << axis)
-            if code == TIE:
-                tie.append(w)
-            elif (code == UP) == (((v >> axis) & 1) == 0):
-                out.append(w)
-            else:
-                inward.append(w)
-        return NeighborPartition(out, inward, tie)
+        """Split v's n neighbors into (out, inward, tie), ordered by axis:
+        a decode of :meth:`row` into fresh lists, which the caller owns."""
+        out_bits, in_bits = self.row(v)
+        tie_bits = ((self._half << 1) - 1) ^ out_bits ^ in_bits
+        return NeighborPartition(
+            neighbors(v, out_bits), neighbors(v, in_bits), neighbors(v, tie_bits)
+        )
 
     # -- vectorized views (exhaustive only) --------------------------------
 

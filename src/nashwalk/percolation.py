@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components
 
 from .container import check_header, pack_container, unpack_container
 from .errors import (
@@ -40,10 +40,12 @@ from .medium import (
     build_medium,
     edge_count,
     file_positions,
+    neighbors,
     squeeze_bit,
 )
 from .parallel import map_ordered
 from .rng import MASK64, TAG_MEDIUM, TAG_PERC, fold, fold_np, threshold
+from .sinks import backward_reach
 
 PERC_MAGIC = b"NWPERC\x00\x00"  # 8-byte field, name NUL-padded
 PERC_FORMAT_VERSION = 1
@@ -223,18 +225,14 @@ def fragment_stats(perc: PercolationGraph) -> FragmentStats:
 def reverse_accessible_from_zero(medium: Medium) -> set[int]:
     """Vertices with an oriented (best-response) path into vertex 0."""
     if medium.mode == "exhaustive":
-        src, dst = medium.oriented_edge_arrays()
-        size = 1 << medium.n_players
-        rev = csr_matrix(
-            (np.ones(len(src), dtype=np.int8), (dst, src)), shape=(size, size)
-        )
-        order = breadth_first_order(rev, 0, directed=True, return_predecessors=False)
-        return set(order.tolist())
+        zero = np.zeros(1 << medium.n_players, dtype=bool)
+        zero[0] = True
+        return set(np.flatnonzero(backward_reach(medium, zero)).tolist())
     seen = {0}
     queue = [0]
     while queue:
         u = queue.pop()
-        for w in medium.neighbor_partition(u).inward:
+        for w in neighbors(u, medium.row(u)[1]):
             if w not in seen:
                 seen.add(w)
                 queue.append(w)

@@ -35,7 +35,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import AlphaOutOfRange
-from .medium import DOWN, UP, Medium, Vertex, axis_view
+from .medium import DOWN, UP, Medium, Vertex, axis_view, neighbors
 
 
 @dataclass
@@ -77,7 +77,7 @@ class SinkAnalysis:
 
 def is_pne(medium: Medium, v: Vertex) -> bool:
     """True iff every incident edge is a tie or points into v."""
-    return not medium.neighbor_partition(v).out
+    return not medium.row(v)[0]
 
 
 def enumerate_pnes(medium: Medium) -> list[int]:
@@ -89,8 +89,9 @@ def enumerate_pnes(medium: Medium) -> list[int]:
 def expected_pne_count(n: int, alpha: float) -> float:
     """Mean number of PNEs: (1 + alpha)^n.
 
-    Each vertex is a PNE with probability ((1 + alpha)/2)^n independently of
-    nothing else needing to hold, and there are 2^n vertices.
+    A vertex is a PNE when each of its n edges is a tie or points into it,
+    which happens with probability ((1 + alpha)/2)^n since edges are
+    independent; summing over the 2^n vertices gives the mean.
     """
     if not (0.0 <= alpha < 1.0):
         raise AlphaOutOfRange(f"alpha must be in [0, 1), got {alpha}")
@@ -160,7 +161,7 @@ def _out_words(medium: Medium) -> np.ndarray:
     return np.stack(rows)
 
 
-def _reach_pnes(out_words: np.ndarray, seed: np.ndarray) -> tuple[np.ndarray, int]:
+def _reach_back(out_words: np.ndarray, seed: np.ndarray) -> tuple[np.ndarray, int]:
     """Every vertex with an oriented path into `seed`, and the round count.
 
     One round sweeps the axes in order, adding each vertex whose axis edge
@@ -186,6 +187,14 @@ def _reach_pnes(out_words: np.ndarray, seed: np.ndarray) -> tuple[np.ndarray, in
         rounds += 1
         if np.array_equal(before, reach):
             return reach, rounds
+
+
+def backward_reach(medium: Medium, targets: np.ndarray) -> np.ndarray:
+    """Per-vertex bool mask of every vertex with an oriented path into the
+    vertices set in the per-vertex bool mask `targets` (those included),
+    spread on packed out-edge bitsets as in :func:`sink_components`."""
+    reach, _ = _reach_back(_out_words(medium), _pack(targets))
+    return _unpack(reach, 1 << medium.n_players)
 
 
 def _remainder_edges(medium: Medium, rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +247,7 @@ def sink_components(medium: Medium) -> SinkAnalysis:
     no_out = ~np.bitwise_or.reduce(out_words, axis=0)
     assert np.array_equal(_unpack(no_out, size), pne_mask)
 
-    reach, _ = _reach_pnes(out_words, _pack(pne_mask))
+    reach, _ = _reach_back(out_words, _pack(pne_mask))
     rest = np.flatnonzero(~_unpack(reach, size))
     trap_mask = np.zeros(size, dtype=bool)
     traps: list[list[int]] = []
@@ -310,13 +319,13 @@ def forward_closure(
     exceeded = False
     while queue:
         u = queue.pop()
-        out = medium.neighbor_partition(u).out
-        if not out:
+        out_bits = medium.row(u)[0]
+        if not out_bits:
             if stop_at_pne:
                 return ClosureResult(PNE_REACHED, visited, True)
             contains_pne = True
             continue
-        for w in out:
+        for w in neighbors(u, out_bits):
             if w not in visited:
                 if len(visited) >= budget:
                     exceeded = True
@@ -364,7 +373,7 @@ def classify_vertex(medium: Medium, v: Vertex, budget: int | None = None) -> Ver
     queue = [v]
     while queue:
         u = queue.pop()
-        for w in medium.neighbor_partition(u).inward:
+        for w in neighbors(u, medium.row(u)[1]):
             if w in members and w not in seen:
                 seen.add(w)
                 queue.append(w)

@@ -24,10 +24,11 @@ from dataclasses import dataclass, replace
 from .errors import (
     EmptyTrialCount,
     MissingSinkAnalysis,
+    NonCanonicalEdge,
     PneInSample,
     StepCapZero,
 )
-from .medium import MODE_EXHAUSTIVE, Medium, MediumParams, Vertex, build_medium
+from .medium import MODE_EXHAUSTIVE, Medium, MediumParams, Vertex, build_medium, neighbors
 from .parallel import map_ordered
 from .rng import TAG_MEDIUM, TAG_STEP, TAG_WALK, fold, mix64, unit_interval
 from .sinks import SinkAnalysis, VertexClass, classify_vertex, forward_closure, sink_components
@@ -136,24 +137,24 @@ def step_distribution(
     PNEs are absorbing for every policy: the distribution is a point mass at v.
     Zero-probability moves are omitted.
     """
-    part = medium.neighbor_partition(v)
-    if not part.out:
+    out_bits, in_bits = medium.row(v)
+    if not out_bits:
         return [(v, 1.0)]
-    return _distribution(policy, medium.n_players, v, part.out, part.inward)
+    return _distribution(policy, medium.n_players, v, out_bits, in_bits)
 
 
-def _distribution(policy, n, v, out, inward):
+def _distribution(policy, n, v, out_bits, in_bits):
     if policy.kind == POLICY_BRD:
-        p = 1.0 / len(out)
-        return [(w, p) for w in out]
+        p = 1.0 / out_bits.bit_count()
+        return [(w, p) for w in neighbors(v, out_bits)]
     if policy.kind == POLICY_SRW:
         p = 1.0 / n
         return [(v ^ (1 << axis), p) for axis in range(n)]
     lam = policy.lam
-    z = lam * len(out) + (1.0 - lam) * len(inward)
-    dist = [(w, lam / z) for w in out]
+    z = lam * out_bits.bit_count() + (1.0 - lam) * in_bits.bit_count()
+    dist = [(w, lam / z) for w in neighbors(v, out_bits)]
     if lam < 1.0:
-        dist.extend((w, (1.0 - lam) / z) for w in inward)
+        dist.extend((w, (1.0 - lam) / z) for w in neighbors(v, in_bits))
     return dist
 
 
@@ -179,11 +180,11 @@ def verify_assumption(
     floor_prob = kappa1 * n ** (-kappa2)
     min_p = math.inf
     for v in vertices:
-        part = medium.neighbor_partition(v)
-        if not part.out:
+        out_bits, in_bits = medium.row(v)
+        if not out_bits:
             raise PneInSample(f"vertex {v} is a PNE; out-edge probabilities undefined")
-        dist = dict(_distribution(policy, n, v, part.out, part.inward))
-        for w in part.out:
+        dist = dict(_distribution(policy, n, v, out_bits, in_bits))
+        for w in neighbors(v, out_bits):
             min_p = min(min_p, dist.get(w, 0.0))
     return AssumptionCheck(
         kappa1=kappa1,
@@ -223,25 +224,24 @@ def run_walk(
         lazy_budget = 1 << min(n, 16)
 
     v = config.start
+    if not 0 <= v < 1 << n:
+        raise NonCanonicalEdge(f"start vertex {v} outside the {n}-cube")
     path = [v]
     tau: int | None = None
     xi: int | None = None
     brd_like = policy.brd_like
+    # the srw step law does not depend on the row, so srw steps read none
+    needs_row = policy.kind != POLICY_SRW
 
-    first_seen: dict[int, int] = {v: 0}
+    first_seen = {v}
     classified: set[int] = set()
     lazy_trap_union: set[int] = set()
     budget_blind = False  # a lazy closure test overran its budget
-    # v's neighbor partition when already decoded; each vertex the walk
-    # enters is decoded once, for the PNE test or for its next step
-    part = None
 
     def at_pne(u: Vertex) -> bool:
-        nonlocal part
         if pne_mask is not None:
             return bool(pne_mask[u])
-        part = medium.neighbor_partition(u)
-        return not part.out
+        return not medium.row(u)[0]
 
     def in_trap(u: Vertex) -> bool:
         if trap_mask is not None:
@@ -281,11 +281,9 @@ def run_walk(
         # its three mix passes do not depend on t
         step_key = fold(config.walk_seed, TAG_STEP)
         for t in range(1, max_steps + 1):
-            if part is None:
-                part = medium.neighbor_partition(v)
-            dist = _distribution(policy, n, v, part.out, part.inward)
+            out_bits, in_bits = medium.row(v) if needs_row else (0, 0)
+            dist = _distribution(policy, n, v, out_bits, in_bits)
             v = sample_categorical(dist, unit_interval(mix64(step_key ^ (t - 1))))
-            part = None
             path.append(v)
             steps = t
             if at_pne(v):
@@ -294,9 +292,8 @@ def run_walk(
                 terminal = TERMINAL_ABSORBED
                 break
             if detection == DETECT_LAZY:
-                prior = first_seen.get(v)
-                if prior is None:
-                    first_seen[v] = t
+                if v not in first_seen:
+                    first_seen.add(v)
                 elif v not in classified:
                     lazy_probe(v)
             if in_trap(v):

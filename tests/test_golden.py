@@ -1,6 +1,7 @@
 """Byte-identity guard: sha256 digests of serialized media, percolations,
-their derived arrays, lazy-mode walk records, percolation-audit reports and
-the sink-analysis, figure1 and theorem CLI outputs over fixed grids.
+their derived arrays, lazy- and exhaustive-mode walk records,
+percolation-audit reports and the sink-analysis, figure1 and theorem CLI
+outputs over fixed grids.
 
 The digests in golden_digests.json were recorded from a known-good build.
 Any rewrite of the table, hashing, degree, sink or component code must
@@ -60,6 +61,20 @@ LAZY_WALK_GRID = [
     for policy in ("brd", "srw", "lambda:0.7")
     for n in LAZY_WALK_SIZES
     for seed in (0, 5, MASK64)
+]
+
+# `walk --mode exhaustive --format jsonl` (exact trap detection): (trials,
+# --max-steps) per n, at 1 and 2 worker processes.  The step cap keeps srw
+# walks stuck in alpha-0 traps cheap.
+EXACT_WALK_SIZES = {3: (40, None), 8: (20, 2000), 11: (8, 2000)}
+
+EXACT_WALK_GRID = [
+    (policy, n, alpha, seed, threads)
+    for policy in ("brd", "srw", "lambda:0.7")
+    for n in EXACT_WALK_SIZES
+    for alpha in (0.0, 0.5)
+    for seed in (0, 5, MASK64)
+    for threads in (1, 2)
 ]
 
 # `percolation` CLI reports: trials per n, at 1 and 2 worker processes.
@@ -161,6 +176,18 @@ def lazy_walk_digest(policy, n, seed, tmp_dir) -> str:
         return _sha(fh.read())
 
 
+def exact_walk_digest(policy, n, alpha, seed, threads, tmp_dir) -> str:
+    trials, max_steps = EXACT_WALK_SIZES[n]
+    argv = [
+        "walk", "--mode", "exhaustive", "--format", "jsonl", "--n", str(n),
+        "--alpha", str(alpha), "--policy", policy, "--trials", str(trials),
+        "--seed", str(seed), "--threads", str(threads),
+    ]
+    if max_steps is not None:
+        argv += ["--max-steps", str(max_steps)]
+    return _cli_digest(argv, tmp_dir)
+
+
 def perc_cli_digest(n, alpha, seed, threads, tmp_dir) -> str:
     out = os.path.join(tmp_dir, "perc.json")
     assert main([
@@ -212,6 +239,7 @@ SECTIONS = {
     "perc": (PERC_GRID, perc_digests, False),
     "coupling": (COUPLING_GRID, coupling_digest, False),
     "lazy_walk": (LAZY_WALK_GRID, lazy_walk_digest, True),
+    "exact_walk": (EXACT_WALK_GRID, exact_walk_digest, True),
     "perc_cli": (PERC_CLI_GRID, perc_cli_digest, True),
     "analyze": (ANALYZE_GRID, analyze_digest, True),
     "figure1": (FIGURE1_GRID, figure1_digest, True),
@@ -263,6 +291,11 @@ def test_lazy_walk_digests(golden, case, tmp_path):
     assert lazy_walk_digest(*case, str(tmp_path)) == golden["lazy_walk"][_key(*case)]
 
 
+@pytest.mark.parametrize("case", EXACT_WALK_GRID, ids=lambda c: _key(*c))
+def test_exact_walk_digests(golden, case, tmp_path):
+    assert exact_walk_digest(*case, str(tmp_path)) == golden["exact_walk"][_key(*case)]
+
+
 @pytest.mark.parametrize("case", PERC_CLI_GRID, ids=lambda c: _key(*c))
 def test_percolation_cli_digests(golden, case, tmp_path):
     assert perc_cli_digest(*case, str(tmp_path)) == golden["perc_cli"][_key(*case)]
@@ -283,7 +316,7 @@ def test_theorem_cli_digests(golden, case, tmp_path):
     assert theorem_digest(*case, str(tmp_path)) == golden["theorem"][_key(*case)]
 
 
-@pytest.mark.parametrize("section", ["perc_cli", "figure1", "theorem"])
+@pytest.mark.parametrize("section", ["exact_walk", "perc_cli", "figure1", "theorem"])
 def test_digests_do_not_depend_on_thread_count(golden, section):
     by_threads = {}
     for key, digest in golden[section].items():

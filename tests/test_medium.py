@@ -237,6 +237,52 @@ def test_orientation_seen_from_matches_neighbor_partition(med, lazy):
             assert med.orientation_seen_from(v, axis) == expect[v ^ (1 << axis)]
 
 
+@given(media_up_to_9(), st.booleans(), st.booleans())
+def test_rows_match_per_edge_oracle(med, lazy, cap_one):
+    # Oracle: the per-edge reads orientation / orientation_seen_from, which
+    # do not go through rows.  Both modes, every row queried twice, and with
+    # a one-row memo emptied before almost every store.
+    n = med.n_players
+    if lazy:
+        med = build_medium(n, med.params.alpha, med.params.seed, mode=MODE_LAZY)
+    if cap_one:
+        med._row_cap = 1
+    for v in range(1 << n):
+        out_bits = in_bits = 0
+        for axis in range(n):
+            bit = 1 << axis
+            code = med.orientation(EdgeRef(v & ~bit, axis))
+            seen = med.orientation_seen_from(v, axis)
+            if code == TIE:
+                assert seen == TIE
+            elif (code == UP) == (not v & bit):
+                assert seen == UP
+                out_bits |= bit
+            else:
+                assert seen == DOWN
+                in_bits |= bit
+        assert med.row(v) == (out_bits, in_bits)
+        assert med.row(v) == (out_bits, in_bits)
+        assert len(med._rows) <= (1 if cap_one else 1 << min(n, 16))
+    with pytest.raises(NonCanonicalEdge):
+        med.row(1 << n)
+    with pytest.raises(NonCanonicalEdge):
+        med.row(-1)
+
+
+def test_table_is_copied_on_wrap():
+    table = np.full(edge_count(3), DOWN, dtype=np.int8)
+    med = Medium.from_orientation_table(3, table)
+    assert med.require_table() is not table
+    assert med.row(0) == (0, 0b111)
+    table[:] = UP
+    assert (med.require_table() == DOWN).all()
+    assert med.row(0) == (0, 0b111)
+    assert med.row(7) == (0b111, 0)
+    with pytest.raises(ValueError):  # nor can writes through the medium
+        med.require_table()[0] = UP
+
+
 def test_partition_agrees_with_degrees():
     med = build_medium(6, 0.6, 5)
     out_deg, in_deg, tie_deg = med.degrees()

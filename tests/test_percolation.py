@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from nashwalk.errors import (
     BetaOutOfRange,
@@ -164,6 +166,27 @@ def forward_reaches_zero(medium):
         if hit:
             result.add(v)
     return result
+
+
+def scipy_reverse_bfs(medium):
+    """Vertices with an oriented path to 0, by scipy's BFS from 0 on the
+    reversed oriented graph."""
+    src, dst = medium.oriented_edge_arrays()
+    size = 1 << medium.n_players
+    rev = csr_matrix((np.ones(len(src), dtype=np.int8), (dst, src)), shape=(size, size))
+    return set(breadth_first_order(rev, 0, return_predecessors=False).tolist())
+
+
+@given(
+    n=st.integers(min_value=1, max_value=10),
+    alpha=st.sampled_from((0.0, 0.3, 0.6, 0.9)),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_reverse_accessible_matches_scipy_bfs(n, alpha, seed):
+    med = build_medium(n, alpha, seed)
+    want = scipy_reverse_bfs(med)
+    assert reverse_accessible_from_zero(med) == want
+    assert reverse_accessible_from_zero(build_medium(n, alpha, seed, mode=MODE_LAZY)) == want
 
 
 @pytest.mark.parametrize("alpha,seed", [(0.3, 3), (0.6, 4)])

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nashwalk.errors import AlphaOutOfRange
 from nashwalk.medium import DOWN, MODE_EXHAUSTIVE, MODE_LAZY, TIE, UP, Medium, build_medium
 from nashwalk.rng import fold, TAG_MEDIUM
-from nashwalk.sinks import _out_words, _pack, _reach_pnes, _whole_graph_scc
+from nashwalk.sinks import _out_words, _pack, _reach_back, _whole_graph_scc
 from nashwalk.sinks import (
     BUDGET_EXCEEDED,
     CLOSED,
@@ -236,7 +236,7 @@ def test_no_pne_cube_leaves_the_whole_cube_to_the_scc():
     # remainder the SCC runs on is the whole cube.
     med = build_medium(8, 0.0, 0)
     assert enumerate_pnes(med) == []
-    reach, rounds = _reach_pnes(_out_words(med), _pack(np.zeros(256, dtype=bool)))
+    reach, rounds = _reach_back(_out_words(med), _pack(np.zeros(256, dtype=bool)))
     assert not reach.any() and rounds == 1
     analysis = check_against_scc_oracle(med)
     assert analysis.pnes == [] and analysis.traps
@@ -273,7 +273,7 @@ def test_snake_needs_many_rounds_and_still_matches(n):
     last = (1 << n) - 1
     pne = last ^ (last >> 1)  # g(2^n - 1)
     assert enumerate_pnes(med) == [pne]
-    reach, rounds = _reach_pnes(_out_words(med), _pack(np.arange(1 << n) == pne))
+    reach, rounds = _reach_back(_out_words(med), _pack(np.arange(1 << n) == pne))
     assert rounds > (1 << n) // 4  # a random medium settles in under ten
     analysis = check_against_scc_oracle(med)
     assert analysis.pnes == [pne] and analysis.traps == []

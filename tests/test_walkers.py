@@ -15,6 +15,7 @@ from nashwalk.cli import main
 from nashwalk.errors import (
     EmptyTrialCount,
     MissingSinkAnalysis,
+    NonCanonicalEdge,
     PneInSample,
     StepCapZero,
 )
@@ -287,6 +288,18 @@ def test_detection_off_runs_to_the_cap(cyclic2_medium):
     assert rec.terminal == TERMINAL_STEP_CAP
     assert rec.xi is None and rec.tau is None
     assert rec.steps_taken == 50
+
+
+@pytest.mark.parametrize("detection", [DETECT_EXACT, DETECT_LAZY, DETECT_OFF])
+def test_start_outside_the_cube_is_rejected(detection):
+    med = build_medium(4, 0.5, 0)
+    sa = sink_components(med)
+    for start in (-1, 16, 1 << 40):
+        cfg = WalkConfig(walk_seed=0, trap_detection=detection, start=start)
+        with pytest.raises(NonCanonicalEdge):
+            run_walk(med, Policy.brd(), cfg, sinks=sa)
+    cfg = WalkConfig(walk_seed=0, trap_detection=detection, start=15)
+    assert run_walk(med, Policy.brd(), cfg, sinks=sa).start == 15
 
 
 def test_lazy_detection_matches_exact():
