@@ -1,9 +1,10 @@
-"""Statistics harness: reproducible multi-trial experiments over fresh media.
+"""Experiment statistics: the paper's reports, aggregated over fresh media.
 
-Every trial i derives its medium seed as fold(base_seed, "medium", i) and its
-walk seed as fold(base_seed, "walk", i), so a report is a pure function of the
-command line.  Trials may be distributed over processes without changing a
-byte of output.
+Walk experiments run each trial through :func:`nashwalk.walkers.walk_trial`
+with one base seed for both the medium and the walk, so trial i's medium seed
+is fold(base_seed, "medium", i) and its walk seed fold(base_seed, "walk", i),
+and a report is a pure function of the command line.  Trials may be
+distributed over processes without changing a byte of output.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrialCount, NoConditionedTrials
-from .medium import build_medium, edge_count
+from .medium import MediumParams, build_medium, edge_count
 from .parallel import map_ordered
 from .percolation import run_coupling_trials
-from .rng import TAG_MEDIUM, TAG_WALK, fold
-from .sinks import sink_components
-from .walkers import DETECT_EXACT, WalkConfig, parse_policy, run_walk
+from .rng import TAG_MEDIUM, fold
+from .walkers import WalkConfig, parse_policy, walk_trial
 
 SCHEMA_VERSION = 1
 
@@ -77,18 +77,7 @@ class PneCountReport:
 
 
 def _walk_trial(args):
-    n, alpha, seed, trial, policy_labels, max_steps = args
-    medium = build_medium(n, alpha, fold(seed, TAG_MEDIUM, trial))
-    sinks = sink_components(medium)
-    walk_seed = fold(seed, TAG_WALK, trial)
-    cfg = WalkConfig(
-        walk_seed=walk_seed, max_steps=max_steps, trap_detection=DETECT_EXACT
-    )
-    out = []
-    for label in policy_labels:
-        rec = run_walk(medium, parse_policy(label), cfg, sinks=sinks, trial=trial)
-        out.append((label, rec.tau, rec.xi, rec.terminal))
-    return out
+    return walk_trial(*args)
 
 
 def _pne_trial(args):
@@ -120,15 +109,17 @@ def walk_length_quantiles(
     if trials < 1:
         raise EmptyTrialCount(f"trials must be >= 1, got {trials}")
     rows: list[QuantileRow] = []
+    parsed = tuple(parse_policy(label) for label in policies)
+    config = WalkConfig(seed, max_steps)
     for alpha in alphas:
-        jobs = [(n, alpha, seed, i, tuple(policies), max_steps) for i in range(trials)]
+        jobs = [(MediumParams(n, alpha, seed), parsed, config, i) for i in range(trials)]
         results = map_ordered(_walk_trial, jobs, n_workers, deadline)
         for label in policies:
             taus = sorted(
-                tau
-                for res in results
-                for (lbl, tau, xi, terminal) in res
-                if lbl == label and tau is not None and (xi is None or tau < xi)
+                r.tau
+                for records in results
+                for lbl, r in zip(policies, records)
+                if lbl == label and r.tau is not None and (r.xi is None or r.tau < r.xi)
             )
             if not taus:
                 raise NoConditionedTrials(
@@ -170,16 +161,17 @@ def absorption_trend(
     if trials < 1:
         raise EmptyTrialCount(f"trials must be >= 1, got {trials}")
     rows: list[TrendRow] = []
+    parsed = (parse_policy(policy),)
+    config = WalkConfig(seed, max_steps)
     for n in n_list:
-        jobs = [(n, alpha, seed, i, (policy,), max_steps) for i in range(trials)]
+        jobs = [(MediumParams(n, alpha, seed), parsed, config, i) for i in range(trials)]
         results = map_ordered(_walk_trial, jobs, n_workers, deadline)
         successes = 0
         excluded = 0
-        for res in results:
-            _, tau, xi, terminal = res[0]
-            if terminal in ("step_cap", "unknown"):
+        for (r,) in results:
+            if r.terminal in ("step_cap", "unknown"):
                 excluded += 1
-            elif tau is not None and (xi is None or tau < xi):
+            elif r.tau is not None and (r.xi is None or r.tau < r.xi):
                 successes += 1
         counted = trials - excluded
         if counted == 0:

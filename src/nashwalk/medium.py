@@ -142,6 +142,11 @@ def axis_view(per_vertex: np.ndarray, axis: int) -> np.ndarray:
     return per_vertex.reshape(-1, 2, 1 << axis)
 
 
+def default_closure_budget(n: int) -> int:
+    """Default closure-probe budget, also the row memo's cap: 2^min(n, 16)."""
+    return 1 << min(n, 16)
+
+
 def _tie_up_thresholds(alpha: float) -> tuple[int, int]:
     # [0, t_tie) -> Tie, [t_tie, t_up) -> Up, [t_up, 2^64) -> Down.  The
     # Up/Down split is the exact integer midpoint of the non-tie mass.
@@ -183,7 +188,7 @@ class Medium:
         n = params.n_players
         self._half = 1 << (n - 1)
         self._rows: dict[int, tuple[int, int]] = {}
-        self._row_cap = 1 << min(n, 16)
+        self._row_cap = default_closure_budget(n)
         self._axis_bits = tuple(1 << axis for axis in range(n))
         if table is None:
             self._t_tie, self._t_up = _tie_up_thresholds(params.alpha)
@@ -237,7 +242,7 @@ class Medium:
         return self._hash_orientation(edge.base, edge.axis)
 
     def _hash_orientation(self, base: int, axis: int) -> int:
-        h = mix64(mix64(self._h0 ^ base) ^ axis)
+        h = mix64(mix64(self._h0 ^ int(base)) ^ int(axis))  # numpy ints, as in row()
         if h < self._t_tie:
             return TIE
         return UP if h < self._t_up else DOWN
@@ -254,6 +259,7 @@ class Medium:
         table = self._table
         out_bits = in_bits = 0
         if table is None:
+            v = int(v)  # a numpy integer would overflow (or wrap) against h0
             h0, t_tie, t_up = self._h0, self._t_tie, self._t_up
             h_v = mix64(h0 ^ v)  # shared by every edge whose base is v itself
             for axis, bit in enumerate(self._axis_bits):
@@ -299,7 +305,7 @@ class Medium:
         bit = 1 << axis
         table = self._table
         if table is None:
-            code = self._hash_orientation(v & ~bit, axis)
+            code = self._hash_orientation(int(v) & ~bit, axis)
         else:
             # edge_index(base, axis, n) with squeeze_bit inlined
             squeezed = (v & (bit - 1)) | ((v >> (axis + 1)) << axis)

@@ -35,7 +35,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import AlphaOutOfRange
-from .medium import DOWN, UP, Medium, Vertex, axis_view, neighbors
+from .medium import DOWN, UP, Medium, Vertex, axis_view, default_closure_budget, neighbors
 
 
 @dataclass
@@ -304,14 +304,14 @@ def forward_closure(
 ) -> ClosureResult:
     """DFS along oriented out-edges from v, capped at `budget` visited vertices.
 
-    Works in either storage mode.  Default budget is 2^min(n, 16).  With
+    Works in either storage mode; the default budget is 2^min(n, 16).  With
     `stop_at_pne`, a search whose budget covers the whole cube (so it can
     never overrun) stops at the first PNE it pops and reports PNE_REACHED;
     with a smaller budget the flag changes nothing, since a closure that
     would overrun must still say so.
     """
     if budget is None:
-        budget = 1 << min(medium.n_players, 16)
+        budget = default_closure_budget(medium.n_players)
     stop_at_pne = stop_at_pne and budget >= 1 << medium.n_players
     visited = {v}
     queue = [v]

@@ -1,4 +1,4 @@
-"""Walk policies on oriented media and their trial harness.
+"""Walk policies on oriented media and the walk engine every experiment runs.
 
 Three policies move a token along the cube:
 
@@ -14,6 +14,9 @@ Every policy is absorbed at PNEs.  Walks start at vertex 0 unless configured
 otherwise and draw each step from a counter-based stream keyed by
 (walk_seed, step), so trajectories replay exactly.  Records carry tau (first
 PNE visit index) and xi (first trap-vertex visit index) when known.
+
+:func:`walk_trial` derives trial i (medium, sink analysis, walk seed) and
+walks every policy on it; ``run_trials`` and every walk experiment map it.
 """
 
 from __future__ import annotations
@@ -219,9 +222,7 @@ def run_walk(
 
     pne_mask = sinks.pne_mask if sinks is not None else None
     trap_mask = sinks.trap_mask if detection == DETECT_EXACT else None
-    lazy_budget = config.lazy_budget
-    if lazy_budget is None:
-        lazy_budget = 1 << min(n, 16)
+    lazy_budget = config.lazy_budget  # None: the closures' own default
 
     v = config.start
     if not 0 <= v < 1 << n:
@@ -233,7 +234,7 @@ def run_walk(
     # the srw step law does not depend on the row, so srw steps read none
     needs_row = policy.kind != POLICY_SRW
 
-    first_seen = {v}
+    first_seen: set[int] = set()
     classified: set[int] = set()
     lazy_trap_union: set[int] = set()
     budget_blind = False  # a lazy closure test overran its budget
@@ -264,46 +265,33 @@ def run_walk(
             if xi is None:
                 xi = next(i for i, x in enumerate(path) if x in members)
 
-    terminal = None
-    steps = 0
-
-    # index 0: the start vertex may itself be absorbing or inside a trap
-    if at_pne(v):
-        tau = 0
-        terminal = TERMINAL_ABSORBED
-    elif in_trap(v):
-        xi = 0
-        if brd_like:
-            terminal = TERMINAL_IN_TRAP
-
-    if terminal is None:
-        # step t draws fold(walk_seed, TAG_STEP, t - 1); the first two of
-        # its three mix passes do not depend on t
-        step_key = fold(config.walk_seed, TAG_STEP)
-        for t in range(1, max_steps + 1):
-            out_bits, in_bits = medium.row(v) if needs_row else (0, 0)
-            dist = _distribution(policy, n, v, out_bits, in_bits)
-            v = sample_categorical(dist, unit_interval(mix64(step_key ^ (t - 1))))
-            path.append(v)
-            steps = t
-            if at_pne(v):
-                if tau is None:
-                    tau = t
-                terminal = TERMINAL_ABSORBED
+    # step t + 1 draws fold(walk_seed, TAG_STEP, t); the first two of its
+    # three mix passes do not depend on t
+    step_key = fold(config.walk_seed, TAG_STEP)
+    for t in range(max_steps + 1):
+        # v = path[t]; index 0 is the start, which is never a revisit
+        if at_pne(v):
+            tau = t
+            terminal = TERMINAL_ABSORBED
+            break
+        if detection == DETECT_LAZY:
+            if v not in first_seen:
+                first_seen.add(v)
+            elif v not in classified:
+                lazy_probe(v)
+        if in_trap(v):
+            if xi is None:
+                xi = t
+            if brd_like:
+                terminal = TERMINAL_IN_TRAP
                 break
-            if detection == DETECT_LAZY:
-                if v not in first_seen:
-                    first_seen.add(v)
-                elif v not in classified:
-                    lazy_probe(v)
-            if in_trap(v):
-                if xi is None:
-                    xi = t
-                if brd_like:
-                    terminal = TERMINAL_IN_TRAP
-                    break
-        if terminal is None:
+        if t == max_steps:
             terminal = TERMINAL_UNKNOWN if budget_blind else TERMINAL_STEP_CAP
+            break
+        out_bits, in_bits = medium.row(v) if needs_row else (0, 0)
+        dist = _distribution(policy, n, v, out_bits, in_bits)
+        v = sample_categorical(dist, unit_interval(mix64(step_key ^ t)))
+        path.append(v)
 
     return WalkRecord(
         trial=trial,
@@ -313,22 +301,29 @@ def run_walk(
         start=config.start,
         tau=tau,
         xi=xi,
-        steps_taken=steps,
+        steps_taken=t,
         terminal=terminal,
         path=path if config.record_path else None,
     )
 
 
-def _trial_worker(args) -> WalkRecord:
-    params, policy, config, trial, fresh = args
+def walk_trial(
+    params: MediumParams, policies: tuple[Policy, ...], config: WalkConfig, trial: int,
+    fresh: bool = True,
+) -> list[WalkRecord]:
+    """One record per policy, all walked on trial `trial`'s medium (seeded
+    fold(params.seed, "medium", trial), or params.seed when not `fresh`) with
+    one step stream, fold(config.walk_seed, "walk", trial), so they are paired.
+    The sink analysis runs only under exact detection."""
     medium_seed = fold(params.seed, TAG_MEDIUM, trial) if fresh else params.seed
     medium = build_medium(params.n_players, params.alpha, medium_seed, params.mode)
-    sinks = None
-    if config.trap_detection == DETECT_EXACT:
-        sinks = sink_components(medium)
-    walk_seed = fold(config.walk_seed, TAG_WALK, trial)
-    cfg = replace(config, walk_seed=walk_seed)
-    return run_walk(medium, policy, cfg, sinks=sinks, trial=trial)
+    sinks = sink_components(medium) if config.trap_detection == DETECT_EXACT else None
+    cfg = replace(config, walk_seed=fold(config.walk_seed, TAG_WALK, trial))
+    return [run_walk(medium, policy, cfg, sinks=sinks, trial=trial) for policy in policies]
+
+
+def _trial_worker(args) -> WalkRecord:
+    return walk_trial(*args)[0]
 
 
 def run_trials(
@@ -354,7 +349,7 @@ def run_trials(
             "exact trap detection requires exhaustive media; use lazy or off"
         )
     jobs = [
-        (params, policy, config, trial, fresh_medium_per_trial)
+        (params, (policy,), config, trial, fresh_medium_per_trial)
         for trial in range(trials)
     ]
     return map_ordered(_trial_worker, jobs, n_workers, deadline)

@@ -14,6 +14,7 @@ from nashwalk.errors import EmptyTrialCount, NoConditionedTrials, TimeBudgetExce
 from nashwalk.experiments import (
     QUANTILE_COLUMNS,
     TREND_COLUMNS,
+    _walk_trial,
     absorption_trend,
     lower_quantile,
     percolation_audit,
@@ -22,9 +23,10 @@ from nashwalk.experiments import (
     rows_to_csv,
     walk_length_quantiles,
 )
-from nashwalk.medium import build_medium
-from nashwalk.rng import fold, TAG_MEDIUM
+from nashwalk.medium import MediumParams, build_medium
+from nashwalk.rng import fold, TAG_MEDIUM, TAG_WALK
 from nashwalk.sinks import expected_pne_count, sink_components
+from nashwalk.walkers import WalkConfig, parse_policy, run_trials, run_walk
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +80,30 @@ def test_walk_length_quantiles_policies_are_paired():
     rows = walk_length_quantiles(5, [0.5], 25, ["brd", "srw"], seed=4)
     assert {r.policy for r in rows} == {"brd", "srw"}
     assert len({r.trials_total for r in rows}) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_experiment_trials_match_run_trials(seed):
+    # figure1/theorem trials and `walk` trials derive trial i the same way:
+    # medium fold(seed, "medium", i), walk seed fold(seed, "walk", i).
+    n, alpha, trials, max_steps = 6, 0.5, 12, 500
+    labels = ("brd", "srw", "lambda:0.7")
+    policies = tuple(parse_policy(label) for label in labels)
+    params = MediumParams(n, alpha, seed)
+    config = WalkConfig(seed, max_steps)
+    paired = [_walk_trial((params, policies, config, i)) for i in range(trials)]
+    for k, policy in enumerate(policies):
+        single = run_trials(params, policy, config, trials)
+        for i, record in enumerate(single):
+            medium = build_medium(n, alpha, fold(seed, TAG_MEDIUM, i))
+            cfg = WalkConfig(fold(seed, TAG_WALK, i), max_steps)
+            oracle = run_walk(medium, policy, cfg, sinks=sink_components(medium))
+            want = (oracle.tau, oracle.xi, oracle.terminal)
+            assert (record.tau, record.xi, record.terminal) == want
+            got = paired[i][k]
+            assert (got.trial, got.policy, got.tau, got.xi, got.terminal) == (
+                i, labels[k], *want
+            )
 
 
 def test_walk_length_quantiles_no_conditioned_trials():

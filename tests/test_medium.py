@@ -37,6 +37,7 @@ from nashwalk.medium import (
 )
 from nashwalk.rng import fold, TAG_MEDIUM
 from nashwalk.sinks import VertexClass, classify_vertex
+from nashwalk.walkers import Policy, verify_assumption
 
 from conftest import CYCLIC2_PAYOFFS, GAMMA2_PAYOFFS, make_all_tie
 
@@ -268,6 +269,32 @@ def test_rows_match_per_edge_oracle(med, lazy, cap_one):
         med.row(1 << n)
     with pytest.raises(NonCanonicalEdge):
         med.row(-1)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_numpy_vertices_read_like_ints_in_both_modes(seed):
+    # A lazy medium hashes v against the seed's first pass, which is >= 2^63
+    # for seed 2^64 - 1: a numpy vertex must not overflow (int64) or wrap
+    # with RuntimeWarnings (uint64) there.  The exhaustive twin is the oracle.
+    n = 6
+    exhaustive = build_medium(n, 0.5, seed)
+    policy = Policy.lambda_walk(0.7)
+    movers = [v for v in range(1 << n) if exhaustive.row(v)[0]]
+    expect = verify_assumption(policy, exhaustive, movers)
+    for cast in (np.int64, np.uint64, int):
+        lazy = build_medium(n, 0.5, seed, mode=MODE_LAZY)
+        for v in range(1 << n):
+            assert lazy.row(cast(v)) == exhaustive.row(v)
+            assert classify_vertex(lazy, cast(v)) == classify_vertex(exhaustive, v)
+            for axis in range(n):
+                seen = exhaustive.orientation_seen_from(v, axis)
+                assert lazy.orientation_seen_from(cast(v), axis) == seen
+                if not v >> axis & 1:
+                    edge = EdgeRef(cast(v), axis)
+                    assert lazy.orientation(edge) == exhaustive.orientation(edge)
+        for medium in (lazy, build_medium(n, 0.5, seed, mode=MODE_LAZY)):
+            array = np.array(movers, dtype=np.int64 if cast is int else cast)
+            assert verify_assumption(policy, medium, array) == expect
 
 
 def test_table_is_copied_on_wrap():

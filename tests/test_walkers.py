@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -393,6 +394,31 @@ def test_lazy_probes_stop_at_the_first_pne(monkeypatch, tmp_path):
     )
     assert len(visited) == 250
     assert sum(visited) <= 49_840 // 5
+
+
+@pytest.mark.parametrize("policy", [Policy.brd(), Policy.lambda_walk(0.5)])
+def test_lazy_detection_from_a_start_inside_a_trap(policy, escape_cube_medium, cyclic2_medium):
+    # Index 0 is never a revisit, so lazy detection finds the start's trap
+    # only on a later revisit; xi must still come out as index 0.  Random
+    # n=8 media at alpha 0 are the ones that often hold a trap.
+    cases = [(m, sink_components(m), 0) for m in (cyclic2_medium, escape_cube_medium)]
+    for i in range(60):
+        med = build_medium(8, 0.0, fold(4242, i))
+        analysis = sink_components(med)
+        cases += [(med, analysis, members[-1]) for members in analysis.traps]
+    assert len(cases) >= 10
+    for med, analysis, start in cases:
+        assert analysis.trap_mask[start]
+        for walk_seed in range(4):
+            cfg = WalkConfig(walk_seed=walk_seed, start=start, max_steps=400, record_path=True)
+            exact = run_walk(med, policy, cfg, sinks=analysis)
+            lazy = run_walk(med, policy, replace(cfg, trap_detection=DETECT_LAZY))
+            assert exact.xi == 0
+            assert (lazy.tau, lazy.xi, lazy.terminal) == (exact.tau, 0, exact.terminal)
+            if policy.brd_like:
+                assert exact.terminal == TERMINAL_IN_TRAP and exact.steps_taken == 0
+            else:  # detection does not steer a walk that keeps moving in a trap
+                assert lazy.path == exact.path
 
 
 def test_lazy_detection_with_starved_budget(cyclic2_medium):
