@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrialCount, NoConditionedTrials
-from .medium import MediumParams, build_medium, edge_count
+from .medium import MediumParams, edge_count, trial_medium
 from .parallel import map_ordered
 from .percolation import run_coupling_trials
-from .rng import TAG_MEDIUM, fold
 from .walkers import WalkConfig, parse_policy, walk_trial
 
 SCHEMA_VERSION = 1
@@ -82,7 +81,7 @@ def _walk_trial(args):
 
 def _pne_trial(args):
     n, alpha, seed, trial = args
-    medium = build_medium(n, alpha, fold(seed, TAG_MEDIUM, trial))
+    medium = trial_medium(MediumParams(n, alpha, seed), trial)
     out_deg, _, _ = medium.degrees()
     return int(np.count_nonzero(out_deg == 0))
 

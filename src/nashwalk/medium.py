@@ -22,6 +22,15 @@ over an axis's edges (hashing, degrees, edge lists, payoff comparison, file
 order, percolation) goes through it, with strided views instead of index
 arrays.  Scalar lookups use :func:`squeeze_bit` / :func:`edge_index`.
 
+Hashing.  ``fold(seed, base, axis) = mix64(mix64(mix64(seed) ^ base) ^ axis)``:
+the seed's pass is the same for every edge, and ``mix64(h0 ^ v)`` is shared
+by every edge whose base is v.  Both storage modes hash that vertex pass once
+per vertex.  :func:`edge_hashes` does it for all 2^n vertices at once and
+then yields each axis's edge hashes in table-block order; exhaustive builds
+(key ``mix64(seed)``) and percolations (key ``fold(seed, "perc")``) both
+draw from it, at 2^n + n * 2^(n-1) mix passes instead of n * 2^n.  Lazy rows
+do the same per vertex (below).
+
 Rows.  Every per-vertex query (``is_pne``, closures, walk steps,
 ``neighbor_partition``) reads ``row(v)``: two n-bit masks, bit i of
 ``out_bits`` / ``in_bits`` set when v's axis-i edge points out of / into v
@@ -29,13 +38,12 @@ Rows.  Every per-vertex query (``is_pne``, closures, walk steps,
 at most 2^min(n, 16) of them (the default closure budget, so the whole cube
 for n <= 16); a full memo is emptied before the next row is stored.  A memo
 miss is the one place the storage modes differ.  An exhaustive medium reads
-v's n table entries.  A lazy medium hashes them:
-``fold(seed, base, axis) = mix64(mix64(mix64(seed) ^ base) ^ axis)``; the
-seed's pass is the same for every edge and is computed once per medium, and
-``mix64(h0 ^ v)`` is shared by every axis whose bit in v is clear (v is
-those edges' base), so a row costs 1 + n + popcount(v) passes instead of
-3n.  Closure probes and walks revisit the same vertices many times, and with
-the memo those revisits read nothing.
+v's n table entries.  A lazy medium hashes them: the seed's pass is
+computed once per medium, and ``mix64(h0 ^ v)`` is shared by every axis
+whose bit in v is clear (v is those edges' base), so a row costs
+1 + n + popcount(v) passes instead of 3n.  Closure probes and walks
+revisit the same vertices many times, and with the memo those revisits read
+nothing.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from .errors import (
     IncompleteTable,
     NonCanonicalEdge,
 )
-from .rng import MASK64, fold_np, mix64, threshold
+from .rng import MASK64, TAG_MEDIUM, fold, fold_np, mix64, mix64_np, threshold
 
 Vertex = int
 
@@ -145,6 +153,31 @@ def axis_view(per_vertex: np.ndarray, axis: int) -> np.ndarray:
 def default_closure_budget(n: int) -> int:
     """Default closure-probe budget, also the row memo's cap: 2^min(n, 16)."""
     return 1 << min(n, 16)
+
+
+def edge_hashes(key: int, n: int):
+    """Yield, axis by axis, ``mix64(mix64(key ^ base) ^ axis)`` for the
+    axis's canonical edges, shaped like ``axis_view(per_vertex, axis)[:, 0, :]``
+    (the layout of the axis's table block).
+
+    With ``key = mix64(seed)`` these are ``fold(seed, base, axis)``; with
+    ``key = fold(seed, *tags)`` they are ``fold(seed, *tags, base, axis)``.
+    The vertex pass ``mix64(key ^ v)`` is one pass over the 2^n vertices,
+    shared by all n axes; each axis then costs one pass over its 2^(n-1)
+    edges.  One buffer serves every axis, so use each array before asking
+    for the next.
+    """
+    size = 1 << n
+    hv = np.arange(size, dtype=np.uint64)
+    hv ^= np.uint64(key)
+    scratch = np.empty(size, dtype=np.uint64)
+    mix64_np(hv, out=hv, tmp=scratch)
+    h, tmp = scratch[: size >> 1], scratch[size >> 1 :]
+    for axis in range(n):
+        bases = axis_view(hv, axis)[:, 0, :]
+        out, spare = h.reshape(bases.shape), tmp.reshape(bases.shape)
+        np.bitwise_xor(bases, np.uint64(axis), out=out)
+        yield mix64_np(out, out=out, tmp=spare)
 
 
 def _tie_up_thresholds(alpha: float) -> tuple[int, int]:
@@ -345,20 +378,32 @@ class Medium:
         return axis_view(vertices, axis)[:, 0, :].ravel()
 
     def degrees(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(out_degree, in_degree, tie_degree) int16 arrays over all vertices."""
+        """(out_degree, in_degree, tie_degree) int16 arrays over all vertices.
+
+        Per axis, one pass fills a per-vertex bool buffer for "the axis edge
+        points out of v" and one for "into v" (an Up edge points out of its
+        base and into its partner, a Down edge the reverse); both are then
+        added to the counts as contiguous arrays.  The counts are int8,
+        which holds any degree of an exhaustive cube (n <= 24), and are
+        widened once at the end.
+        """
         n = self.n_players
-        out_deg = np.zeros(1 << n, dtype=np.int16)
-        in_deg = np.zeros(1 << n, dtype=np.int16)
+        out_deg = np.zeros(1 << n, dtype=np.int8)
+        in_deg = np.zeros(1 << n, dtype=np.int8)
+        out_b = np.empty(1 << n, dtype=bool)
+        in_b = np.empty(1 << n, dtype=bool)
         for axis in range(n):
             block = self.axis_block(axis)
-            up = block == UP
-            down = block == DOWN
-            out_v = axis_view(out_deg, axis)
-            in_v = axis_view(in_deg, axis)
-            out_v[:, 0, :] += up
-            out_v[:, 1, :] += down
-            in_v[:, 0, :] += down
-            in_v[:, 1, :] += up
+            out_v = axis_view(out_b, axis)
+            in_v = axis_view(in_b, axis)
+            np.equal(block, UP, out=out_v[:, 0, :])
+            np.equal(block, DOWN, out=out_v[:, 1, :])
+            np.equal(block, DOWN, out=in_v[:, 0, :])
+            np.equal(block, UP, out=in_v[:, 1, :])
+            out_deg += out_b.view(np.int8)
+            in_deg += in_b.view(np.int8)
+        out_deg = out_deg.astype(np.int16)
+        in_deg = in_deg.astype(np.int16)
         return out_deg, in_deg, n - out_deg - in_deg
 
     def oriented_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -501,13 +546,20 @@ def build_medium(
     half = 1 << (n - 1)
     table = np.empty(edge_count(n), dtype=np.int8)
     tt, tu = np.uint64(t_tie), np.uint64(t_up)
-    vertices = np.arange(1 << n, dtype=np.uint64)
-    for axis in range(n):
-        h = fold_np(params.seed, axis_view(vertices, axis)[:, 0, :], axis)
+    for axis, h in enumerate(edge_hashes(mix64(params.seed), n)):
         codes = table[axis * half : (axis + 1) * half].reshape(h.shape)
         # TIE = 0, UP = 1, DOWN = 2: the code counts the thresholds h clears
         np.add(h >= tt, h >= tu, out=codes, dtype=np.int8)
     return Medium(params, table)
+
+
+def trial_medium(params: MediumParams, trial: int) -> Medium:
+    """Trial `trial`'s medium of an experiment seeded ``params.seed``: the
+    seed is fold(params.seed, "medium", trial), so every trial draws a fresh,
+    independent cube and any trial can be rebuilt on its own."""
+    return build_medium(
+        params.n_players, params.alpha, fold(params.seed, TAG_MEDIUM, trial), params.mode
+    )
 
 
 # -- payoff games ----------------------------------------------------------

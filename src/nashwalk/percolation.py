@@ -35,16 +35,18 @@ from .medium import (
     DOWN,
     EXHAUSTIVE_CAP,
     Medium,
+    MediumParams,
     Vertex,
     axis_view,
-    build_medium,
     edge_count,
+    edge_hashes,
     file_positions,
     neighbors,
     squeeze_bit,
+    trial_medium,
 )
 from .parallel import map_ordered
-from .rng import MASK64, TAG_MEDIUM, TAG_PERC, fold, fold_np, threshold
+from .rng import MASK64, TAG_PERC, fold, threshold
 from .sinks import backward_reach
 
 PERC_MAGIC = b"NWPERC\x00\x00"  # 8-byte field, name NUL-padded
@@ -143,9 +145,7 @@ def sample_percolation(n: int, beta: float, seed: int) -> PercolationGraph:
     half = 1 << (n - 1)
     t = np.uint64(threshold(beta))
     open_edges = np.empty(edge_count(n), dtype=bool)
-    vertices = np.arange(1 << n, dtype=np.uint64)
-    for axis in range(n):
-        h = fold_np(seed, TAG_PERC, axis_view(vertices, axis)[:, 0, :], axis)
+    for axis, h in enumerate(edge_hashes(fold(seed, TAG_PERC), n)):
         np.less(h, t, out=open_edges[axis * half : (axis + 1) * half].reshape(h.shape))
     return PercolationGraph(n, open_edges, beta, seed)
 
@@ -337,7 +337,7 @@ def coupling_trial(args) -> CouplingTrial:
     percolation from (seed, trial), one coupling run, one component labelling.
     Top level so it pickles for worker processes."""
     n, alpha, seed, trial = args
-    medium = build_medium(n, alpha, fold(seed, TAG_MEDIUM, trial))
+    medium = trial_medium(MediumParams(n, alpha, seed), trial)
     initial = sample_percolation(n, (1.0 - alpha) / 2.0, fold(seed, TAG_PERC, trial))
     final, audit = coupling_run(medium, initial)
     big = largest_component(final)

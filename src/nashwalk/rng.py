@@ -44,11 +44,16 @@ def fold(seed: int, *words: int) -> int:
     return h
 
 
-def mix64_np(x: np.ndarray) -> np.ndarray:
-    """mix64 on a uint64 array.  The first add makes a fresh array; every
-    later pass works in place on it, so the input is never modified."""
-    x = x + np.uint64(_GOLDEN)
-    tmp = np.empty_like(x)
+def mix64_np(
+    x: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
+) -> np.ndarray:
+    """mix64 on a uint64 array.  The first add writes `out` (a fresh array
+    by default, so the input is never modified; ``out=x`` mixes in place)
+    and every later pass works in place on it.  `tmp`, if given, is a
+    scratch array of the same shape for the shifted copies."""
+    x = np.add(x, np.uint64(_GOLDEN), out=out)
+    if tmp is None:
+        tmp = np.empty_like(x)
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
         x ^= np.right_shift(x, np.uint64(shift), out=tmp)
         x *= np.uint64(mult)

@@ -31,9 +31,17 @@ from .errors import (
     PneInSample,
     StepCapZero,
 )
-from .medium import MODE_EXHAUSTIVE, Medium, MediumParams, Vertex, build_medium, neighbors
+from .medium import (
+    MODE_EXHAUSTIVE,
+    Medium,
+    MediumParams,
+    Vertex,
+    build_medium,
+    neighbors,
+    trial_medium,
+)
 from .parallel import map_ordered
-from .rng import TAG_MEDIUM, TAG_STEP, TAG_WALK, fold, mix64, unit_interval
+from .rng import TAG_STEP, TAG_WALK, fold, mix64, unit_interval
 from .sinks import SinkAnalysis, VertexClass, classify_vertex, forward_closure, sink_components
 
 POLICY_BRD = "brd"
@@ -311,12 +319,15 @@ def walk_trial(
     params: MediumParams, policies: tuple[Policy, ...], config: WalkConfig, trial: int,
     fresh: bool = True,
 ) -> list[WalkRecord]:
-    """One record per policy, all walked on trial `trial`'s medium (seeded
-    fold(params.seed, "medium", trial), or params.seed when not `fresh`) with
-    one step stream, fold(config.walk_seed, "walk", trial), so they are paired.
+    """One record per policy, all walked on trial `trial`'s medium
+    (:func:`trial_medium`, or the medium seeded params.seed when not `fresh`)
+    with one step stream, fold(config.walk_seed, "walk", trial), so they are
+    paired.
     The sink analysis runs only under exact detection."""
-    medium_seed = fold(params.seed, TAG_MEDIUM, trial) if fresh else params.seed
-    medium = build_medium(params.n_players, params.alpha, medium_seed, params.mode)
+    if fresh:
+        medium = trial_medium(params, trial)
+    else:
+        medium = build_medium(params.n_players, params.alpha, params.seed, params.mode)
     sinks = sink_components(medium) if config.trap_detection == DETECT_EXACT else None
     cfg = replace(config, walk_seed=fold(config.walk_seed, TAG_WALK, trial))
     return [run_walk(medium, policy, cfg, sinks=sinks, trial=trial) for policy in policies]

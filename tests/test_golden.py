@@ -34,7 +34,7 @@ MEDIUM_GRID = [
     for n in (1, 2, 3, 5, 8, 11, 16)
     for alpha in (0.0, 0.5, 0.9)
     for seed in (0, 12345, MASK64)
-]
+] + [(20, alpha, seed) for alpha in (0.0, 0.5, 0.9) for seed in (0, MASK64)]
 
 PAYOFF_GRID = [
     (n, spec, seed)
@@ -48,7 +48,7 @@ PERC_GRID = [
     for n in (1, 2, 5, 9, 12, 16)
     for beta in (0.05, 0.25, 0.5)
     for seed in (0, 99)
-]
+] + [(20, beta, seed) for beta in (0.25, 0.5) for seed in (0, MASK64)]
 
 COUPLING_GRID = [(n, alpha, 1000 + n) for n in (1, 3, 6, 9) for alpha in (0.0, 0.5, 0.9)]
 

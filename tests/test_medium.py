@@ -25,6 +25,7 @@ from nashwalk.medium import (
     Medium,
     PayoffGame,
     PayoffSpec,
+    _tie_up_thresholds,
     build_medium,
     edge_count,
     edge_index,
@@ -188,6 +189,24 @@ def test_degrees_sum_to_dimension():
     assert np.array_equal(np.bincount(dst, minlength=1 << 7), in_deg)
 
 
+@given(
+    st.integers(1, 10),
+    st.sampled_from((0.0, 0.5, 0.9)),
+    st.one_of(st.sampled_from((0, 2**64 - 1)), st.integers(0, 2**64 - 1)),
+)
+def test_table_matches_scalar_fold(n, alpha, seed):
+    # Long-hand oracle for the vectorized hashing: every entry is the code
+    # of the scalar fold(seed, base, axis) against the Tie / Up thresholds.
+    t_tie, t_up = _tie_up_thresholds(alpha)
+    table = build_medium(n, alpha, seed).require_table()
+    for axis in range(n):
+        for base in range(1 << n):
+            if not base >> axis & 1:
+                h = fold(seed, base, axis)
+                code = TIE if h < t_tie else UP if h < t_up else DOWN
+                assert table[edge_index(base, axis, n)] == code, (base, axis)
+
+
 @st.composite
 def media_up_to_9(draw):
     """Hashed, payoff-derived or arbitrary-table media with n <= 9."""
@@ -205,8 +224,7 @@ def media_up_to_9(draw):
     return Medium.from_orientation_table(n, codes)
 
 
-@given(media_up_to_9())
-def test_vectorized_views_match_per_vertex_oracle(med):
+def check_views_against_rows(med):
     # Independent oracle: scalar per-vertex neighbor_partition reads.
     n = med.n_players
     out_deg, in_deg, tie_deg = med.degrees()
@@ -221,6 +239,28 @@ def test_vectorized_views_match_per_vertex_oracle(med):
     assert src.dtype == dst.dtype == np.int64
     assert len(src) == len(edges)
     assert set(zip(src.tolist(), dst.tolist())) == edges
+
+
+@given(media_up_to_9())
+def test_vectorized_views_match_per_vertex_oracle(med):
+    check_views_against_rows(med)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("code", (TIE, UP, DOWN))
+def test_degrees_of_constant_tables(n, code):
+    # All edges Up: v's out-edges are its clear bits, its in-edges its set bits.
+    med = Medium.from_orientation_table(n, np.full(edge_count(n), code))
+    check_views_against_rows(med)
+    ones = np.array([v.bit_count() for v in range(1 << n)])
+    out_deg, in_deg, tie_deg = med.degrees()
+    assert out_deg.dtype == in_deg.dtype == tie_deg.dtype == np.int16
+    zero = np.zeros_like(ones)
+    expect = {
+        TIE: (zero, zero, zero + n), UP: (n - ones, ones, zero), DOWN: (ones, n - ones, zero),
+    }[code]
+    for got, want in zip((out_deg, in_deg, tie_deg), expect):
+        assert np.array_equal(got, want)
 
 
 @given(media_up_to_9(), st.booleans())

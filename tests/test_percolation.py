@@ -17,7 +17,7 @@ from nashwalk.errors import (
     IncompleteTable,
     SeedCollision,
 )
-from nashwalk.medium import DOWN, MODE_LAZY, Medium, build_medium, squeeze_bit
+from nashwalk.medium import DOWN, MODE_LAZY, Medium, build_medium, edge_index, squeeze_bit
 from nashwalk.percolation import (
     PercolationGraph,
     check_lemma_finally,
@@ -28,7 +28,7 @@ from nashwalk.percolation import (
     reverse_accessible_from_zero,
     sample_percolation,
 )
-from nashwalk.rng import fold, TAG_MEDIUM, TAG_PERC
+from nashwalk.rng import fold, threshold, TAG_MEDIUM, TAG_PERC
 
 from conftest import make_all_tie
 
@@ -44,6 +44,23 @@ def test_sampling_is_deterministic():
     assert np.array_equal(a.open_edges, b.open_edges)
     assert not np.array_equal(a.open_edges, c.open_edges)
     assert a.beta == 0.3 and a.seed == 42
+
+
+@given(
+    st.integers(1, 10),
+    st.sampled_from((0.05, 0.25, 0.5, 0.75)),
+    st.one_of(st.sampled_from((0, 2**64 - 1)), st.integers(0, 2**64 - 1)),
+)
+def test_sampling_matches_scalar_fold(n, beta, seed):
+    # Long-hand oracle for the vectorized hashing: edge (base, axis) is open
+    # iff the scalar fold(seed, "perc", base, axis) falls below beta's threshold.
+    open_edges = sample_percolation(n, beta, seed).open_edges
+    t = threshold(beta)
+    for axis in range(n):
+        for base in range(1 << n):
+            if not base >> axis & 1:
+                expect = fold(seed, TAG_PERC, base, axis) < t
+                assert open_edges[edge_index(base, axis, n)] == expect, (base, axis)
 
 
 def test_sampling_marginal():

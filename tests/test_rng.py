@@ -78,6 +78,16 @@ def test_mix64_np_agrees_with_scalar_vectorised():
     assert [int(v) for v in out] == [mix64(int(v)) for v in xs]
 
 
+def test_mix64_np_in_place_and_with_scratch():
+    xs = np.array([0, 1, 2**63, 2**64 - 1, 12345], dtype=np.uint64)
+    expect = [mix64(int(v)) for v in xs]
+    kept = xs.copy()
+    mix64_np(xs, tmp=np.empty_like(xs))
+    assert np.array_equal(xs, kept)  # the input is left alone by default
+    assert mix64_np(xs, out=xs) is xs
+    assert [int(v) for v in xs] == expect
+
+
 def test_unit_interval_bounds():
     assert unit_interval(0) == 0.0
     assert 0.0 <= unit_interval(2**64 - 1) < 1.0
