@@ -31,7 +31,7 @@ from .experiments import (
     walk_length_quantiles,
 )
 from .medium import MODE_EXHAUSTIVE, MODE_LAZY, MediumParams, build_medium
-from .parallel import resolve_workers
+from .parallel import check_deadline, resolve_workers
 from .sinks import sink_components
 from .walkers import (
     DETECT_EXACT,
@@ -237,6 +237,7 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    deadline = _deadline(args)
     if args.infile:
         from .medium import Medium
 
@@ -247,18 +248,23 @@ def _cmd_analyze(args) -> int:
         raise NashwalkError("analyze needs --n and --alpha unless --in is given")
     else:
         medium = build_medium(args.n, args.alpha, args.seed)
-    _emit(sink_components(medium).to_json() + "\n", args.out)
+    text = sink_components(medium).to_json() + "\n"
+    check_deadline(deadline)
+    _emit(text, args.out)
     return 0
 
 
 def _cmd_generate(args) -> int:
+    deadline = _deadline(args)
     medium = build_medium(args.n, args.alpha, args.seed, args.mode)
     if args.mode == MODE_LAZY:
+        check_deadline(deadline)
         _emit(json.dumps(medium.header(), sort_keys=True) + "\n", args.out)
         return 0
     if args.out is None:
         raise NashwalkError("generate --mode exhaustive requires --out FILE")
     blob = medium.dump_bytes()
+    check_deadline(deadline)
     with _file_errors(args.out), open(args.out, "wb") as fh:
         fh.write(blob)
     return 0

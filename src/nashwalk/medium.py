@@ -18,9 +18,11 @@ reshaped to (2^(n-1-i), 2, 2^i) puts the vertices with bit i clear in
 [:, 0, :] and their axis-i partners in [:, 1, :], both in ascending base
 order -- exactly the order of axis i's table block reshaped to
 (2^(n-1-i), 2^i).  :func:`axis_view` is that reshape; every vectorized walk
-over an axis's edges (hashing, degrees, edge lists, payoff comparison, file
-order, percolation) goes through it, with strided views instead of index
-arrays.  Scalar lookups use :func:`squeeze_bit` / :func:`edge_index`.
+over an axis's edges (hashing, :meth:`Medium.out_mask`, degrees, edge lists,
+payoff comparison, file order, percolation) goes through it, with strided
+views instead of index arrays.  Edge positions come from :func:`edge_index`
+(elementwise on int64 arrays too), so no other module spells out the table's
+codes or its index arithmetic.
 
 Hashing.  ``fold(seed, base, axis) = mix64(mix64(mix64(seed) ^ base) ^ axis)``:
 the seed's pass is the same for every edge, and ``mix64(h0 ^ v)`` is shared
@@ -377,12 +379,22 @@ class Medium:
         vertices = np.arange(1 << self.n_players, dtype=np.uint64)
         return axis_view(vertices, axis)[:, 0, :].ravel()
 
+    def out_mask(self, axis: int, out: np.ndarray) -> np.ndarray:
+        """Fill the per-vertex bool buffer `out` (length 2^n) with "v's
+        axis-`axis` edge points out of v" and return it: an Up edge leaves
+        its base, a Down edge its partner, a tie neither."""
+        block = self.axis_block(axis)
+        view = axis_view(out, axis)
+        np.equal(block, UP, out=view[:, 0, :])
+        np.equal(block, DOWN, out=view[:, 1, :])
+        return out
+
     def degrees(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(out_degree, in_degree, tie_degree) int16 arrays over all vertices.
 
-        Per axis, one pass fills a per-vertex bool buffer for "the axis edge
-        points out of v" and one for "into v" (an Up edge points out of its
-        base and into its partner, a Down edge the reverse); both are then
+        Per axis, :meth:`out_mask` fills a per-vertex bool buffer, and its
+        two halves swapped across the axis are the "into v" buffer (an edge
+        points into v when it points out of v's partner); both are then
         added to the counts as contiguous arrays.  The counts are int8,
         which holds any degree of an exhaustive cube (n <= 24), and are
         widened once at the end.
@@ -393,13 +405,10 @@ class Medium:
         out_b = np.empty(1 << n, dtype=bool)
         in_b = np.empty(1 << n, dtype=bool)
         for axis in range(n):
-            block = self.axis_block(axis)
-            out_v = axis_view(out_b, axis)
+            out_v = axis_view(self.out_mask(axis, out_b), axis)
             in_v = axis_view(in_b, axis)
-            np.equal(block, UP, out=out_v[:, 0, :])
-            np.equal(block, DOWN, out=out_v[:, 1, :])
-            np.equal(block, DOWN, out=in_v[:, 0, :])
-            np.equal(block, UP, out=in_v[:, 1, :])
+            in_v[:, 0, :] = out_v[:, 1, :]
+            in_v[:, 1, :] = out_v[:, 0, :]
             out_deg += out_b.view(np.int8)
             in_deg += in_b.view(np.int8)
         out_deg = out_deg.astype(np.int16)

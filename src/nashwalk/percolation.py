@@ -25,10 +25,12 @@ from scipy.sparse.csgraph import connected_components
 
 from .container import check_header, pack_container, unpack_container
 from .errors import (
+    AxisOutOfRange,
     BetaOutOfRange,
     DimensionTooLarge,
     EmptyTrialCount,
     IncompleteTable,
+    NonCanonicalEdge,
     SeedCollision,
 )
 from .medium import (
@@ -40,9 +42,9 @@ from .medium import (
     axis_view,
     edge_count,
     edge_hashes,
+    edge_index,
     file_positions,
     neighbors,
-    squeeze_bit,
     trial_medium,
 )
 from .parallel import map_ordered
@@ -70,15 +72,23 @@ class PercolationGraph:
             )
         self.open_edges = arr
 
+    def _check_vertex(self, v: Vertex) -> None:
+        if not 0 <= v < 1 << self.n:
+            raise NonCanonicalEdge(f"vertex {v} outside the {self.n}-cube")
+
     def is_open(self, base: Vertex, axis: int) -> bool:
-        return bool(self.open_edges[axis * (1 << (self.n - 1)) + squeeze_bit(base, axis)])
+        """Whether the axis-`axis` edge at `base` is open; `base` may be
+        either endpoint."""
+        if not 0 <= axis < self.n:
+            raise AxisOutOfRange(f"axis {axis} outside [0, {self.n})")
+        self._check_vertex(base)
+        return bool(self.open_edges[edge_index(base, axis, self.n)])
 
     def open_neighbors(self, v: Vertex) -> list[Vertex]:
-        half = 1 << (self.n - 1)
+        self._check_vertex(v)
+        n = self.n
         return [
-            v ^ (1 << axis)
-            for axis in range(self.n)
-            if self.open_edges[axis * half + squeeze_bit(v, axis)]
+            v ^ (1 << axis) for axis in range(n) if self.open_edges[edge_index(v, axis, n)]
         ]
 
     # -- serialization ----------------------------------------------------
@@ -252,28 +262,29 @@ def _grow(medium: Medium, open_edges: np.ndarray) -> tuple[np.ndarray, frozenset
     """The growth recursion of :func:`coupling_run`: (final open edges,
     grown set, rounds to the fixpoint)."""
     n = medium.n_players
-    half = 1 << (n - 1)
-    # (axis, its bit, its block offset, the mask of the bits below it)
-    axes = [(axis, 1 << axis, axis * half, (1 << axis) - 1) for axis in range(n)]
+    axes = [(axis, 1 << axis) for axis in range(n)]
     seen_from = medium.orientation_seen_from
     grown = {0}
     frontier = [0]
-    # assigned edge ids in assignment order (a C int holds any of the
-    # n * 2^(n-1) < 2^31 ids up to EXHAUSTIVE_CAP), and their "oriented into
-    # the set" indicators: raw words and bytes, so no int objects are kept
-    eids = array("i")
+    # each assigned edge as (vertex inside the set, axis) in assignment
+    # order, and its "oriented into the set" indicator: raw words and
+    # bytes, so no int objects are kept (a C int holds any vertex, and any
+    # of the n * 2^(n-1) < 2^31 edge ids, up to EXHAUSTIVE_CAP)
+    verts = array("i")
+    axes_log = array("i")
     opens = bytearray()
     rounds = 0
     while frontier:
         rounds += 1
         joined: set[int] = set()
         for u in frontier:
-            for axis, bit, offset, low in axes:
+            for axis, bit in axes:
                 w = u ^ bit
                 if w in grown:
                     continue  # settled edge; never boundary again
                 inward = seen_from(u, axis) == DOWN  # oriented w -> u
-                eids.append(offset + ((u & low) | ((u >> (axis + 1)) << axis)))
+                verts.append(u)
+                axes_log.append(axis)
                 opens.append(inward)
                 if inward:
                     joined.add(w)
@@ -281,7 +292,9 @@ def _grow(medium: Medium, open_edges: np.ndarray) -> tuple[np.ndarray, frozenset
         grown.update(frontier)
     # set-once: each boundary edge is assigned exactly when its first
     # endpoint joins (assignments would be idempotent anyway)
-    assigned = np.frombuffer(eids, dtype=np.intc)
+    assigned = edge_index(
+        np.frombuffer(verts, dtype=np.intc), np.frombuffer(axes_log, dtype=np.intc), n
+    )
     touched = np.zeros(open_edges.size, dtype=bool)
     touched[assigned] = True
     assert np.count_nonzero(touched) == assigned.size  # no edge id repeats

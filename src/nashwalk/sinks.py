@@ -19,7 +19,10 @@ vertex v at bit ``v % 64`` of word ``v // 64`` (one word, zero-padded, for
 n < 6).  Crossing axis ``i < 6`` swaps bits within each word: a shift by
 ``2^i`` under a constant mask.  Crossing axis ``i >= 6`` swaps whole words,
 and the word array viewed through :func:`axis_view` along ``i - 6`` lines
-each word up with its partner.
+each word up with its partner.  The bitsets come from
+:meth:`Medium.out_mask`, and the remainder's out-edges, which the SCC
+needs, are read from the same bitsets, so this module never decodes the
+orientation table.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import AlphaOutOfRange
-from .medium import DOWN, UP, Medium, Vertex, axis_view, default_closure_budget, neighbors
+from .medium import Medium, Vertex, axis_view, default_closure_budget, neighbors
 
 
 @dataclass
@@ -148,17 +151,10 @@ def _unpack(words: np.ndarray, size: int) -> np.ndarray:
 
 def _out_words(medium: Medium) -> np.ndarray:
     """(n, words) bitsets: bit v of row i set when v's axis-i edge points
-    out of v."""
+    out of v (:meth:`Medium.out_mask`, packed)."""
     n = medium.n_players
     buf = np.empty(1 << n, dtype=bool)
-    rows = []
-    for axis in range(n):
-        block = medium.axis_block(axis)
-        view = axis_view(buf, axis)
-        np.equal(block, UP, out=view[:, 0, :])
-        np.equal(block, DOWN, out=view[:, 1, :])
-        rows.append(_pack(buf))
-    return np.stack(rows)
+    return np.stack([_pack(medium.out_mask(axis, buf)) for axis in range(n)])
 
 
 def _reach_back(out_words: np.ndarray, seed: np.ndarray) -> tuple[np.ndarray, int]:
@@ -197,26 +193,21 @@ def backward_reach(medium: Medium, targets: np.ndarray) -> np.ndarray:
     return _unpack(reach, 1 << medium.n_players)
 
 
-def _remainder_edges(medium: Medium, rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _remainder_edges(
+    out_words: np.ndarray, rest: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Out-edges of the vertices `rest` (ascending) as local (src, dst)
-    indices into `rest`, read from the table axis by axis.  Asserts that
-    `rest` is closed: every out-neighbour has a local index."""
-    n = medium.n_players
-    local = np.full(1 << n, -1, dtype=np.int64)
+    indices into `rest`, read from the packed out-edge bitsets axis by axis.
+    Asserts that `rest` is closed: every out-neighbour has a local index."""
+    local = np.full(1 << len(out_words), -1, dtype=np.int64)
     local[rest] = np.arange(rest.size)
+    word, shift = rest >> 6, (rest & 63).astype(np.uint64)
     srcs: list[np.ndarray] = []
     dsts: list[np.ndarray] = []
-    for axis in range(n):
-        bit = 1 << axis
-        # squeeze_bit(v, axis): v's edge's position in the axis block
-        codes = medium.axis_block(axis).ravel()[
-            (rest & (bit - 1)) | ((rest >> (axis + 1)) << axis)
-        ]
-        upper = (rest & bit) != 0
-        out = np.where(upper, codes == DOWN, codes == UP)
-        src = np.flatnonzero(out)
+    for axis, words in enumerate(out_words):
+        src = np.flatnonzero(words[word] >> shift & np.uint64(1))
         srcs.append(src)
-        dsts.append(local[rest[src] ^ bit])
+        dsts.append(local[rest[src] ^ (1 << axis)])
     src, dst = np.concatenate(srcs), np.concatenate(dsts)
     assert (dst >= 0).all(), "the vertices reaching no PNE are not closed"
     return src, dst
@@ -229,10 +220,10 @@ def sink_components(medium: Medium) -> SinkAnalysis:
     out-edge bitsets then spread that set backwards along oriented edges
     until it stops growing: the result is every vertex that can reach a
     PNE.  The rest is closed under out-edges and holds every trap, so
-    scipy's SCC runs on the rest's out-edges alone, and its sink components
-    are the traps.  The rest holds no PNE, so no such sink is a single
-    vertex; sizes 2 and 3 are impossible (bipartiteness) and asserted
-    absent.
+    scipy's SCC runs on the rest's out-edges alone, read from the same
+    bitsets, and its sink components are the traps.  The rest holds no
+    PNE, so no such sink is a single vertex; sizes 2 and 3 are impossible
+    (bipartiteness) and asserted absent.
 
     The number of rounds is bounded by the longest shortest path to a PNE,
     so random media settle in a handful, while crafted snake-like tables
@@ -253,7 +244,7 @@ def sink_components(medium: Medium) -> SinkAnalysis:
     traps: list[list[int]] = []
     if rest.size:
         labels, comp_sizes, is_sink = _sink_sccs(
-            *_remainder_edges(medium, rest), rest.size
+            *_remainder_edges(out_words, rest), rest.size
         )
         bad = np.nonzero(is_sink & (comp_sizes < 4))[0]
         assert bad.size == 0, (

@@ -257,11 +257,18 @@ def test_unset_empty_or_valid_threads_env_runs(value, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["samples"] == 2
 
 
-def test_time_budget_exit_3():
-    assert run_cli([
-        "figure1", "--n", "10", "--alpha", "0.5", "--trials", "400",
-        "--time-budget", "0.0",
-    ]) == 3
+def test_time_budget_exit_3(tmp_path):
+    # analyze and generate used to ignore the budget and exit 0; an exceeded
+    # budget must also leave no --out file behind.
+    for i, argv in enumerate([
+        ["figure1", "--n", "10", "--alpha", "0.5", "--trials", "400"],
+        ["analyze", "--n", "12", "--alpha", "0.5"],
+        ["generate", "--n", "12", "--alpha", "0.5"],
+        ["generate", "--n", "12", "--alpha", "0.5", "--mode", "lazy"],
+    ]):
+        out = tmp_path / f"out{i}"
+        assert run_cli(argv + ["--time-budget", "0.0", "--out", str(out)]) == 3, argv
+        assert not out.exists(), argv
 
 
 def test_module_runs_as_script():

@@ -239,6 +239,11 @@ def check_views_against_rows(med):
     assert src.dtype == dst.dtype == np.int64
     assert len(src) == len(edges)
     assert set(zip(src.tolist(), dst.tolist())) == edges
+    buf = np.empty(1 << n, dtype=bool)
+    for axis in range(n):
+        assert med.out_mask(axis, buf) is buf
+        want = [bool(med.row(v)[0] >> axis & 1) for v in range(1 << n)]
+        assert buf.tolist() == want, axis
 
 
 @given(media_up_to_9())
@@ -377,6 +382,16 @@ def test_squeeze_expand_roundtrip(n, data):
     assert 0 <= idx < edge_count(n)
 
 
+@given(st.integers(min_value=1, max_value=24), st.data())
+def test_edge_index_is_elementwise_on_int64_arrays(n, data):
+    size = data.draw(st.integers(min_value=0, max_value=20))
+    vs = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=size, max_size=size))
+    axes = data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+    got = edge_index(np.array(vs, dtype=np.int64), np.array(axes, dtype=np.int64), n)
+    assert got.dtype == np.int64
+    assert got.tolist() == [edge_index(v, a, n) for v, a in zip(vs, axes)]
+
+
 def test_edge_index_is_a_bijection():
     n = 5
     seen = {edge_index(int(b), a, n) for a in range(n) for b in range(1 << n) if not (b >> a) & 1}
@@ -499,6 +514,8 @@ def test_lazy_medium_has_no_table():
     med = build_medium(30, 0.5, 0, mode=MODE_LAZY)
     with pytest.raises(ExhaustiveModeRequired):
         med.require_table()
+    with pytest.raises(ExhaustiveModeRequired):
+        build_medium(4, 0.5, 0, mode=MODE_LAZY).out_mask(0, np.empty(16, dtype=bool))
     # but individual edges still resolve
     assert med.orientation(EdgeRef(0, 3)) in (TIE, UP, DOWN)
 

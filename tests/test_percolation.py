@@ -11,10 +11,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
 from nashwalk.errors import (
+    AxisOutOfRange,
     BetaOutOfRange,
     DimensionTooLarge,
     EmptyTrialCount,
     IncompleteTable,
+    NonCanonicalEdge,
     SeedCollision,
 )
 from nashwalk.medium import DOWN, MODE_LAZY, Medium, build_medium, edge_index, squeeze_bit
@@ -96,6 +98,26 @@ def test_open_neighbors_are_symmetric():
         for w in g.open_neighbors(v):
             assert v in g.open_neighbors(w)
             assert (v ^ w).bit_count() == 1
+
+
+def test_vertex_and_axis_are_checked():
+    # A vertex outside the cube used to read another axis's edge (is_open)
+    # or raise a bare IndexError (open_neighbors, connected_component).
+    g = sample_percolation(4, 0.5, 3)
+    for v in (-1, 16, 1 << 40):
+        with pytest.raises(NonCanonicalEdge, match=f"vertex {v} outside"):
+            g.is_open(v, 0)
+        with pytest.raises(NonCanonicalEdge, match=f"vertex {v} outside"):
+            g.open_neighbors(v)
+    with pytest.raises(NonCanonicalEdge):
+        connected_component(g, 16)
+    for axis in (-1, 4):
+        with pytest.raises(AxisOutOfRange):
+            g.is_open(0, axis)
+    # either endpoint names the same edge
+    for v in range(16):
+        for axis in range(4):
+            assert g.is_open(v, axis) == g.is_open(v ^ (1 << axis), axis)
 
 
 # ---------------------------------------------------------------------------

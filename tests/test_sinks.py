@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nashwalk.errors import AlphaOutOfRange
 from nashwalk.medium import DOWN, MODE_EXHAUSTIVE, MODE_LAZY, TIE, UP, Medium, build_medium
 from nashwalk.rng import fold, TAG_MEDIUM
-from nashwalk.sinks import _out_words, _pack, _reach_back, _whole_graph_scc
+from nashwalk.sinks import _out_words, _pack, _reach_back, _remainder_edges, _whole_graph_scc
 from nashwalk.sinks import (
     BUDGET_EXCEEDED,
     CLOSED,
@@ -238,6 +238,12 @@ def test_no_pne_cube_leaves_the_whole_cube_to_the_scc():
     assert enumerate_pnes(med) == []
     reach, rounds = _reach_back(_out_words(med), _pack(np.zeros(256, dtype=bool)))
     assert not reach.any() and rounds == 1
+    # with every vertex left, local indices are vertices: the remainder's
+    # edges read from the bitsets are the whole cube's oriented edges
+    src, dst = _remainder_edges(_out_words(med), np.arange(256))
+    want_src, want_dst = med.oriented_edge_arrays()
+    assert len(src) == len(want_src)
+    assert set(zip(src.tolist(), dst.tolist())) == set(zip(want_src.tolist(), want_dst.tolist()))
     analysis = check_against_scc_oracle(med)
     assert analysis.pnes == [] and analysis.traps
     assert analysis.trap_mask.sum() == sum(map(len, analysis.traps))
