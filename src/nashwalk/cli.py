@@ -248,7 +248,7 @@ def _cmd_analyze(args) -> int:
         raise NashwalkError("analyze needs --n and --alpha unless --in is given")
     else:
         medium = build_medium(args.n, args.alpha, args.seed)
-    text = sink_components(medium).to_json() + "\n"
+    text = sink_components(medium, deadline=deadline).to_json() + "\n"
     check_deadline(deadline)
     _emit(text, args.out)
     return 0

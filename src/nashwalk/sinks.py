@@ -20,9 +20,9 @@ n < 6).  Crossing axis ``i < 6`` swaps bits within each word: a shift by
 ``2^i`` under a constant mask.  Crossing axis ``i >= 6`` swaps whole words,
 and the word array viewed through :func:`axis_view` along ``i - 6`` lines
 each word up with its partner.  The bitsets come from
-:meth:`Medium.out_mask`, and the remainder's out-edges, which the SCC
-needs, are read from the same bitsets, so this module never decodes the
-orientation table.
+:meth:`Medium.out_mask`, one decode of the orientation table per analysis:
+the PNEs (no out-bit on any axis), the backward spread and the remainder's
+out-edges, which the SCC needs, are all read from them.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import AlphaOutOfRange
 from .medium import Medium, Vertex, axis_view, default_closure_budget, neighbors
+from .parallel import check_deadline
 
 
 @dataclass
@@ -157,31 +158,50 @@ def _out_words(medium: Medium) -> np.ndarray:
     return np.stack([_pack(medium.out_mask(axis, buf)) for axis in range(n)])
 
 
-def _reach_back(out_words: np.ndarray, seed: np.ndarray) -> tuple[np.ndarray, int]:
+def _reach_back(
+    out_words: np.ndarray, seed: np.ndarray, deadline: float | None = None
+) -> tuple[np.ndarray, int]:
     """Every vertex with an oriented path into `seed`, and the round count.
 
     One round sweeps the axes in order, adding each vertex whose axis edge
     points out of it into an already reached partner; rounds repeat until
     one adds nothing.  Updates within a round are seen by later axes, so the
     round count is at most one more than the longest shortest path to the
-    seed.
+    seed.  The word-axis views and the scratch words are made once, so a
+    round allocates nothing; `deadline` is checked before every round.
     """
     reach = seed.copy()
+    before, a, b = np.empty_like(reach), np.empty_like(reach), np.empty_like(reach)
+    half = b[: reach.size // 2]  # the word-axis scratch; `b` is free by then
+    in_word = []
+    across = []
+    for axis, out in enumerate(out_words):
+        if axis < 6:
+            in_word.append((out, _LOW_HALVES[axis], _SHIFTS[axis]))
+        else:
+            r, o = axis_view(reach, axis - 6), axis_view(out, axis - 6)
+            h = half.reshape(r.shape[0], r.shape[2])
+            across.append((r[:, 0, :], r[:, 1, :], o[:, 0, :], o[:, 1, :], h))
     rounds = 0
     while True:
-        before = reach.copy()
-        for axis, out in enumerate(out_words):
-            if axis < 6:
-                low, shift = _LOW_HALVES[axis], _SHIFTS[axis]
-                partner = ((reach & low) << shift) | ((reach >> shift) & low)
-                reach |= partner & out
-            else:
-                r = axis_view(reach, axis - 6)
-                o = axis_view(out, axis - 6)
-                r[:, 0, :] |= r[:, 1, :] & o[:, 0, :]
-                r[:, 1, :] |= r[:, 0, :] & o[:, 1, :]
+        check_deadline(deadline)
+        np.copyto(before, reach)
+        for out, low, shift in in_word:
+            np.bitwise_and(reach, low, out=a)
+            a <<= shift
+            np.right_shift(reach, shift, out=b)
+            b &= low
+            a |= b
+            a &= out
+            reach |= a
+        for r0, r1, o0, o1, h in across:
+            np.bitwise_and(r1, o0, out=h)
+            r0 |= h
+            np.bitwise_and(r0, o1, out=h)
+            r1 |= h
         rounds += 1
-        if np.array_equal(before, reach):
+        before ^= reach
+        if not before.any():
             return reach, rounds
 
 
@@ -213,32 +233,32 @@ def _remainder_edges(
     return src, dst
 
 
-def sink_components(medium: Medium) -> SinkAnalysis:
+def sink_components(medium: Medium, *, deadline: float | None = None) -> SinkAnalysis:
     """Find the PNEs and the traps (sink SCCs of size >= 4) of the medium.
 
-    The PNEs are the out-degree-0 vertices of ``degrees()``.  Packed per-axis
-    out-edge bitsets then spread that set backwards along oriented edges
-    until it stops growing: the result is every vertex that can reach a
-    PNE.  The rest is closed under out-edges and holds every trap, so
-    scipy's SCC runs on the rest's out-edges alone, read from the same
-    bitsets, and its sink components are the traps.  The rest holds no
-    PNE, so no such sink is a single vertex; sizes 2 and 3 are impossible
-    (bipartiteness) and asserted absent.
+    Packed per-axis out-edge bitsets are built once, and the PNEs are the
+    vertices with no bit set on any axis.  The same bitsets then spread that
+    set backwards along oriented edges until it stops growing: the result is
+    every vertex that can reach a PNE.  The rest is closed under out-edges
+    and holds every trap, so scipy's SCC runs on the rest's out-edges alone,
+    read from the same bitsets, and its sink components are the traps.  The
+    rest holds no PNE, so no such sink is a single vertex; sizes 2 and 3 are
+    impossible (bipartiteness) and asserted absent.
 
     The number of rounds is bounded by the longest shortest path to a PNE,
     so random media settle in a handful, while crafted snake-like tables
-    stay correct but cost more rounds.
+    stay correct but cost more rounds; `deadline` (a ``time.monotonic()``
+    value) is checked before every round and raises TimeBudgetExceeded
+    once passed.
     """
     n = medium.n_players
     size = 1 << n
-    out_deg, _, _ = medium.degrees()
-    pne_mask = out_deg == 0
     out_words = _out_words(medium)
-    # Cross-check: no out-bit on any axis is exactly out-degree 0.
-    no_out = ~np.bitwise_or.reduce(out_words, axis=0)
-    assert np.array_equal(_unpack(no_out, size), pne_mask)
+    # no out-bit on any axis; `~` also sets the padding bits below 64
+    # vertices, which the unpacking drops
+    pne_mask = _unpack(~np.bitwise_or.reduce(out_words, axis=0), size)
 
-    reach, _ = _reach_back(out_words, _pack(pne_mask))
+    reach, _ = _reach_back(out_words, _pack(pne_mask), deadline)
     rest = np.flatnonzero(~_unpack(reach, size))
     trap_mask = np.zeros(size, dtype=bool)
     traps: list[list[int]] = []

@@ -74,3 +74,17 @@ def escape_cube_medium() -> Medium:
         dtype=np.int8,
     )
     return Medium.from_orientation_table(3, table)
+
+
+def snake_cube(n: int) -> Medium:
+    """Gray-code Hamiltonian path g(0) -> g(1) -> ... -> g(2^n - 1), all
+    other edges ties: one PNE at the end, 2^n - 1 steps from the start."""
+    table = np.zeros(n << (n - 1), dtype=np.int8)
+    half = 1 << (n - 1)
+    for i in range((1 << n) - 1):
+        u, w = i ^ (i >> 1), (i + 1) ^ ((i + 1) >> 1)
+        axis = (u ^ w).bit_length() - 1
+        base = min(u, w)
+        squeezed = (base & ((1 << axis) - 1)) | ((base >> (axis + 1)) << axis)
+        table[axis * half + squeezed] = UP if u == base else DOWN
+    return Medium.from_orientation_table(n, table)

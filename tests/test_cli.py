@@ -12,6 +12,8 @@ from nashwalk.cli import main
 from nashwalk.medium import Medium, build_medium
 from nashwalk.sinks import sink_components
 
+from conftest import snake_cube
+
 
 def run_cli(args):
     return main(list(args))
@@ -269,6 +271,15 @@ def test_time_budget_exit_3(tmp_path):
         out = tmp_path / f"out{i}"
         assert run_cli(argv + ["--time-budget", "0.0", "--out", str(out)]) == 3, argv
         assert not out.exists(), argv
+
+
+def test_time_budget_stops_analyze_inside_the_sink_analysis(tmp_path, capsys):
+    # the snake's sink analysis takes many reach rounds; the budget is
+    # checked between them
+    path = tmp_path / "snake.nwm"
+    path.write_bytes(snake_cube(12).dump_bytes())
+    assert run_cli(["analyze", "--in", str(path), "--time-budget", "0"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_module_runs_as_script():

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nashwalk.errors import AlphaOutOfRange
-from nashwalk.medium import DOWN, MODE_EXHAUSTIVE, MODE_LAZY, TIE, UP, Medium, build_medium
+from nashwalk.errors import AlphaOutOfRange, TimeBudgetExceeded
+from nashwalk.medium import (
+    DOWN, MODE_EXHAUSTIVE, MODE_LAZY, TIE, UP, Medium, build_medium, neighbors,
+)
 from nashwalk.rng import fold, TAG_MEDIUM
 from nashwalk.sinks import _out_words, _pack, _reach_back, _remainder_edges, _whole_graph_scc
 from nashwalk.sinks import (
@@ -18,6 +21,7 @@ from nashwalk.sinks import (
     CLOSED,
     PNE_REACHED,
     VertexClass,
+    backward_reach,
     classify_vertex,
     enumerate_pnes,
     expected_pne_count,
@@ -27,7 +31,7 @@ from nashwalk.sinks import (
     sink_components,
 )
 
-from conftest import make_all_tie
+from conftest import make_all_tie, snake_cube
 
 
 def doomed_cube() -> Medium:
@@ -188,6 +192,8 @@ def check_against_scc_oracle(med: Medium):
     analysis = sink_components(med)
     labels, pne_mask, trap_mask = _whole_graph_scc(med)
     assert np.array_equal(analysis.pne_mask, pne_mask)
+    # the PNEs read off the packed bitsets are the out-degree-0 vertices
+    assert np.array_equal(analysis.pne_mask, med.degrees()[0] == 0)
     assert np.array_equal(analysis.trap_mask, trap_mask)
     assert analysis.pnes == np.flatnonzero(pne_mask).tolist()
     groups = {}
@@ -259,20 +265,6 @@ def test_cubes_below_64_vertices_fit_one_word(n):
         check_against_scc_oracle(random_table(n, (1 / 3, 1 / 3, 1 / 3), i))
 
 
-def snake_cube(n: int) -> Medium:
-    """Gray-code Hamiltonian path g(0) -> g(1) -> ... -> g(2^n - 1), all
-    other edges ties: one PNE at the end, 2^n - 1 steps from the start."""
-    table = np.zeros(n << (n - 1), dtype=np.int8)
-    half = 1 << (n - 1)
-    for i in range((1 << n) - 1):
-        u, w = i ^ (i >> 1), (i + 1) ^ ((i + 1) >> 1)
-        axis = (u ^ w).bit_length() - 1
-        base = min(u, w)
-        squeezed = (base & ((1 << axis) - 1)) | ((base >> (axis + 1)) << axis)
-        table[axis * half + squeezed] = UP if u == base else DOWN
-    return Medium.from_orientation_table(n, table)
-
-
 @pytest.mark.parametrize("n", [3, 6, 9])
 def test_snake_needs_many_rounds_and_still_matches(n):
     med = snake_cube(n)
@@ -283,6 +275,52 @@ def test_snake_needs_many_rounds_and_still_matches(n):
     assert rounds > (1 << n) // 4  # a random medium settles in under ten
     analysis = check_against_scc_oracle(med)
     assert analysis.pnes == [pne] and analysis.traps == []
+
+
+def test_an_exceeded_deadline_stops_the_sink_analysis():
+    # the snake takes seconds at n=16 and a minute at n=18: the deadline is
+    # checked between reach rounds, not only once the analysis is done
+    with pytest.raises(TimeBudgetExceeded):
+        sink_components(snake_cube(12), deadline=time.monotonic() - 1)
+
+
+def reverse_bfs(medium: Medium, targets: np.ndarray) -> np.ndarray:
+    """Every vertex with an oriented path into `targets`, by plain BFS over
+    in-edges (``row(v)[1]``)."""
+    seen = targets.copy()
+    queue = np.flatnonzero(targets).tolist()
+    while queue:
+        u = queue.pop()
+        for w in neighbors(u, medium.row(u)[1]):
+            if not seen[w]:
+                seen[w] = True
+                queue.append(w)
+    return seen
+
+
+# Derandomized so the example set, and with it the run time, stays fixed.
+# n < 6 packs into one padded word, n = 6 fills one word, n > 6 crosses
+# words through axis views.
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(range(1, 11)),
+    st.one_of(
+        st.tuples(st.just("hashed"), st.sampled_from((0.0, 0.5, 0.9))),
+        st.tuples(st.just("table"), st.sampled_from(
+            ((1 / 3, 1 / 3, 1 / 3), (0.0, 0.5, 0.5), (0.1, 0.8, 0.1))
+        )),
+    ),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.sampled_from((0.0, 0.001, 0.05, 0.5)),
+)
+def test_backward_reach_matches_reverse_bfs(n, source, seed, density):
+    kind, param = source
+    if kind == "hashed":
+        med = build_medium(n, param, seed)
+    else:
+        med = random_table(n, param, seed)
+    targets = np.random.default_rng(seed).random(1 << n) < density
+    assert np.array_equal(backward_reach(med, targets), reverse_bfs(med, targets))
 
 
 def test_fixture_sink_structures(cyclic2_medium, gamma2_medium, escape_cube_medium):
