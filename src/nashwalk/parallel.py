@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import NashwalkError, TimeBudgetExceeded
 
@@ -57,6 +56,9 @@ def map_ordered(
             check_deadline(deadline)
             results.append(fn(job))
         return results
+    # imported here, so serial runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     check_deadline(deadline)
     chunk = max(1, len(jobs) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as ex:

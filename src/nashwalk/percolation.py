@@ -8,20 +8,23 @@ overwritten by that edge's "points inward" indicator — a fresh beta coin.  The
 recursion's fixpoint is, deterministically, both the open component of vertex
 0 in the final percolation and the set of vertices with an oriented path to 0.
 Every run re-checks that identity; the run itself is the oracle.  The open
-component of 0 is read off scipy component labels of the final percolation;
-:func:`connected_component`, a plain Python BFS over open edges, is kept as
-the independent oracle the tests compare those labels against.
+component of 0 is read off component labels of the final percolation, found
+by hook-and-shortcut label propagation in numpy (each label ends as its
+component's smallest vertex), and the same labels give the trial's largest
+component.  That labelling shares no code with the growth recursion or with
+the backward spread of :func:`reverse_accessible_from_zero`, so the identity
+compares three independent derivations.  :func:`connected_component`, a
+plain Python BFS over open edges, and scipy's ``connected_components`` stay
+in the tests as independent oracles for the labels.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .container import check_header, pack_container, unpack_container
 from .errors import (
@@ -164,10 +167,19 @@ def sample_percolation(n: int, beta: float, seed: int) -> PercolationGraph:
 
 
 def _component_labels(perc: PercolationGraph) -> np.ndarray:
+    """Per vertex, the smallest vertex of its open component.
+
+    Hook and shortcut (Shiloach & Vishkin, J. Algorithms 1982) on the
+    open-edge list: each round hooks the label of every edge's one endpoint
+    to the other's label when that is smaller, both ways, then jumps every
+    label to its label's label until that changes nothing.  A label is
+    always a vertex of the same component, no larger than the vertex; when a
+    round changes nothing, both endpoints of every open edge carry the same
+    label, which is then the component's smallest vertex.
+    """
     n = perc.n
-    size = 1 << n
     half = 1 << (n - 1)
-    vertices = np.arange(size, dtype=np.int64)
+    vertices = np.arange(1 << n)
     srcs = []
     dsts = []
     for axis in range(n):
@@ -177,9 +189,18 @@ def _component_labels(perc: PercolationGraph) -> np.ndarray:
         dsts.append(open_bases | (1 << axis))
     src = np.concatenate(srcs)
     dst = np.concatenate(dsts)
-    graph = csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(size, size))
-    _, labels = connected_components(graph, directed=False)
-    return labels
+    labels = vertices.astype(np.int32)  # narrow labels halve the gathers' traffic
+    while True:
+        before = labels.copy()
+        np.minimum.at(labels, labels[dst], labels[src])
+        np.minimum.at(labels, labels[src], labels[dst])
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if np.array_equal(labels, before):
+            return labels
 
 
 def connected_component(perc: PercolationGraph, v: Vertex) -> set[int]:
@@ -205,18 +226,14 @@ class FragmentStats:
 
 def largest_component(perc: PercolationGraph) -> np.ndarray:
     """Vertices of the largest open component, ties broken by smallest vertex."""
-    labels = _component_labels(perc)
-    sizes = np.bincount(labels)
-    best = np.nonzero(sizes == sizes.max())[0]
-    if len(best) > 1:
-        # first occurrence of each label = its smallest vertex
-        first = np.full(sizes.size, np.iinfo(np.int64).max, dtype=np.int64)
-        idx = np.arange(labels.size, dtype=np.int64)
-        np.minimum.at(first, labels, idx)
-        best = best[np.argmin(first[best])]
-    else:
-        best = best[0]
-    return np.nonzero(labels == best)[0]
+    return _largest(_component_labels(perc))
+
+
+def _largest(labels: np.ndarray) -> np.ndarray:
+    """The vertices of the largest component of :func:`_component_labels`
+    output; a label is its component's smallest vertex, so the first
+    maximum of the sizes breaks ties by smallest vertex."""
+    return np.flatnonzero(labels == np.argmax(np.bincount(labels)))
 
 
 def fragment_stats(perc: PercolationGraph) -> FragmentStats:
@@ -256,6 +273,9 @@ class CouplingAudit:
     reverse_accessible: frozenset
     rounds_to_fixpoint: int
     identity_holds: bool
+    # per vertex, the smallest vertex of its open component in the final
+    # percolation, so callers need not label it again
+    final_labels: np.ndarray = field(repr=False, compare=False)
 
 
 def _grow(medium: Medium, open_edges: np.ndarray) -> tuple[np.ndarray, frozenset, int]:
@@ -314,7 +334,9 @@ def coupling_run(
     assigned edge costs one ``medium.orientation_seen_from`` read; the
     assignments are written into the final percolation in one step after the
     fixpoint.  Returns the final percolation and an audit of the set
-    identity, which must hold on every run.
+    identity, which must hold on every run; the audit keeps the final
+    percolation's component labels, from which the open component of 0 is
+    read.
     """
     n = medium.n_players
     if initial.n != n:
@@ -326,7 +348,7 @@ def coupling_run(
     final_open, q_final, rounds = _grow(medium, initial.open_edges)
     final = PercolationGraph(n, final_open, initial.beta, None)
     labels = _component_labels(final)
-    comp_zero = frozenset(np.flatnonzero(labels == labels[0]).tolist())
+    comp_zero = frozenset(np.flatnonzero(labels == 0).tolist())
     rev = frozenset(reverse_accessible_from_zero(medium))
     audit = CouplingAudit(
         q_final=q_final,
@@ -334,6 +356,7 @@ def coupling_run(
         reverse_accessible=rev,
         rounds_to_fixpoint=rounds,
         identity_holds=(q_final == comp_zero == rev),
+        final_labels=labels,
     )
     return final, audit
 
@@ -347,13 +370,14 @@ class CouplingTrial(NamedTuple):
 
 def coupling_trial(args) -> CouplingTrial:
     """Trial `trial` of a coupling experiment: a fresh medium and initial
-    percolation from (seed, trial), one coupling run, one component labelling.
-    Top level so it pickles for worker processes."""
+    percolation from (seed, trial) and one coupling run, whose labels of the
+    final percolation give the largest component too.  Top level so it
+    pickles for worker processes."""
     n, alpha, seed, trial = args
     medium = trial_medium(MediumParams(n, alpha, seed), trial)
     initial = sample_percolation(n, (1.0 - alpha) / 2.0, fold(seed, TAG_PERC, trial))
     final, audit = coupling_run(medium, initial)
-    big = largest_component(final)
+    big = _largest(audit.final_labels)
     return CouplingTrial(
         identity_holds=audit.identity_holds,
         open_edges=int(np.count_nonzero(final.open_edges)),

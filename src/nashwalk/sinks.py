@@ -9,10 +9,13 @@ have size 2 or 3 — that is asserted, not filtered.
 Traps are closed and hold no PNE, so every trap lies in the set of vertices
 that cannot reach a PNE, and that set is itself closed under out-edges.
 :func:`sink_components` therefore finds the vertices that reach a PNE first,
-on packed bitsets, and runs the SCC only on the closed remainder (the
-reachability-then-SCC pruning of Fleischer, Hendrickson & Pinar, "On
+on packed bitsets, and searches for sink SCCs only on the closed remainder
+(the reachability-then-SCC pruning of Fleischer, Hendrickson & Pinar, "On
 identifying strongly connected components in parallel", 2000).  Typical
-media leave a small remainder or none.
+media leave a small remainder or none.  The search is numpy label
+propagation with pointer jumping on the remainder's edge list
+(:func:`_sink_sccs`); scipy's SCC runs only in :func:`_whole_graph_scc`,
+which imports it on first use, so the hot path never loads scipy.
 
 Bitsets.  A per-vertex bool array packs into little-endian uint64 words,
 vertex v at bit ``v % 64`` of word ``v // 64`` (one word, zero-padded, for
@@ -22,7 +25,7 @@ and the word array viewed through :func:`axis_view` along ``i - 6`` lines
 each word up with its partner.  The bitsets come from
 :meth:`Medium.out_mask`, one decode of the orientation table per analysis:
 the PNEs (no out-bit on any axis), the backward spread and the remainder's
-out-edges, which the SCC needs, are all read from them.
+out-edges, which the trap search needs, are all read from them.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import AlphaOutOfRange
 from .medium import Medium, Vertex, axis_view, default_closure_budget, neighbors
@@ -102,11 +103,16 @@ def expected_pne_count(n: int, alpha: float) -> float:
     return (1.0 + alpha) ** n
 
 
-def _sink_sccs(
-    src: np.ndarray, dst: np.ndarray, size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(labels, comp_sizes, is_sink) of scipy's SCC of the graph src -> dst
-    on `size` vertices; a component is a sink when no edge leaves it."""
+def _whole_graph_scc(medium: Medium) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scc_id, pne_mask, trap_mask) from one scipy SCC over every oriented
+    edge of the cube.  Backs the lazy ``SinkAnalysis.scc_id``, and is the
+    tests' oracle for :func:`sink_components`; scipy is imported here, so
+    nothing else loads it."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    src, dst = medium.oriented_edge_arrays()
+    size = 1 << medium.n_players
     graph = csr_matrix(
         (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(size, size)
     )
@@ -114,15 +120,6 @@ def _sink_sccs(
     comp_sizes = np.bincount(labels, minlength=n_comp)
     is_sink = np.ones(n_comp, dtype=bool)
     is_sink[labels[src[labels[src] != labels[dst]]]] = False
-    return labels, comp_sizes, is_sink
-
-
-def _whole_graph_scc(medium: Medium) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(scc_id, pne_mask, trap_mask) from one SCC over every oriented edge of
-    the cube.  Backs the lazy ``SinkAnalysis.scc_id``, and is the tests'
-    oracle for :func:`sink_components`."""
-    src, dst = medium.oriented_edge_arrays()
-    labels, comp_sizes, is_sink = _sink_sccs(src, dst, 1 << medium.n_players)
     pne_comp = is_sink & (comp_sizes == 1)
     trap_comp = is_sink & (comp_sizes >= 2)
     return labels, pne_comp[labels], trap_comp[labels]
@@ -217,20 +214,72 @@ def _remainder_edges(
     out_words: np.ndarray, rest: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Out-edges of the vertices `rest` (ascending) as local (src, dst)
-    indices into `rest`, read from the packed out-edge bitsets axis by axis.
-    Asserts that `rest` is closed: every out-neighbour has a local index."""
-    local = np.full(1 << len(out_words), -1, dtype=np.int64)
-    local[rest] = np.arange(rest.size)
-    word, shift = rest >> 6, (rest & 63).astype(np.uint64)
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    for axis, words in enumerate(out_words):
-        src = np.flatnonzero(words[word] >> shift & np.uint64(1))
-        srcs.append(src)
-        dsts.append(local[rest[src] ^ (1 << axis)])
-    src, dst = np.concatenate(srcs), np.concatenate(dsts)
+    indices into `rest`, axis by axis, read from the packed out-edge bitsets
+    in one pass over every axis.  Asserts that `rest` is closed: every
+    out-neighbour has a local index."""
+    n, k = len(out_words), rest.size
+    local = np.full(1 << n, -1, dtype=np.int64)
+    local[rest] = np.arange(k)
+    # row i: bit `rest` of axis i's bitset, read byte-wise
+    shift = (rest & 7).astype(np.uint8)
+    bits = (np.take(out_words.view(np.uint8), rest >> 3, axis=1) >> shift & 1).view(bool)
+    counts = np.count_nonzero(bits, axis=1)
+    axes = np.arange(n)
+    src = np.flatnonzero(bits) - np.repeat(axes * k, counts)
+    dst = local[rest[src] ^ np.repeat(1 << axes, counts)]
     assert (dst >= 0).all(), "the vertices reaching no PNE are not closed"
     return src, dst
+
+
+def _settle(
+    op: np.ufunc, vals: np.ndarray, src: np.ndarray, dst: np.ndarray,
+    deadline: float | None,
+) -> np.ndarray:
+    """Pointer-jumping fixpoint: each round folds every edge's `dst` value
+    into its `src` (``op.at``), then jumps every pointer once
+    (``vals = op(vals, vals[vals])``), until a round changes nothing.
+
+    Each value is a vertex index that the caller's invariant keeps valid
+    under both steps; the jump only speeds the spread.  `deadline` is checked
+    before every round.
+    """
+    while True:
+        check_deadline(deadline)
+        before = vals.copy()
+        op.at(vals, src, vals[dst])
+        vals = op(vals, vals[vals])
+        if np.array_equal(vals, before):
+            return vals
+
+
+def _sink_sccs(
+    src: np.ndarray, dst: np.ndarray, size: int, deadline: float | None = None
+) -> np.ndarray:
+    """Per vertex of the graph src -> dst on `size` vertices, the id of the
+    sink SCC that holds it, or -1; an SCC's id is its smallest member.
+
+    Three fixpoints of :func:`_settle` on the edge list:
+
+    - ``m[u]``, the smallest vertex u reaches (a jump stays in u's forward
+      closure, since ``m[u]`` lies in it);
+    - ``mx[u]``, the largest ``m`` over u's forward closure (``mx[u]`` is
+      itself a vertex of that closure, so the jump is valid too);
+    - ``p[u]``, the smallest vertex of u's class (the vertices sharing
+      ``m[u]``) that reaches u along edges inside the class.
+
+    A vertex s with ``m[s] == s == mx[s]`` is a root: everything s reaches
+    has ``m == s``, so reaches s back, and s's forward closure is a sink SCC
+    with smallest member s.  Every sink SCC has such a root.  A vertex u is
+    in root ``m[u]``'s SCC exactly when that root reaches u, i.e. when
+    ``p[u] == m[u]``; only edges inside root classes matter for that.
+    """
+    ids = np.arange(size, dtype=np.int32)  # narrow values halve the gathers' traffic
+    m = _settle(np.minimum, ids.copy(), src, dst, deadline)
+    mx = _settle(np.maximum, m.copy(), src, dst, deadline)
+    root = (m == ids) & (mx == ids)
+    inner = (m[src] == m[dst]) & root[m[src]]
+    p = _settle(np.minimum, ids.copy(), dst[inner], src[inner], deadline)
+    return np.where(root[m] & (p == m), m, -1)
 
 
 def sink_components(medium: Medium, *, deadline: float | None = None) -> SinkAnalysis:
@@ -240,16 +289,17 @@ def sink_components(medium: Medium, *, deadline: float | None = None) -> SinkAna
     vertices with no bit set on any axis.  The same bitsets then spread that
     set backwards along oriented edges until it stops growing: the result is
     every vertex that can reach a PNE.  The rest is closed under out-edges
-    and holds every trap, so scipy's SCC runs on the rest's out-edges alone,
-    read from the same bitsets, and its sink components are the traps.  The
+    and holds every trap, so the sink SCCs are searched on the rest's
+    out-edges alone (:func:`_sink_sccs`), read from the same bitsets.  The
     rest holds no PNE, so no such sink is a single vertex; sizes 2 and 3 are
     impossible (bipartiteness) and asserted absent.
 
-    The number of rounds is bounded by the longest shortest path to a PNE,
-    so random media settle in a handful, while crafted snake-like tables
-    stay correct but cost more rounds; `deadline` (a ``time.monotonic()``
-    value) is checked before every round and raises TimeBudgetExceeded
-    once passed.
+    The number of spread rounds is bounded by the longest shortest path to
+    a PNE, so random media settle in a handful, while crafted snake-like
+    tables stay correct but cost more rounds; the trap search's pointer
+    jumping keeps its rounds few even along a snake.  `deadline` (a
+    ``time.monotonic()`` value) is checked before every round of both and
+    raises TimeBudgetExceeded once passed.
     """
     n = medium.n_players
     size = 1 << n
@@ -263,20 +313,19 @@ def sink_components(medium: Medium, *, deadline: float | None = None) -> SinkAna
     trap_mask = np.zeros(size, dtype=bool)
     traps: list[list[int]] = []
     if rest.size:
-        labels, comp_sizes, is_sink = _sink_sccs(
-            *_remainder_edges(out_words, rest), rest.size
+        sink = _sink_sccs(*_remainder_edges(out_words, rest), rest.size, deadline)
+        in_trap = np.flatnonzero(sink >= 0)
+        ids = sink[in_trap]
+        counts = np.bincount(ids)
+        sizes = counts[counts > 0]  # ascending by id
+        assert (sizes >= 4).all(), (
+            f"sink SCCs of size {sizes[sizes < 4].tolist()} violate bipartiteness"
         )
-        bad = np.nonzero(is_sink & (comp_sizes < 4))[0]
-        assert bad.size == 0, (
-            f"sink SCCs of size {comp_sizes[bad].tolist()} violate bipartiteness"
-        )
-        in_trap = np.flatnonzero(is_sink[labels])
         trap_mask[rest[in_trap]] = True
-        # members ascend within a trap since `rest` ascends
-        order = np.argsort(labels[in_trap], kind="stable")
-        members = rest[in_trap[order]]
-        ends = np.cumsum(comp_sizes[is_sink])[:-1]
-        traps = sorted((t.tolist() for t in np.split(members, ends)), key=lambda t: t[0])
+        # ids are smallest members and `rest` ascends, so sorting by id
+        # orders the traps by first member, members ascending
+        members = rest[in_trap[np.argsort(ids, kind="stable")]]
+        traps = [t.tolist() for t in np.split(members, np.cumsum(sizes)[:-1])]
 
     return SinkAnalysis(
         n_players=n,

@@ -76,13 +76,22 @@ def escape_cube_medium() -> Medium:
     return Medium.from_orientation_table(3, table)
 
 
-def snake_cube(n: int) -> Medium:
+def snake_cube(n: int, loop: int = 0) -> Medium:
     """Gray-code Hamiltonian path g(0) -> g(1) -> ... -> g(2^n - 1), all
-    other edges ties: one PNE at the end, 2^n - 1 steps from the start."""
+    other edges ties: one PNE at the end, 2^n - 1 steps from the start.
+
+    With `loop` (a power of two, 4 <= loop <= 2^n), the end also points back
+    to g(2^n - loop), one bit away, so the last `loop` vertices form the only
+    trap, every other vertex is doomed to reach it, and there is no PNE.
+    """
     table = np.zeros(n << (n - 1), dtype=np.int8)
     half = 1 << (n - 1)
-    for i in range((1 << n) - 1):
-        u, w = i ^ (i >> 1), (i + 1) ^ ((i + 1) >> 1)
+    last = (1 << n) - 1
+    steps = [(i, i + 1) for i in range(last)]
+    if loop:
+        steps.append((last, last + 1 - loop))
+    for i, j in steps:
+        u, w = i ^ (i >> 1), j ^ (j >> 1)
         axis = (u ^ w).bit_length() - 1
         base = min(u, w)
         squeezed = (base & ((1 << axis) - 1)) | ((base >> (axis + 1)) << axis)

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from nashwalk import sinks
 from nashwalk.cli import main
+from nashwalk.errors import TimeBudgetExceeded
 from nashwalk.medium import Medium, build_medium
+from nashwalk.parallel import check_deadline
 from nashwalk.sinks import sink_components
 
 from conftest import snake_cube
@@ -280,6 +286,72 @@ def test_time_budget_stops_analyze_inside_the_sink_analysis(tmp_path, capsys):
     path.write_bytes(snake_cube(12).dump_bytes())
     assert run_cli(["analyze", "--in", str(path), "--time-budget", "0"]) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_time_budget_stops_analyze_inside_the_trap_search(monkeypatch, capsys):
+    # n=11, alpha=0, seed 1 has no PNE: the backward spread makes one round
+    # and checks the budget once, then the trap search runs on the whole
+    # cube.  The spread is slowed past the budget, so the trap search's
+    # first round must be the one that stops the run.
+    reach_back = sinks._reach_back
+
+    def slow_reach_back(*args):
+        result = reach_back(*args)
+        time.sleep(0.6)
+        return result
+
+    raised = []
+
+    def watched_check_deadline(deadline):
+        try:
+            check_deadline(deadline)
+        except TimeBudgetExceeded:
+            raised.append(True)
+            raise
+        raised.append(False)
+
+    monkeypatch.setattr(sinks, "_reach_back", slow_reach_back)
+    monkeypatch.setattr(sinks, "check_deadline", watched_check_deadline)
+    argv = ["analyze", "--n", "11", "--alpha", "0", "--seed", "1", "--time-budget", "0.5"]
+    assert run_cli(argv) == 3
+    assert raised == [False, True]
+    assert capsys.readouterr().out == ""
+
+
+# Imports the CLI, runs each command line in process, and fails if scipy or
+# multiprocessing has been loaded after the import or after any run.
+NO_SCIPY_CHILD = """
+import sys
+import nashwalk.cli
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("scipy", "multiprocessing"))
+
+assert not loaded(), loaded()
+for argv in sys.argv[1:]:
+    assert nashwalk.cli.main(argv.split()) == 0, argv
+    assert not loaded(), (argv, loaded())
+"""
+
+
+def test_the_cli_loads_neither_scipy_nor_multiprocessing(tmp_path):
+    out = f"--seed 3 --threads 1 --out {tmp_path / 'out'}"
+    runs = (
+        f"pne-stats --n 8 --alpha 0.5 --trials 4 {out}",
+        f"walk --n 8 --alpha 0.5 --mode lazy --trials 3 {out}",
+        # alpha 0 and 0.9 leave remainders with traps to search
+        f"figure1 --n 8 --alpha 0 --alpha 0.9 --trials 6 {out}",
+        f"percolation --n 6 --alpha 0.5 --trials 4 {out}",
+        f"analyze --n 11 --alpha 0 --seed 1 --out {tmp_path / 'analysis'}",
+    )
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CHILD, *runs], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "analysis").read_text())["traps"]
 
 
 def test_module_runs_as_script():

@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from nashwalk.errors import (
     AxisOutOfRange,
@@ -19,12 +19,16 @@ from nashwalk.errors import (
     NonCanonicalEdge,
     SeedCollision,
 )
-from nashwalk.medium import DOWN, MODE_LAZY, Medium, build_medium, edge_index, squeeze_bit
+from nashwalk.medium import (
+    DOWN, MODE_LAZY, Medium, MediumParams, build_medium, edge_index, squeeze_bit, trial_medium,
+)
 from nashwalk.percolation import (
     PercolationGraph,
+    _component_labels,
     check_lemma_finally,
     connected_component,
     coupling_run,
+    coupling_trial,
     fragment_stats,
     largest_component,
     reverse_accessible_from_zero,
@@ -154,6 +158,52 @@ def test_connected_component_matches_union_find():
     by_vertex = {v: grp for grp in groups for v in grp}
     for v in (0, 17, 40, 63):
         assert connected_component(g, v) == by_vertex[v]
+
+
+def open_edge_list(g: PercolationGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) of every open edge, src the endpoint with the axis bit
+    clear; an axis's table block lists its bases in ascending order."""
+    vertices = np.arange(1 << g.n)
+    half = 1 << (g.n - 1)
+    srcs, dsts = [], []
+    for axis in range(g.n):
+        bases = vertices[(vertices >> axis) & 1 == 0]
+        src = bases[g.open_edges[axis * half : (axis + 1) * half]]
+        srcs.append(src)
+        dsts.append(src | (1 << axis))
+    return np.concatenate(srcs), np.concatenate(dsts)
+
+
+# Derandomized so the example set, and with it the run time, stays fixed.
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 12),
+    st.sampled_from((0.02, 0.1, 0.25, 0.5, 0.9)),
+    st.integers(0, 2**64 - 1),
+)
+def test_component_labels_match_scipy(n, beta, seed):
+    g = sample_percolation(n, beta, seed)
+    size = 1 << n
+    src, dst = open_edge_list(g)
+    graph = csr_matrix((np.ones(src.size, dtype=np.int8), (src, dst)), shape=(size, size))
+    count, want = connected_components(graph, directed=False)
+    smallest = np.full(count, size)
+    np.minimum.at(smallest, want, np.arange(size))
+    # the same partition, each label its component's smallest vertex
+    assert np.array_equal(_component_labels(g), smallest[want])
+
+
+def test_coupling_trial_reads_the_largest_component_off_the_audit_labels():
+    n, alpha, seed = 8, 0.5, 11
+    for trial in range(6):
+        got = coupling_trial((n, alpha, seed, trial))
+        medium = trial_medium(MediumParams(n, alpha, seed), trial)
+        initial = sample_percolation(n, (1.0 - alpha) / 2.0, fold(seed, TAG_PERC, trial))
+        final, audit = coupling_run(medium, initial)
+        assert np.array_equal(audit.final_labels, _component_labels(final))
+        big = largest_component(final)
+        assert got.fragment_size == (1 << n) - big.size
+        assert got.lemma_mismatch == (frozenset(big.tolist()) != audit.reverse_accessible)
 
 
 def test_largest_component_tie_breaks_to_smallest_vertex():

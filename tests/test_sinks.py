@@ -15,7 +15,9 @@ from nashwalk.medium import (
     DOWN, MODE_EXHAUSTIVE, MODE_LAZY, TIE, UP, Medium, build_medium, neighbors,
 )
 from nashwalk.rng import fold, TAG_MEDIUM
-from nashwalk.sinks import _out_words, _pack, _reach_back, _remainder_edges, _whole_graph_scc
+from nashwalk.sinks import (
+    _out_words, _pack, _reach_back, _remainder_edges, _sink_sccs, _whole_graph_scc,
+)
 from nashwalk.sinks import (
     BUDGET_EXCEEDED,
     CLOSED,
@@ -275,6 +277,34 @@ def test_snake_needs_many_rounds_and_still_matches(n):
     assert rounds > (1 << n) // 4  # a random medium settles in under ten
     analysis = check_against_scc_oracle(med)
     assert analysis.pnes == [pne] and analysis.traps == []
+
+
+@pytest.mark.parametrize("n,seed", [(11, 1), (12, 2), (13, 2)])
+def test_no_pne_whole_cube_media_match_the_oracle(n, seed):
+    # alpha=0 media with no PNE: the trap search runs on the whole cube,
+    # which holds one trap and a few vertices doomed to fall into it
+    med = build_medium(n, 0.0, seed)
+    analysis = check_against_scc_oracle(med)
+    assert analysis.pnes == [] and len(analysis.traps) == 1
+    assert 0 < len(analysis.traps[0]) < 1 << n
+
+
+@pytest.mark.parametrize("n,loop", [(3, 4), (3, 8), (6, 4), (6, 64), (9, 4), (9, 16), (9, 512)])
+def test_snake_into_a_trap_matches_the_oracle(n, loop):
+    # every vertex reaches the trap only along the snake, so the trap
+    # search's minima travel the whole path
+    analysis = check_against_scc_oracle(snake_cube(n, loop))
+    last = 1 << n
+    assert analysis.pnes == []
+    assert analysis.traps == [sorted(i ^ (i >> 1) for i in range(last - loop, last))]
+
+
+def test_the_trap_search_is_a_sink_scc_search():
+    # 0 <-> 1 -> 2 <-> 3 and 4 -> 5 <-> 6: {2, 3} and {5, 6} are the sink
+    # SCCs with smallest members 2 and 5; 0, 1 and 4 reach them
+    src = np.array([0, 1, 1, 2, 3, 4, 5, 6])
+    dst = np.array([1, 0, 2, 3, 2, 5, 6, 5])
+    assert _sink_sccs(src, dst, 7).tolist() == [-1, -1, 2, 2, -1, 5, 5]
 
 
 def test_an_exceeded_deadline_stops_the_sink_analysis():
