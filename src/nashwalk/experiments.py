@@ -3,8 +3,12 @@
 Walk experiments run each trial through :func:`nashwalk.walkers.walk_trial`
 with one base seed for both the medium and the walk, so trial i's medium seed
 is fold(base_seed, "medium", i) and its walk seed fold(base_seed, "walk", i),
-and a report is a pure function of the command line.  Trials may be
-distributed over processes without changing a byte of output.
+and a report is a pure function of the command line.  Every experiment hands
+:func:`nashwalk.parallel.map_ordered` a worker, one job and the trial count;
+that sweep gives trial i the job ``(*job, i)`` and returns the results in
+trial order, so trials may be distributed over processes without changing a
+byte of output.  A walk trial returns its records in policy order, so
+figure1 reads policy k's records as column k of the results.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrialCount, NoConditionedTrials
+from .errors import NoConditionedTrials
 from .medium import MediumParams, edge_count, trial_medium
 from .parallel import map_ordered
 from .percolation import run_coupling_trials
@@ -80,8 +84,8 @@ def _walk_trial(args):
 
 
 def _pne_trial(args):
-    n, alpha, seed, trial = args
-    medium = trial_medium(MediumParams(n, alpha, seed), trial)
+    params, trial = args
+    medium = trial_medium(params, trial)
     out_deg, _, _ = medium.degrees()
     return int(np.count_nonzero(out_deg == 0))
 
@@ -105,20 +109,18 @@ def walk_length_quantiles(
     The same per-trial medium and step stream serve all policies of a cell,
     making the policy comparison paired.
     """
-    if trials < 1:
-        raise EmptyTrialCount(f"trials must be >= 1, got {trials}")
     rows: list[QuantileRow] = []
     parsed = tuple(parse_policy(label) for label in policies)
     config = WalkConfig(seed, max_steps)
     for alpha in alphas:
-        jobs = [(MediumParams(n, alpha, seed), parsed, config, i) for i in range(trials)]
-        results = map_ordered(_walk_trial, jobs, n_workers, deadline)
-        for label in policies:
+        job = (MediumParams(n, alpha, seed), parsed, config)
+        results = map_ordered(_walk_trial, job, trials, n_workers, deadline)
+        # a trial's records come in policy order: policy k's are column k
+        for label, records in zip(policies, zip(*results)):
             taus = sorted(
                 r.tau
-                for records in results
-                for lbl, r in zip(policies, records)
-                if lbl == label and r.tau is not None and (r.xi is None or r.tau < r.xi)
+                for r in records
+                if r.tau is not None and (r.xi is None or r.tau < r.xi)
             )
             if not taus:
                 raise NoConditionedTrials(
@@ -157,14 +159,12 @@ def absorption_trend(
     Step-cap and unresolved runs are excluded from both numerator and
     denominator and reported separately.
     """
-    if trials < 1:
-        raise EmptyTrialCount(f"trials must be >= 1, got {trials}")
     rows: list[TrendRow] = []
     parsed = (parse_policy(policy),)
     config = WalkConfig(seed, max_steps)
     for n in n_list:
-        jobs = [(MediumParams(n, alpha, seed), parsed, config, i) for i in range(trials)]
-        results = map_ordered(_walk_trial, jobs, n_workers, deadline)
+        job = (MediumParams(n, alpha, seed), parsed, config)
+        results = map_ordered(_walk_trial, job, trials, n_workers, deadline)
         successes = 0
         excluded = 0
         for (r,) in results:
@@ -201,10 +201,10 @@ def pne_count_stats(
     deadline: float | None = None,
 ) -> PneCountReport:
     """PNE-count distribution over fresh media, with CLT-normalized moments."""
-    if samples < 1:
-        raise EmptyTrialCount(f"samples must be >= 1, got {samples}")
-    jobs = [(n, alpha, seed, i) for i in range(samples)]
-    counts = np.array(map_ordered(_pne_trial, jobs, n_workers, deadline), dtype=np.float64)
+    job = (MediumParams(n, alpha, seed),)
+    counts = np.array(
+        map_ordered(_pne_trial, job, samples, n_workers, deadline), dtype=np.float64
+    )
     mu = float((1.0 + alpha) ** n)
     sigma = float((1.0 + alpha) ** (n / 2.0))
     standardized = (counts - mu) / sigma

@@ -17,12 +17,14 @@ edges ordered by base vertex.  A per-vertex array (length 2^n, index = vertex)
 reshaped to (2^(n-1-i), 2, 2^i) puts the vertices with bit i clear in
 [:, 0, :] and their axis-i partners in [:, 1, :], both in ascending base
 order -- exactly the order of axis i's table block reshaped to
-(2^(n-1-i), 2^i).  :func:`axis_view` is that reshape; every vectorized walk
-over an axis's edges (hashing, :meth:`Medium.out_mask`, degrees, edge lists,
-payoff comparison, file order, percolation) goes through it, with strided
-views instead of index arrays.  Edge positions come from :func:`edge_index`
-(elementwise on int64 arrays too), so no other module spells out the table's
-codes or its index arithmetic.
+(2^(n-1-i), 2^i).  :func:`axis_view` is that reshape of a per-vertex array
+and :func:`edge_block` that of a per-edge array (a table, a percolation's
+open edges, file positions); every vectorized walk over an axis's edges
+(hashing, :meth:`Medium.out_mask`, degrees, edge lists, payoff comparison,
+file order, percolation) goes through them, with strided views instead of
+index arrays.  Edge positions come from :func:`edge_index` (elementwise on
+int64 arrays too), so no other module spells out the table's codes or its
+index arithmetic.
 
 Hashing.  ``fold(seed, base, axis) = mix64(mix64(mix64(seed) ^ base) ^ axis)``:
 the seed's pass is the same for every edge, and ``mix64(h0 ^ v)`` is shared
@@ -64,7 +66,7 @@ from .errors import (
     IncompleteTable,
     NonCanonicalEdge,
 )
-from .rng import MASK64, TAG_MEDIUM, fold, fold_np, mix64, mix64_np, threshold
+from .rng import MASK64, TAG_MEDIUM, fold, mix64, mix64_np, threshold
 
 Vertex = int
 
@@ -150,6 +152,14 @@ def axis_view(per_vertex: np.ndarray, axis: int) -> np.ndarray:
     either half elementwise.  No copy is made for a contiguous input.
     """
     return per_vertex.reshape(-1, 2, 1 << axis)
+
+
+def edge_block(per_edge: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """View axis `axis`'s block of an axis-major per-edge array (length
+    n * 2^(n-1)) as (2^(n-1-axis), 2^axis), lined up elementwise with
+    ``axis_view(per_vertex, axis)[:, 0, :]``.  No copy is made for a
+    contiguous input."""
+    return per_edge.reshape(n, -1)[axis].reshape(-1, 1 << axis)
 
 
 def default_closure_budget(n: int) -> int:
@@ -370,9 +380,7 @@ class Medium:
     def axis_block(self, axis: int) -> np.ndarray:
         """Orientation codes for axis's canonical edges, shaped to line up
         with ``axis_view(per_vertex, axis)[:, 0, :]``."""
-        table = self.require_table()
-        block = table[axis * self._half : (axis + 1) * self._half]
-        return block.reshape(-1, 1 << axis)
+        return edge_block(self.require_table(), axis, self.n_players)
 
     def axis_bases(self, axis: int) -> np.ndarray:
         """Base vertices for axis_block(axis), flattened in block order (uint64)."""
@@ -498,15 +506,13 @@ def _edge_offsets(n: int) -> np.ndarray:
 def file_positions(n: int) -> np.ndarray:
     """Permutation from the axis-major table layout to the serialized
     (base ascending, axis ascending) canonical edge order."""
-    half = 1 << (n - 1)
     pos = np.empty(edge_count(n), dtype=np.int64)
     offsets = _edge_offsets(n)
     for axis in range(n):
         # a base's rank among its own edges is the number of clear bits below
         # `axis`; those bits are the base's position along the view's last dim
         rank = axis - _popcount(np.arange(1 << axis))
-        block = pos[axis * half : (axis + 1) * half].reshape(-1, 1 << axis)
-        np.add(axis_view(offsets, axis)[:, 0, :], rank, out=block)
+        np.add(axis_view(offsets, axis)[:, 0, :], rank, out=edge_block(pos, axis, n))
     return pos
 
 
@@ -552,13 +558,11 @@ def build_medium(
         return Medium(params, None)
     t_tie, t_up = _tie_up_thresholds(alpha)  # both < 2^64 since alpha < 1
     n = n_players
-    half = 1 << (n - 1)
     table = np.empty(edge_count(n), dtype=np.int8)
     tt, tu = np.uint64(t_tie), np.uint64(t_up)
     for axis, h in enumerate(edge_hashes(mix64(params.seed), n)):
-        codes = table[axis * half : (axis + 1) * half].reshape(h.shape)
         # TIE = 0, UP = 1, DOWN = 2: the code counts the thresholds h clears
-        np.add(h >= tt, h >= tu, out=codes, dtype=np.int8)
+        np.add(h >= tt, h >= tu, out=edge_block(table, axis, n), dtype=np.int8)
     return Medium(params, table)
 
 
@@ -625,8 +629,10 @@ def sample_payoff_game(n_players: int, spec: PayoffSpec, seed: int) -> PayoffGam
         raise DimensionTooLarge(f"payoff games need 1 <= n <= {EXHAUSTIVE_CAP}")
     size = 1 << n_players
     table = np.empty((n_players, size), dtype=np.float64)
+    vertices = np.arange(size, dtype=np.uint64)
     for i in range(n_players):
-        h = fold_np(seed, _PAYOFF_TAG, i, np.arange(size, dtype=np.uint64))
+        # fold(seed, tag, i, v) == mix64(fold(seed, tag, i) ^ v)
+        h = mix64_np(vertices ^ np.uint64(fold(seed, _PAYOFF_TAG, i)))
         if spec.kind == DIST_CONTINUOUS_UNIFORM:
             table[i] = (h >> np.uint64(11)) * (2.0 ** -53)
         elif spec.kind == DIST_BERNOULLI:
@@ -652,12 +658,11 @@ def medium_from_payoffs(game: PayoffGame) -> Medium:
     base^(1<<axis); equal payoffs give a tie.
     """
     n = game.n_players
-    half = 1 << (n - 1)
     table = np.empty(edge_count(n), dtype=np.int8)
     for axis in range(n):
         view = axis_view(game.payoffs[axis], axis)
         at_base, at_partner = view[:, 0, :], view[:, 1, :]
-        codes = table[axis * half : (axis + 1) * half].reshape(at_base.shape)
+        codes = edge_block(table, axis, n)
         codes[...] = TIE
         codes[at_partner > at_base] = UP
         codes[at_base > at_partner] = DOWN

@@ -1,12 +1,14 @@
-"""Order-stable trial parallelism.
+"""The one trial sweep: order-stable trial parallelism.
 
-Trials are embarrassingly parallel and every trial derives its randomness from
-its index, so distributing them over processes cannot change any result — only
-the wall time.  NASHWALK_THREADS sets the worker count when no explicit count
-is given; unset or empty it means 1, and any other value that is not an
-integer of at least 1 is an error.  A wall-clock deadline is checked before
-every trial (serial) or as every result arrives (parallel, after which the
-pending trials are cancelled).
+Every experiment is a sweep of i.i.d. trials, and :func:`map_ordered` is the
+only code that runs one: it checks the trial count, hands trial i the job
+``(*job, i)`` and returns the results in trial order.  Every trial derives its
+randomness from its index, so distributing the trials over processes cannot
+change any result — only the wall time.  NASHWALK_THREADS sets the worker
+count when no explicit count is given; unset or empty it means 1, and any
+other value that is not an integer of at least 1 is an error.  A wall-clock
+deadline is checked before every trial (serial) or as every result arrives
+(parallel, after which the pending trials are cancelled).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import os
 import time
 
-from .errors import NashwalkError, TimeBudgetExceeded
+from .errors import EmptyTrialCount, NashwalkError, TimeBudgetExceeded
 
 ENV_THREADS = "NASHWALK_THREADS"
 
@@ -46,9 +48,16 @@ def check_deadline(deadline: float | None) -> None:
 
 
 def map_ordered(
-    fn, jobs: list, n_workers: int | None = None, deadline: float | None = None
+    fn, job: tuple, trials: int, n_workers: int | None = None,
+    deadline: float | None = None,
 ) -> list:
-    """map(fn, jobs) with results in job order, optionally across processes."""
+    """``[fn((*job, i)) for i in range(trials)]``, optionally across processes.
+
+    Raises EmptyTrialCount when `trials` is below 1.
+    """
+    if trials < 1:
+        raise EmptyTrialCount(f"trials must be >= 1, got {trials}")
+    jobs = [(*job, i) for i in range(trials)]
     workers = resolve_workers(n_workers)
     results = []
     if workers <= 1 or len(jobs) <= 1:

@@ -31,7 +31,6 @@ from .errors import (
     AxisOutOfRange,
     BetaOutOfRange,
     DimensionTooLarge,
-    EmptyTrialCount,
     IncompleteTable,
     NonCanonicalEdge,
     SeedCollision,
@@ -43,6 +42,7 @@ from .medium import (
     MediumParams,
     Vertex,
     axis_view,
+    edge_block,
     edge_count,
     edge_hashes,
     edge_index,
@@ -155,11 +155,10 @@ def sample_percolation(n: int, beta: float, seed: int) -> PercolationGraph:
     if not (1 <= n <= EXHAUSTIVE_CAP):
         raise DimensionTooLarge(f"percolation needs 1 <= n <= {EXHAUSTIVE_CAP}")
     seed &= MASK64
-    half = 1 << (n - 1)
     t = np.uint64(threshold(beta))
     open_edges = np.empty(edge_count(n), dtype=bool)
     for axis, h in enumerate(edge_hashes(fold(seed, TAG_PERC), n)):
-        np.less(h, t, out=open_edges[axis * half : (axis + 1) * half].reshape(h.shape))
+        np.less(h, t, out=edge_block(open_edges, axis, n))
     return PercolationGraph(n, open_edges, beta, seed)
 
 
@@ -178,12 +177,11 @@ def _component_labels(perc: PercolationGraph) -> np.ndarray:
     label, which is then the component's smallest vertex.
     """
     n = perc.n
-    half = 1 << (n - 1)
     vertices = np.arange(1 << n)
     srcs = []
     dsts = []
     for axis in range(n):
-        block = perc.open_edges[axis * half : (axis + 1) * half]
+        block = edge_block(perc.open_edges, axis, n).ravel()
         open_bases = np.compress(block, axis_view(vertices, axis)[:, 0, :])
         srcs.append(open_bases)
         dsts.append(open_bases | (1 << axis))
@@ -369,13 +367,14 @@ class CouplingTrial(NamedTuple):
 
 
 def coupling_trial(args) -> CouplingTrial:
-    """Trial `trial` of a coupling experiment: a fresh medium and initial
-    percolation from (seed, trial) and one coupling run, whose labels of the
-    final percolation give the largest component too.  Top level so it
-    pickles for worker processes."""
-    n, alpha, seed, trial = args
-    medium = trial_medium(MediumParams(n, alpha, seed), trial)
-    initial = sample_percolation(n, (1.0 - alpha) / 2.0, fold(seed, TAG_PERC, trial))
+    """Trial `trial` of a coupling experiment seeded ``params.seed``: a fresh
+    medium and initial percolation from (seed, trial) and one coupling run,
+    whose labels of the final percolation give the largest component too.
+    Top level so it pickles for worker processes."""
+    params, trial = args
+    n = params.n_players
+    medium = trial_medium(params, trial)
+    initial = sample_percolation(n, params.beta, fold(params.seed, TAG_PERC, trial))
     final, audit = coupling_run(medium, initial)
     big = _largest(audit.final_labels)
     return CouplingTrial(
@@ -395,10 +394,8 @@ def run_coupling_trials(
     deadline: float | None = None,
 ) -> list[CouplingTrial]:
     """coupling_trial for trials 0..trials-1, in trial order."""
-    if trials < 1:
-        raise EmptyTrialCount(f"trials must be >= 1, got {trials}")
-    jobs = [(n, alpha, seed, i) for i in range(trials)]
-    return map_ordered(coupling_trial, jobs, n_workers, deadline)
+    job = (MediumParams(n, alpha, seed),)
+    return map_ordered(coupling_trial, job, trials, n_workers, deadline)
 
 
 def check_lemma_finally(n: int, alpha: float, trials: int, seed: int) -> dict:

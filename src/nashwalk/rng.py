@@ -6,8 +6,11 @@ through iterated SplitMix64 finalizer passes.  There is no hidden generator
 state, so lazy and exhaustive media agree edge-for-edge, walks replay exactly,
 and trials can be computed in any order or process without changing results.
 
-Scalar helpers use plain Python ints masked to 64 bits; `*_np` variants do the
-same arithmetic on numpy uint64 arrays.  A test pins them against each other.
+Scalar helpers use plain Python ints masked to 64 bits; :func:`mix64_np` does
+the same pass on numpy uint64 arrays, and a test pins the two against each
+other.  Vectorized callers fold the scalar coordinates with :func:`fold` and
+absorb the array word last with one :func:`mix64_np` pass, since
+``fold(seed, *words, x) == mix64(fold(seed, *words) ^ x)``.
 """
 
 from __future__ import annotations
@@ -59,30 +62,6 @@ def mix64_np(
         x *= np.uint64(mult)
     x ^= np.right_shift(x, np.uint64(31), out=tmp)
     return x
-
-
-def fold_np(seed: int, *words) -> np.ndarray:
-    """Vectorized fold: each word is an int or a uint64 array (broadcast).
-
-    Scalar words are absorbed with plain-int arithmetic until the first
-    array shows up; numpy scalar ops would warn on intended wraparound.
-    """
-    h = mix64(seed & MASK64)
-    out = None
-    for w in words:
-        if out is None:
-            if isinstance(w, np.ndarray):
-                out = mix64_np(np.uint64(h) ^ w.astype(np.uint64, copy=False))
-            else:
-                h = mix64(h ^ (int(w) & MASK64))
-        else:
-            if isinstance(w, np.ndarray):
-                out = mix64_np(out ^ w.astype(np.uint64, copy=False))
-            else:
-                out = mix64_np(out ^ np.uint64(int(w) & MASK64))
-    if out is None:
-        return np.uint64(h)
-    return out
 
 
 def unit_interval(h: int) -> float:

@@ -16,7 +16,8 @@ otherwise and draw each step from a counter-based stream keyed by
 PNE visit index) and xi (first trap-vertex visit index) when known.
 
 :func:`walk_trial` derives trial i (medium, sink analysis, walk seed) and
-walks every policy on it; ``run_trials`` and every walk experiment map it.
+walks every policy on it; ``run_trials`` and every walk experiment sweep it
+with :func:`nashwalk.parallel.map_ordered`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import (
-    EmptyTrialCount,
     MissingSinkAnalysis,
     NonCanonicalEdge,
     PneInSample,
@@ -319,10 +319,10 @@ def walk_trial(
     params: MediumParams, policies: tuple[Policy, ...], config: WalkConfig, trial: int,
     fresh: bool = True,
 ) -> list[WalkRecord]:
-    """One record per policy, all walked on trial `trial`'s medium
-    (:func:`trial_medium`, or the medium seeded params.seed when not `fresh`)
-    with one step stream, fold(config.walk_seed, "walk", trial), so they are
-    paired.
+    """One record per policy, in policy order, all walked on trial `trial`'s
+    medium (:func:`trial_medium`, or the medium seeded params.seed when not
+    `fresh`) with one step stream, fold(config.walk_seed, "walk", trial), so
+    they are paired.
     The sink analysis runs only under exact detection."""
     if fresh:
         medium = trial_medium(params, trial)
@@ -334,7 +334,8 @@ def walk_trial(
 
 
 def _trial_worker(args) -> WalkRecord:
-    return walk_trial(*args)[0]
+    params, policies, config, fresh, trial = args
+    return walk_trial(params, policies, config, trial, fresh)[0]
 
 
 def run_trials(
@@ -353,17 +354,12 @@ def run_trials(
     bit-identical.  `deadline` (a time.monotonic() value) is checked before
     every trial.
     """
-    if trials < 1:
-        raise EmptyTrialCount(f"trials must be >= 1, got {trials}")
     if params.mode != MODE_EXHAUSTIVE and config.trap_detection == DETECT_EXACT:
         raise MissingSinkAnalysis(
             "exact trap detection requires exhaustive media; use lazy or off"
         )
-    jobs = [
-        (params, (policy,), config, trial, fresh_medium_per_trial)
-        for trial in range(trials)
-    ]
-    return map_ordered(_trial_worker, jobs, n_workers, deadline)
+    job = (params, (policy,), config, fresh_medium_per_trial)
+    return map_ordered(_trial_worker, job, trials, n_workers, deadline)
 
 
 # -- serialization -----------------------------------------------------------

@@ -204,6 +204,7 @@ def test_generate_exhaustive_requires_out():
 def test_domain_errors_exit_2():
     assert run_cli(["pne-stats", "--n", "6", "--alpha", "1.5", "--trials", "5"]) == 2
     assert run_cli(["walk", "--n", "5", "--alpha", "0.5", "--trials", "0"]) == 2
+    assert run_cli(["pne-stats", "--n", "5", "--alpha", "0.5", "--trials", "0"]) == 2
 
 
 def test_bad_flags_exit_2():

@@ -113,6 +113,15 @@ def test_walk_length_quantiles_no_conditioned_trials():
         walk_length_quantiles(2, [0.0], 1, ["brd"], seed=35)
 
 
+def test_a_repeated_policy_gets_its_own_column():
+    # Each policy's records are its column of the trial results, so a policy
+    # listed twice reports the single-policy row twice, never a merged count.
+    single = walk_length_quantiles(6, [0.5], 5, ["brd"], seed=0)
+    twice = walk_length_quantiles(6, [0.5], 5, ["brd", "brd"], seed=0)
+    assert twice == single * 2
+    assert all(r.trials_conditioned <= r.trials_total for r in twice)
+
+
 def test_walk_length_quantiles_needs_trials():
     with pytest.raises(EmptyTrialCount):
         walk_length_quantiles(5, [0.5], 0, ["brd"], seed=1)

@@ -426,6 +426,30 @@ def test_sample_payoff_game_bernoulli_support():
     assert (g_all.payoffs == 1.0).all()
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("spec", [
+    PayoffSpec("continuous_uniform"),
+    PayoffSpec("bernoulli", p=0.3),
+    PayoffSpec("discrete_uniform", k=5),
+], ids=("continuous", "bernoulli", "discrete"))
+def test_payoffs_are_the_family_transform_of_the_scalar_fold(spec, seed):
+    # Long hand: payoffs[i, v] transforms fold(seed, "payoff", i, v), one
+    # scalar fold per entry, with each family's map written out here.
+    tag = int.from_bytes(b"payoff", "little")
+    for n in range(1, 7):
+        game = sample_payoff_game(n, spec, seed)
+        for i in range(n):
+            for v in range(1 << n):
+                h = fold(seed, tag, i, v)
+                if spec.kind == "continuous_uniform":
+                    want = (h >> 11) / 2.0**53
+                elif spec.kind == "bernoulli":
+                    want = 1.0 if h < spec.p * 2.0**64 else 0.0
+                else:
+                    want = float(h % spec.k)
+                assert game.payoffs[i, v] == want, (n, i, v)
+
+
 def naive_orientation_from_payoffs(game: PayoffGame, base: int, axis: int) -> int:
     """Direct payoff comparison for one edge, bypassing the array path."""
     partner = base | (1 << axis)

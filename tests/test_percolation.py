@@ -196,7 +196,7 @@ def test_component_labels_match_scipy(n, beta, seed):
 def test_coupling_trial_reads_the_largest_component_off_the_audit_labels():
     n, alpha, seed = 8, 0.5, 11
     for trial in range(6):
-        got = coupling_trial((n, alpha, seed, trial))
+        got = coupling_trial((MediumParams(n, alpha, seed), trial))
         medium = trial_medium(MediumParams(n, alpha, seed), trial)
         initial = sample_percolation(n, (1.0 - alpha) / 2.0, fold(seed, TAG_PERC, trial))
         final, audit = coupling_run(medium, initial)

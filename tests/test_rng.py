@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, strategies as st
 
-from nashwalk.rng import MASK64, fold, fold_np, mix64, mix64_np, threshold, unit_interval
+from nashwalk.rng import MASK64, fold, mix64, mix64_np, threshold, unit_interval
 
 
 def reference_mix(x: int) -> int:
@@ -36,28 +36,6 @@ def test_fold_is_order_sensitive():
     assert fold(7, 1, 2) != fold(7, 2, 1)
     assert fold(7, 1) != fold(8, 1)
     assert fold(7, 1, 0) != fold(7, 1)
-
-
-@given(
-    st.integers(min_value=0, max_value=2**64 - 1),
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=2**64 - 1),
-            st.booleans(),  # pass this word as an array?
-        ),
-        min_size=1,
-        max_size=4,
-    ),
-)
-def test_fold_np_agrees_with_scalar(seed, tagged_words):
-    # Words may arrive as plain ints or uint64 arrays in any mixture; the
-    # result must match the all-scalar fold either way.
-    args = [
-        np.array([w], dtype=np.uint64) if as_array else w
-        for w, as_array in tagged_words
-    ]
-    got = np.asarray(fold_np(seed, *args)).reshape(-1)
-    assert int(got[0]) == fold(seed, *[w for w, _ in tagged_words])
 
 
 @given(
