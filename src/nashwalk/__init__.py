@@ -15,7 +15,6 @@ from .errors import (
     EmptyTrialCount,
     ExhaustiveModeRequired,
     IncompleteTable,
-    MissingSinkAnalysis,
     NashwalkError,
     NoConditionedTrials,
     NonCanonicalEdge,

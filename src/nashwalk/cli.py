@@ -33,15 +33,7 @@ from .experiments import (
 from .medium import MODE_EXHAUSTIVE, MODE_LAZY, MediumParams, build_medium
 from .parallel import check_deadline, resolve_workers
 from .sinks import sink_components
-from .walkers import (
-    DETECT_EXACT,
-    DETECT_LAZY,
-    WalkConfig,
-    parse_policy,
-    records_to_csv,
-    records_to_jsonl,
-    run_trials,
-)
+from .walkers import WalkConfig, parse_policy, records_to_csv, records_to_jsonl, run_trials
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -155,6 +147,17 @@ def _deadline(args) -> float | None:
     return time.monotonic() + args.time_budget
 
 
+def _emit_rows(args, columns: tuple, rows: list, echo: dict) -> int:
+    """Write a report's rows as --format asks: csv, or json with the echo."""
+    if args.format == "json":
+        payload = dict(echo, schema_version=SCHEMA_VERSION,
+                       rows=[dataclasses.asdict(r) for r in rows])
+        _emit(report_to_json(payload), args.out)
+    else:
+        _emit(rows_to_csv(columns, rows, echo), args.out)
+    return 0
+
+
 def _cmd_figure1(args) -> int:
     policies = args.policy or ["brd", "srw"]
     rows = walk_length_quantiles(
@@ -166,13 +169,7 @@ def _cmd_figure1(args) -> int:
         "command": "figure1", "n": args.n, "alphas": args.alpha,
         "trials": args.trials, "policies": policies, "seed": args.seed,
     }
-    if args.format == "json":
-        payload = dict(echo, schema_version=SCHEMA_VERSION,
-                       rows=[dataclasses.asdict(r) for r in rows])
-        _emit(report_to_json(payload), args.out)
-    else:
-        _emit(rows_to_csv(QUANTILE_COLUMNS, rows, echo), args.out)
-    return 0
+    return _emit_rows(args, QUANTILE_COLUMNS, rows, echo)
 
 
 def _cmd_theorem(args) -> int:
@@ -185,13 +182,7 @@ def _cmd_theorem(args) -> int:
         "command": "theorem", "n_list": args.n, "alpha": args.alpha,
         "policy": args.policy, "trials": args.trials, "seed": args.seed,
     }
-    if args.format == "json":
-        payload = dict(echo, schema_version=SCHEMA_VERSION,
-                       rows=[dataclasses.asdict(r) for r in rows])
-        _emit(report_to_json(payload), args.out)
-    else:
-        _emit(rows_to_csv(TREND_COLUMNS, rows, echo), args.out)
-    return 0
+    return _emit_rows(args, TREND_COLUMNS, rows, echo)
 
 
 def _cmd_pne_stats(args) -> int:
@@ -217,10 +208,7 @@ def _cmd_percolation(args) -> int:
 
 def _cmd_walk(args) -> int:
     params = MediumParams(args.n, args.alpha, args.seed, args.mode)
-    detection = DETECT_EXACT if args.mode == MODE_EXHAUSTIVE else DETECT_LAZY
-    config = WalkConfig(
-        walk_seed=args.seed, max_steps=args.max_steps, trap_detection=detection
-    )
+    config = WalkConfig(walk_seed=args.seed, max_steps=args.max_steps)
     records = run_trials(
         params, parse_policy(args.policy), config, args.trials,
         n_workers=resolve_workers(args.threads), deadline=_deadline(args),

@@ -37,10 +37,6 @@ class PneInSample(NashwalkError):
     """A vertex sample for an out-edge probability check contained a PNE."""
 
 
-class MissingSinkAnalysis(NashwalkError):
-    """Exact trap detection requested without a sink analysis."""
-
-
 class StepCapZero(NashwalkError):
     """Walk configured with max_steps < 1."""
 

@@ -23,7 +23,14 @@ from .errors import NoConditionedTrials
 from .medium import MediumParams, edge_count, trial_medium
 from .parallel import map_ordered
 from .percolation import run_coupling_trials
-from .walkers import WalkConfig, parse_policy, walk_trial
+from .walkers import (
+    TERMINAL_STEP_CAP,
+    TERMINAL_UNKNOWN,
+    WalkConfig,
+    WalkRecord,
+    parse_policy,
+    walk_trial,
+)
 
 SCHEMA_VERSION = 1
 
@@ -93,6 +100,11 @@ def _pne_trial(args):
 # -- experiments --------------------------------------------------------------
 
 
+def _pne_first(record: WalkRecord) -> bool:
+    """The walk reached a PNE before any trap visit."""
+    return record.tau is not None and (record.xi is None or record.tau < record.xi)
+
+
 def walk_length_quantiles(
     n: int,
     alphas: list[float],
@@ -117,11 +129,7 @@ def walk_length_quantiles(
         results = map_ordered(_walk_trial, job, trials, n_workers, deadline)
         # a trial's records come in policy order: policy k's are column k
         for label, records in zip(policies, zip(*results)):
-            taus = sorted(
-                r.tau
-                for r in records
-                if r.tau is not None and (r.xi is None or r.tau < r.xi)
-            )
+            taus = sorted(r.tau for r in records if _pne_first(r))
             if not taus:
                 raise NoConditionedTrials(
                     f"no conditioned trials for policy={label} alpha={alpha}"
@@ -168,9 +176,9 @@ def absorption_trend(
         successes = 0
         excluded = 0
         for (r,) in results:
-            if r.terminal in ("step_cap", "unknown"):
+            if r.terminal in (TERMINAL_STEP_CAP, TERMINAL_UNKNOWN):
                 excluded += 1
-            elif r.tau is not None and (r.xi is None or r.tau < r.xi):
+            elif _pne_first(r):
                 successes += 1
         counted = trials - excluded
         if counted == 0:

@@ -282,15 +282,8 @@ class Medium:
     def orientation(self, edge: EdgeRef) -> int:
         """Orientation code of a canonical edge (TIE / UP / DOWN)."""
         self.check_edge(edge)
-        if self._table is not None:
-            return int(self._table[edge_index(edge.base, edge.axis, self.n_players)])
-        return self._hash_orientation(edge.base, edge.axis)
-
-    def _hash_orientation(self, base: int, axis: int) -> int:
-        h = mix64(mix64(self._h0 ^ int(base)) ^ int(axis))  # numpy ints, as in row()
-        if h < self._t_tie:
-            return TIE
-        return UP if h < self._t_up else DOWN
+        # seen from its canonical base, an edge's state is its own code
+        return self.orientation_seen_from(edge.base, edge.axis)
 
     def row(self, v: Vertex) -> tuple[int, int]:
         """(out_bits, in_bits) of v: bit i set when v's axis-i edge points
@@ -350,7 +343,9 @@ class Medium:
         bit = 1 << axis
         table = self._table
         if table is None:
-            code = self._hash_orientation(int(v) & ~bit, axis)
+            base = int(v) & ~bit  # numpy ints would overflow against h0, as in row()
+            h = mix64(mix64(self._h0 ^ int(base)) ^ int(axis))
+            code = TIE if h < self._t_tie else UP if h < self._t_up else DOWN
         else:
             # edge_index(base, axis, n) with squeeze_bit inlined
             squeezed = (v & (bit - 1)) | ((v >> (axis + 1)) << axis)

@@ -15,9 +15,13 @@ otherwise and draw each step from a counter-based stream keyed by
 (walk_seed, step), so trajectories replay exactly.  Records carry tau (first
 PNE visit index) and xi (first trap-vertex visit index) when known.
 
-:func:`walk_trial` derives trial i (medium, sink analysis, walk seed) and
-walks every policy on it; ``run_trials`` and every walk experiment sweep it
-with :func:`nashwalk.parallel.map_ordered`.
+Trap detection follows from what a walk is given: :func:`run_walk` reads
+PNEs and traps off a :class:`SinkAnalysis` when it has one, and otherwise
+probes each first revisit with a budgeted closure on the medium's rows.
+:func:`walk_trial` derives trial i (medium, walk seed, and the sink analysis
+exactly when the medium is exhaustive) and walks every policy on it;
+``run_trials`` and every walk experiment sweep it with
+:func:`nashwalk.parallel.map_ordered`.
 """
 
 from __future__ import annotations
@@ -25,18 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import (
-    MissingSinkAnalysis,
-    NonCanonicalEdge,
-    PneInSample,
-    StepCapZero,
-)
+from .errors import NonCanonicalEdge, PneInSample, StepCapZero
 from .medium import (
     MODE_EXHAUSTIVE,
     Medium,
     MediumParams,
     Vertex,
-    build_medium,
     neighbors,
     trial_medium,
 )
@@ -47,10 +45,6 @@ from .sinks import SinkAnalysis, VertexClass, classify_vertex, forward_closure, 
 POLICY_BRD = "brd"
 POLICY_SRW = "srw"
 POLICY_LAMBDA = "lambda"
-
-DETECT_EXACT = "exact"
-DETECT_LAZY = "lazy"
-DETECT_OFF = "off"
 
 TERMINAL_ABSORBED = "absorbed_pne"
 TERMINAL_IN_TRAP = "inside_trap"
@@ -112,7 +106,6 @@ def parse_policy(text: str) -> Policy:
 class WalkConfig:
     walk_seed: int
     max_steps: int | None = None  # default 1000 * n^2, resolved at run time
-    trap_detection: str = DETECT_EXACT
     lazy_budget: int | None = None
     start: Vertex = 0
     record_path: bool = False
@@ -214,22 +207,19 @@ def run_walk(
 ) -> WalkRecord:
     """Simulate one trajectory and record (tau, xi, steps, terminal).
 
-    tau is the first index at a PNE, xi the first index at a trap vertex (when
-    detection allows knowing it).  Brd-like walks stop on confirmed trap entry;
-    other policies keep moving and may leave the trap.
+    tau is the first index at a PNE, xi the first index at a trap vertex.
+    Given `sinks`, detection is exact: both are read off its masks.  Without
+    it detection is lazy: each vertex is probed on its first revisit with a
+    closure of at most config.lazy_budget vertices.  Brd-like walks stop on
+    confirmed trap entry; other policies keep moving and may leave the trap.
     """
     n = medium.n_players
     max_steps = 1000 * n * n if config.max_steps is None else config.max_steps
     if max_steps < 1:
         raise StepCapZero(f"max_steps must be >= 1, got {max_steps}")
-    detection = config.trap_detection
-    if detection == DETECT_EXACT and sinks is None:
-        raise MissingSinkAnalysis("exact trap detection needs a SinkAnalysis")
-    if detection not in (DETECT_EXACT, DETECT_LAZY, DETECT_OFF):
-        raise ValueError(f"unknown trap_detection {detection!r}")
-
-    pne_mask = sinks.pne_mask if sinks is not None else None
-    trap_mask = sinks.trap_mask if detection == DETECT_EXACT else None
+    lazy = sinks is None
+    pne_mask = None if lazy else sinks.pne_mask
+    trap_mask = None if lazy else sinks.trap_mask
     lazy_budget = config.lazy_budget  # None: the closures' own default
 
     v = config.start
@@ -282,7 +272,7 @@ def run_walk(
             tau = t
             terminal = TERMINAL_ABSORBED
             break
-        if detection == DETECT_LAZY:
+        if lazy:
             if v not in first_seen:
                 first_seen.add(v)
             elif v not in classified:
@@ -316,26 +306,21 @@ def run_walk(
 
 
 def walk_trial(
-    params: MediumParams, policies: tuple[Policy, ...], config: WalkConfig, trial: int,
-    fresh: bool = True,
+    params: MediumParams, policies: tuple[Policy, ...], config: WalkConfig, trial: int
 ) -> list[WalkRecord]:
     """One record per policy, in policy order, all walked on trial `trial`'s
-    medium (:func:`trial_medium`, or the medium seeded params.seed when not
-    `fresh`) with one step stream, fold(config.walk_seed, "walk", trial), so
-    they are paired.
-    The sink analysis runs only under exact detection."""
-    if fresh:
-        medium = trial_medium(params, trial)
-    else:
-        medium = build_medium(params.n_players, params.alpha, params.seed, params.mode)
-    sinks = sink_components(medium) if config.trap_detection == DETECT_EXACT else None
+    medium (:func:`trial_medium`) with one step stream,
+    fold(config.walk_seed, "walk", trial), so they are paired.
+    An exhaustive medium gets its sink analysis and exact trap detection; a
+    lazy one gets lazy probes."""
+    medium = trial_medium(params, trial)
+    sinks = sink_components(medium) if params.mode == MODE_EXHAUSTIVE else None
     cfg = replace(config, walk_seed=fold(config.walk_seed, TAG_WALK, trial))
     return [run_walk(medium, policy, cfg, sinks=sinks, trial=trial) for policy in policies]
 
 
 def _trial_worker(args) -> WalkRecord:
-    params, policies, config, fresh, trial = args
-    return walk_trial(params, policies, config, trial, fresh)[0]
+    return walk_trial(*args)[0]
 
 
 def run_trials(
@@ -343,7 +328,6 @@ def run_trials(
     policy: Policy,
     config: WalkConfig,
     trials: int,
-    fresh_medium_per_trial: bool = True,
     n_workers: int = 1,
     deadline: float | None = None,
 ) -> list[WalkRecord]:
@@ -354,11 +338,7 @@ def run_trials(
     bit-identical.  `deadline` (a time.monotonic() value) is checked before
     every trial.
     """
-    if params.mode != MODE_EXHAUSTIVE and config.trap_detection == DETECT_EXACT:
-        raise MissingSinkAnalysis(
-            "exact trap detection requires exhaustive media; use lazy or off"
-        )
-    job = (params, (policy,), config, fresh_medium_per_trial)
+    job = (params, (policy,), config)
     return map_ordered(_trial_worker, job, trials, n_workers, deadline)
 
 

@@ -13,20 +13,11 @@ import pytest
 import nashwalk.sinks as sinks
 import nashwalk.walkers as walkers
 from nashwalk.cli import main
-from nashwalk.errors import (
-    EmptyTrialCount,
-    MissingSinkAnalysis,
-    NonCanonicalEdge,
-    PneInSample,
-    StepCapZero,
-)
+from nashwalk.errors import EmptyTrialCount, NonCanonicalEdge, PneInSample, StepCapZero
 from nashwalk.medium import MODE_LAZY, MediumParams, build_medium
 from nashwalk.rng import fold, unit_interval
 from nashwalk.sinks import is_pne, sink_components
 from nashwalk.walkers import (
-    DETECT_EXACT,
-    DETECT_LAZY,
-    DETECT_OFF,
     TERMINAL_ABSORBED,
     TERMINAL_IN_TRAP,
     TERMINAL_STEP_CAP,
@@ -41,6 +32,7 @@ from nashwalk.walkers import (
     sample_categorical,
     step_distribution,
     verify_assumption,
+    walk_trial,
 )
 
 
@@ -278,40 +270,52 @@ def test_step_cap_zero_rejected(gamma2_medium):
         )
 
 
-def test_exact_detection_requires_analysis(cyclic2_medium):
-    with pytest.raises(MissingSinkAnalysis):
-        run_walk(cyclic2_medium, Policy.brd(), WalkConfig(walk_seed=0))
-
-
-def test_detection_off_runs_to_the_cap(cyclic2_medium):
-    cfg = WalkConfig(walk_seed=8, max_steps=50, trap_detection=DETECT_OFF)
-    rec = run_walk(cyclic2_medium, Policy.brd(), cfg)
-    assert rec.terminal == TERMINAL_STEP_CAP
-    assert rec.xi is None and rec.tau is None
-    assert rec.steps_taken == 50
-
-
-@pytest.mark.parametrize("detection", [DETECT_EXACT, DETECT_LAZY, DETECT_OFF])
-def test_start_outside_the_cube_is_rejected(detection):
+@pytest.mark.parametrize("lazy", [False, True], ids=["exact", "lazy"])
+def test_start_outside_the_cube_is_rejected(lazy):
     med = build_medium(4, 0.5, 0)
-    sa = sink_components(med)
+    sa = None if lazy else sink_components(med)
     for start in (-1, 16, 1 << 40):
-        cfg = WalkConfig(walk_seed=0, trap_detection=detection, start=start)
+        cfg = WalkConfig(walk_seed=0, start=start)
         with pytest.raises(NonCanonicalEdge):
             run_walk(med, Policy.brd(), cfg, sinks=sa)
-    cfg = WalkConfig(walk_seed=0, trap_detection=detection, start=15)
+    cfg = WalkConfig(walk_seed=0, start=15)
     assert run_walk(med, Policy.brd(), cfg, sinks=sa).start == 15
 
 
 def test_lazy_detection_matches_exact():
+    # without a sink analysis, run_walk detects traps lazily
     for i in range(40):
         med = build_medium(8, 0.8, fold(4242, i))
-        analysis = sink_components(med)
-        exact = run_walk(
-            med, Policy.brd(), WalkConfig(walk_seed=i, trap_detection=DETECT_EXACT), sinks=analysis
-        )
-        lazy = run_walk(med, Policy.brd(), WalkConfig(walk_seed=i, trap_detection=DETECT_LAZY))
+        cfg = WalkConfig(walk_seed=i)
+        exact = run_walk(med, Policy.brd(), cfg, sinks=sink_components(med))
+        lazy = run_walk(med, Policy.brd(), cfg)
         assert (exact.tau, exact.xi, exact.terminal) == (lazy.tau, lazy.xi, lazy.terminal)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 10])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9])
+def test_walk_trial_agrees_across_storage_modes(n, alpha):
+    # walk_trial picks exact detection on an exhaustive medium and lazy probes
+    # on its lazy twin, which has the same edges.  A brd-like walk stops at
+    # its trap only once a lazy probe has found it, so its exact path is a
+    # prefix of the lazy one; other policies never stop at a trap.
+    policies = tuple(map(parse_policy, ("brd", "lambda:1", "srw", "lambda:0.5")))
+    for seed in (0, 2**64 - 1, 9090):
+        exhaustive = MediumParams(n, alpha, seed)
+        lazy = replace(exhaustive, mode=MODE_LAZY)
+        cfg = WalkConfig(walk_seed=seed, max_steps=20000, record_path=True)
+        for trial in range(15):
+            pairs = zip(
+                walk_trial(exhaustive, policies, cfg, trial),
+                walk_trial(lazy, policies, cfg, trial),
+            )
+            for policy, (ex, lz) in zip(policies, pairs):
+                assert ex.tau == lz.tau
+                if policy.brd_like:
+                    assert (ex.xi, ex.terminal) == (lz.xi, lz.terminal)
+                    assert lz.path[: len(ex.path)] == ex.path
+                else:
+                    assert (ex.path, ex.terminal) == (lz.path, lz.terminal)
 
 
 def test_lazy_walks_do_not_depend_on_the_row_memo():
@@ -320,9 +324,7 @@ def test_lazy_walks_do_not_depend_on_the_row_memo():
     for i in range(4):
         seed = fold(515, i)
         for policy in (Policy.brd(), Policy.srw(), Policy.lambda_walk(0.7)):
-            cfg = WalkConfig(
-                walk_seed=i, max_steps=2000, trap_detection=DETECT_LAZY, record_path=True
-            )
+            cfg = WalkConfig(walk_seed=i, max_steps=2000, record_path=True)
             full = build_medium(11, 0.5, seed, mode=MODE_LAZY)
             small = build_medium(11, 0.5, seed, mode=MODE_LAZY)
             small._row_cap = 32
@@ -412,7 +414,7 @@ def test_lazy_detection_from_a_start_inside_a_trap(policy, escape_cube_medium, c
         for walk_seed in range(4):
             cfg = WalkConfig(walk_seed=walk_seed, start=start, max_steps=400, record_path=True)
             exact = run_walk(med, policy, cfg, sinks=analysis)
-            lazy = run_walk(med, policy, replace(cfg, trap_detection=DETECT_LAZY))
+            lazy = run_walk(med, policy, cfg)
             assert exact.xi == 0
             assert (lazy.tau, lazy.xi, lazy.terminal) == (exact.tau, 0, exact.terminal)
             if policy.brd_like:
@@ -422,9 +424,7 @@ def test_lazy_detection_from_a_start_inside_a_trap(policy, escape_cube_medium, c
 
 
 def test_lazy_detection_with_starved_budget(cyclic2_medium):
-    cfg = WalkConfig(
-        walk_seed=3, max_steps=20, trap_detection=DETECT_LAZY, lazy_budget=3
-    )
+    cfg = WalkConfig(walk_seed=3, max_steps=20, lazy_budget=3)
     rec = run_walk(cyclic2_medium, Policy.brd(), cfg)
     assert rec.terminal == TERMINAL_UNKNOWN
     assert rec.xi is None
@@ -453,26 +453,20 @@ def test_run_trials_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_run_trials_fixed_medium_still_varies_walks():
-    params = MediumParams(n_players=6, alpha=0.5, seed=62)
-    cfg = WalkConfig(walk_seed=3)
-    records = run_trials(params, Policy.srw(), cfg, trials=10, fresh_medium_per_trial=False)
-    lengths = {r.steps_taken for r in records}
-    assert len(lengths) > 1  # same medium, different step randomness
-
-
 def test_run_trials_validation():
     params = MediumParams(n_players=5, alpha=0.5, seed=1)
     with pytest.raises(EmptyTrialCount):
         run_trials(params, Policy.brd(), WalkConfig(walk_seed=0), trials=0)
+    # lazy params need no detection setting (the step cap only keeps it short)
     lazy_params = MediumParams(n_players=30, alpha=0.5, seed=1, mode=MODE_LAZY)
-    with pytest.raises(MissingSinkAnalysis):
-        run_trials(lazy_params, Policy.brd(), WalkConfig(walk_seed=0), trials=1)
+    cfg = WalkConfig(walk_seed=0, max_steps=100)
+    (record,) = run_trials(lazy_params, Policy.brd(), cfg, trials=1)
+    assert record.n == 30 and record.trial == 0
 
 
 def test_lazy_mode_trials_run_without_full_analysis():
     lazy_params = MediumParams(n_players=10, alpha=0.5, seed=9, mode=MODE_LAZY)
-    cfg = WalkConfig(walk_seed=5, trap_detection=DETECT_LAZY, max_steps=500)
+    cfg = WalkConfig(walk_seed=5, max_steps=500)
     records = run_trials(lazy_params, Policy.brd(), cfg, trials=5)
     assert len(records) == 5
     assert all(r.terminal in (TERMINAL_ABSORBED, TERMINAL_IN_TRAP, TERMINAL_STEP_CAP, TERMINAL_UNKNOWN) for r in records)
