@@ -52,6 +52,7 @@ nothing.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -268,22 +269,30 @@ class Medium:
     def mode(self) -> str:
         return self.params.mode
 
-    def check_edge(self, edge: EdgeRef) -> None:
+    def check_edge(self, edge: EdgeRef) -> tuple[int, int]:
+        """(base, axis) of a canonical edge as Python ints; numpy integers
+        read like Python ints."""
         n = self.params.n_players
-        if not (0 <= edge.axis < n):
-            raise AxisOutOfRange(f"axis {edge.axis} outside [0, {n})")
-        if not (0 <= edge.base < (1 << n)):
-            raise NonCanonicalEdge(f"base {edge.base} outside the {n}-cube")
-        if (edge.base >> edge.axis) & 1:
-            raise NonCanonicalEdge(
-                f"base {edge.base:#x} has bit {edge.axis} set; not canonical"
-            )
+        try:
+            axis = operator.index(edge.axis)
+        except TypeError:
+            raise AxisOutOfRange(f"axis {edge.axis!r} is not an integer") from None
+        if not (0 <= axis < n):
+            raise AxisOutOfRange(f"axis {axis} outside [0, {n})")
+        try:
+            base = operator.index(edge.base)
+        except TypeError:
+            raise NonCanonicalEdge(f"base {edge.base!r} is not an integer") from None
+        if not (0 <= base < (1 << n)):
+            raise NonCanonicalEdge(f"base {base} outside the {n}-cube")
+        if (base >> axis) & 1:
+            raise NonCanonicalEdge(f"base {base:#x} has bit {axis} set; not canonical")
+        return base, axis
 
     def orientation(self, edge: EdgeRef) -> int:
         """Orientation code of a canonical edge (TIE / UP / DOWN)."""
-        self.check_edge(edge)
         # seen from its canonical base, an edge's state is its own code
-        return self.orientation_seen_from(edge.base, edge.axis)
+        return self.orientation_seen_from(*self.check_edge(edge))
 
     def row(self, v: Vertex) -> tuple[int, int]:
         """(out_bits, in_bits) of v: bit i set when v's axis-i edge points

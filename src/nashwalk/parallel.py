@@ -7,8 +7,9 @@ randomness from its index, so distributing the trials over processes cannot
 change any result — only the wall time.  NASHWALK_THREADS sets the worker
 count when no explicit count is given; unset or empty it means 1, and any
 other value that is not an integer of at least 1 is an error.  A wall-clock
-deadline is checked before every trial (serial) or as every result arrives
-(parallel, after which the pending trials are cancelled).
+deadline is checked before every trial and after the last (serial) or as
+every result arrives (parallel, after which the pending trials are
+cancelled), so a sweep whose last trial overruns fails on either path.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ def map_ordered(
         for job in jobs:
             check_deadline(deadline)
             results.append(fn(job))
+        check_deadline(deadline)
         return results
     # imported here, so serial runs never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor

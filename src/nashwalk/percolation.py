@@ -7,20 +7,23 @@ the current set, while the percolation status of each set-to-boundary edge is
 overwritten by that edge's "points inward" indicator — a fresh beta coin.  The
 recursion's fixpoint is, deterministically, both the open component of vertex
 0 in the final percolation and the set of vertices with an oriented path to 0.
-Every run re-checks that identity; the run itself is the oracle.  The open
-component of 0 is read off component labels of the final percolation, found
-by hook-and-shortcut label propagation in numpy (each label ends as its
-component's smallest vertex), and the same labels give the trial's largest
-component.  That labelling shares no code with the growth recursion or with
-the backward spread of :func:`reverse_accessible_from_zero`, so the identity
-compares three independent derivations.  :func:`connected_component`, a
-plain Python BFS over open edges, and scipy's ``connected_components`` stay
+Every run re-checks that identity; the run itself is the oracle.  The
+recursion runs in layered rounds: each round finds its boundary edges with a
+few numpy operations on the frontier, reads each of them once through
+``Medium.orientation_seen_from`` and writes the round's statuses straight into
+the final percolation.  The open component of 0 is read off component labels
+of the final percolation, found by hook-and-shortcut label propagation in
+numpy (each label ends as its component's smallest vertex), and the same
+labels give the trial's largest component.  That labelling shares no code
+with the growth recursion or with the backward spread of
+:func:`reverse_accessible_from_zero`, so the identity compares three
+independent derivations.  :func:`connected_component`, a plain Python BFS
+over open edges, and scipy's ``connected_components`` stay
 in the tests as independent oracles for the labels.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -74,6 +77,14 @@ class PercolationGraph:
                 f"open-edge array must have {edge_count(self.n)} entries"
             )
         self.open_edges = arr
+
+    def __eq__(self, other):
+        # the generated __eq__ would compare the arrays elementwise
+        if not isinstance(other, PercolationGraph):
+            return NotImplemented
+        return (self.n, self.beta, self.seed) == (other.n, other.beta, other.seed) and (
+            np.array_equal(self.open_edges, other.open_edges)
+        )
 
     def _check_vertex(self, v: Vertex) -> None:
         if not 0 <= v < 1 << self.n:
@@ -280,45 +291,32 @@ def _grow(medium: Medium, open_edges: np.ndarray) -> tuple[np.ndarray, frozenset
     """The growth recursion of :func:`coupling_run`: (final open edges,
     grown set, rounds to the fixpoint)."""
     n = medium.n_players
-    axes = [(axis, 1 << axis) for axis in range(n)]
+    bits = 1 << np.arange(n)
     seen_from = medium.orientation_seen_from
-    grown = {0}
-    frontier = [0]
-    # each assigned edge as (vertex inside the set, axis) in assignment
-    # order, and its "oriented into the set" indicator: raw words and
-    # bytes, so no int objects are kept (a C int holds any vertex, and any
-    # of the n * 2^(n-1) < 2^31 edge ids, up to EXHAUSTIVE_CAP)
-    verts = array("i")
-    axes_log = array("i")
-    opens = bytearray()
-    rounds = 0
-    while frontier:
-        rounds += 1
-        joined: set[int] = set()
-        for u in frontier:
-            for axis, bit in axes:
-                w = u ^ bit
-                if w in grown:
-                    continue  # settled edge; never boundary again
-                inward = seen_from(u, axis) == DOWN  # oriented w -> u
-                verts.append(u)
-                axes_log.append(axis)
-                opens.append(inward)
-                if inward:
-                    joined.add(w)
-        frontier = sorted(joined)
-        grown.update(frontier)
-    # set-once: each boundary edge is assigned exactly when its first
-    # endpoint joins (assignments would be idempotent anyway)
-    assigned = edge_index(
-        np.frombuffer(verts, dtype=np.intc), np.frombuffer(axes_log, dtype=np.intc), n
-    )
-    touched = np.zeros(open_edges.size, dtype=bool)
-    touched[assigned] = True
-    assert np.count_nonzero(touched) == assigned.size  # no edge id repeats
+    grown = np.zeros(1 << n, dtype=bool)
+    grown[0] = True
+    assigned = np.zeros(open_edges.size, dtype=bool)
     final_open = open_edges.copy()
-    final_open[assigned] = np.frombuffer(opens, dtype=bool)
-    return final_open, frozenset(grown), rounds
+    frontier = np.zeros(1, dtype=np.intp)
+    rounds = 0
+    while frontier.size:
+        rounds += 1
+        # the round's boundary edges as (vertex inside, axis); row-major
+        # over an ascending frontier, so in (vertex, axis) order
+        rows, axes = np.nonzero(~grown[frontier[:, None] ^ bits])
+        inside = frontier[rows]
+        inward = np.fromiter(
+            map(seen_from, inside.tolist(), axes.tolist()), np.int8, count=inside.size
+        ) == DOWN  # oriented into the set
+        edges = edge_index(inside, axes, n)
+        assert not assigned[edges].any()  # set-once: a boundary edge settles
+        assigned[edges] = True
+        final_open[edges] = inward
+        joined = np.zeros(1 << n, dtype=bool)
+        joined[(inside ^ bits[axes])[inward]] = True
+        frontier = np.flatnonzero(joined)
+        grown |= joined
+    return final_open, frozenset(np.flatnonzero(grown).tolist()), rounds
 
 
 def coupling_run(
@@ -328,13 +326,14 @@ def coupling_run(
 
     Each round assigns every edge between the current set and its complement
     (once — assignments are idempotent, asserted) the indicator "oriented into
-    the set member", then admits outside endpoints of the open ones.  Each
-    assigned edge costs one ``medium.orientation_seen_from`` read; the
-    assignments are written into the final percolation in one step after the
-    fixpoint.  Returns the final percolation and an audit of the set
-    identity, which must hold on every run; the audit keeps the final
-    percolation's component labels, from which the open component of 0 is
-    read.
+    the set member", then admits outside endpoints of the open ones.  The
+    round's boundary edges come in (vertex, axis) order from numpy operations
+    on the ascending frontier; each costs one ``medium.orientation_seen_from``
+    read, and the round writes its assignments into the final percolation
+    before the next round starts.  Returns the final percolation and an audit
+    of the set identity, which must hold on every run; the audit keeps the
+    final percolation's component labels, from which the open component of 0
+    is read.
     """
     n = medium.n_players
     if initial.n != n:

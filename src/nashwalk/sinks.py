@@ -56,8 +56,9 @@ class SinkAnalysis:
     seed: int
     pnes: list[int]
     traps: list[list[int]]
-    pne_mask: np.ndarray  # bool per vertex
-    trap_mask: np.ndarray  # bool per vertex
+    # bool per vertex; the same facts as pnes and traps, so equality skips them
+    pne_mask: np.ndarray = field(compare=False)
+    trap_mask: np.ndarray = field(compare=False)
     medium: Medium = field(repr=False, compare=False)
 
     @functools.cached_property

@@ -342,6 +342,34 @@ def test_numpy_vertices_read_like_ints_in_both_modes(seed):
             assert verify_assumption(policy, medium, array) == expect
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", MODE_LAZY])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_numpy_integer_edge_refs_read_like_ints(mode, seed):
+    # A numpy uint64 base against a numpy int64 axis (or the reverse) used to
+    # raise numpy's TypeError from the canonical-bit check.
+    n = 6
+    med = build_medium(n, 0.5, seed, mode=mode)
+    casts = (int, np.int64, np.uint64)
+    for base in range(1 << n):
+        for axis in range(n):
+            if base >> axis & 1:
+                continue
+            expect = med.orientation(EdgeRef(base, axis))
+            for base_cast in casts:
+                for axis_cast in casts:
+                    edge = EdgeRef(base_cast(base), axis_cast(axis))
+                    assert med.orientation(edge) == expect, (base_cast, axis_cast)
+
+
+def test_non_integer_edge_refs_are_rejected(gamma2_medium):
+    for axis in (1.5, 0.0, "0"):
+        with pytest.raises(AxisOutOfRange, match="is not an integer"):
+            gamma2_medium.orientation(EdgeRef(0, axis))
+    for base in (1.5, np.float64(0.0), None):
+        with pytest.raises(NonCanonicalEdge, match="is not an integer"):
+            gamma2_medium.orientation(EdgeRef(base, 0))
+
+
 def test_table_is_copied_on_wrap():
     table = np.full(edge_count(3), DOWN, dtype=np.int8)
     med = Medium.from_orientation_table(3, table)

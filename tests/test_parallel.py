@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from nashwalk.errors import EmptyTrialCount
+from nashwalk.errors import EmptyTrialCount, TimeBudgetExceeded
 from nashwalk.experiments import absorption_trend, pne_count_stats, walk_length_quantiles
 from nashwalk.medium import MediumParams
 from nashwalk.parallel import map_ordered
@@ -20,6 +22,20 @@ def _echo(args):
 def test_map_ordered_hands_trial_i_the_job_and_i(workers):
     got = map_ordered(_echo, ("job", 7), 9, n_workers=workers)
     assert got == [("job", 7, i) for i in range(9)]
+
+
+def _slow(args):
+    time.sleep(0.05)
+    return args[-1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_last_trial_past_the_deadline_raises(workers):
+    # One trial takes the serial path at either worker count, and its result
+    # arrives after the deadline: the serial path, like the pooled one, must
+    # check the deadline after the last result.
+    with pytest.raises(TimeBudgetExceeded):
+        map_ordered(_slow, (), 1, n_workers=workers, deadline=time.monotonic() + 0.01)
 
 
 SWEEPS = {

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
@@ -102,6 +102,19 @@ def test_open_neighbors_are_symmetric():
         for w in g.open_neighbors(v):
             assert v in g.open_neighbors(w)
             assert (v ^ w).bit_count() == 1
+
+
+def test_percolations_compare_by_value():
+    # The generated __eq__ used to compare the open-edge arrays elementwise
+    # and raise ValueError.
+    a = sample_percolation(6, 0.3, 1)
+    assert a == sample_percolation(6, 0.3, 1)
+    assert a != sample_percolation(6, 0.3, 2)
+    assert a != sample_percolation(6, 0.4, 1)
+    flipped = a.open_edges.copy()
+    flipped[5] = not flipped[5]
+    assert a != PercolationGraph(6, flipped, a.beta, a.seed)
+    assert a != PercolationGraph(6, a.open_edges, a.beta, None)
 
 
 def test_vertex_and_axis_are_checked():
@@ -362,12 +375,17 @@ def long_hand_coupling(medium, initial):
     return final_open, q_final, rounds, connected_component(final, 0)
 
 
+@settings(deadline=None)  # the n=12 examples take about 0.3 s each
 @given(
     st.integers(min_value=1, max_value=9),
     st.sampled_from((0.0, 0.3, 0.5, 0.9)),
     st.integers(min_value=0, max_value=2**64 - 1),
     st.booleans(),
 )
+# the perc-n12 workload's size, and alpha 0 (many rounds, a large q_final)
+@example(12, 0.5, 21, False)
+@example(12, 0.5, 2**64 - 1, True)
+@example(10, 0.0, 7, False)
 def test_coupling_run_matches_long_hand_oracle(n, alpha, seed, lazy):
     medium = build_medium(n, alpha, seed, mode=MODE_LAZY if lazy else "exhaustive")
     initial = sample_percolation(n, (1.0 - alpha) / 2.0, seed ^ 1)
@@ -387,7 +405,7 @@ def edges_touching(vertices, n):
 
 @pytest.mark.parametrize("n,alpha,seed,mode", [
     (6, 0.5, 12, "exhaustive"), (9, 0.3, 12, "exhaustive"), (10, 0.9, 13, "exhaustive"),
-    (6, 0.5, 12, MODE_LAZY),
+    (6, 0.5, 12, MODE_LAZY), (12, 0.5, 21, "exhaustive"), (12, 0.5, 21, MODE_LAZY),
 ])
 def test_coupling_reads_each_assigned_edge_once(monkeypatch, n, alpha, seed, mode):
     # One Medium.orientation_seen_from call per edge touching the grown set:

@@ -372,6 +372,20 @@ def test_analysis_serializes_to_sorted_json(cyclic2_medium):
     assert list(payload) == sorted(payload)
 
 
+def test_analyses_compare_by_their_sinks():
+    # The generated __eq__ used to compare the per-vertex masks elementwise
+    # and raise ValueError; the masks hold the same facts as pnes and traps.
+    med = build_medium(8, 0.5, 4)
+    assert sink_components(med) == sink_components(build_medium(8, 0.5, 4))
+    assert sink_components(med) != sink_components(build_medium(8, 0.5, 5))
+    table = np.zeros(4, dtype=np.int8)
+    table[0] = UP  # 0 -> 1: vertex 0 stops being a PNE
+    one_fewer = sink_components(Medium.from_orientation_table(2, table))
+    all_tie = sink_components(make_all_tie(2))
+    assert all_tie.pne_count == one_fewer.pne_count + 1
+    assert all_tie != one_fewer
+
+
 # ---------------------------------------------------------------------------
 # forward closure and classification
 
