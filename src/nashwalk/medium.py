@@ -138,6 +138,15 @@ def expand_bit(s: int, axis: int) -> int:
     return low | ((s >> axis) << (axis + 1))
 
 
+def as_index(value, error: type[Exception], what: str) -> int:
+    """`value` as a Python int through ``operator.index``, so numpy integers
+    read like ints; a non-integer raises `error`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
+
+
 def edge_index(base: Vertex, axis: int, n: int) -> int:
     """Axis-major position of a canonical edge in the in-memory table."""
     return axis * (1 << (n - 1)) + squeeze_bit(base, axis)
@@ -273,16 +282,10 @@ class Medium:
         """(base, axis) of a canonical edge as Python ints; numpy integers
         read like Python ints."""
         n = self.params.n_players
-        try:
-            axis = operator.index(edge.axis)
-        except TypeError:
-            raise AxisOutOfRange(f"axis {edge.axis!r} is not an integer") from None
+        axis = as_index(edge.axis, AxisOutOfRange, "axis")
         if not (0 <= axis < n):
             raise AxisOutOfRange(f"axis {axis} outside [0, {n})")
-        try:
-            base = operator.index(edge.base)
-        except TypeError:
-            raise NonCanonicalEdge(f"base {edge.base!r} is not an integer") from None
+        base = as_index(edge.base, NonCanonicalEdge, "base")
         if not (0 <= base < (1 << n)):
             raise NonCanonicalEdge(f"base {base} outside the {n}-cube")
         if (base >> axis) & 1:
@@ -342,26 +345,37 @@ class Medium:
         """Edge state relative to v: UP = out of v, DOWN = into v, TIE = tie.
 
         The coupling's per-edge read: axis and v are checked once, then the
-        entry is read straight from the table (or hashed in lazy mode).
+        entry is read straight from the table (or hashed in lazy mode).  A
+        numpy uint64 meeting a numpy int64 makes that arithmetic raise
+        TypeError; only then are v and axis read through ``operator.index``
+        (as in :meth:`check_edge`) and the read retried, so the Python-int
+        path does no extra work.  A non-integer raises NonCanonicalEdge or
+        AxisOutOfRange.
         """
         n = self.params.n_players
-        if not 0 <= axis < n:
-            raise AxisOutOfRange(f"axis {axis} outside [0, {n})")
-        if not 0 <= v < self._half << 1:
-            raise NonCanonicalEdge(f"vertex {v} outside the {n}-cube")
-        bit = 1 << axis
-        table = self._table
-        if table is None:
-            base = int(v) & ~bit  # numpy ints would overflow against h0, as in row()
-            h = mix64(mix64(self._h0 ^ int(base)) ^ int(axis))
-            code = TIE if h < self._t_tie else UP if h < self._t_up else DOWN
-        else:
-            # edge_index(base, axis, n) with squeeze_bit inlined
-            squeezed = (v & (bit - 1)) | ((v >> (axis + 1)) << axis)
-            code = table.item(axis * self._half + squeezed)
-        if code == TIE or not v & bit:
-            return code
-        return DOWN if code == UP else UP
+        try:
+            if not 0 <= axis < n:
+                raise AxisOutOfRange(f"axis {axis} outside [0, {n})")
+            if not 0 <= v < self._half << 1:
+                raise NonCanonicalEdge(f"vertex {v} outside the {n}-cube")
+            bit = 1 << axis
+            table = self._table
+            if table is None:
+                # numpy ints would overflow against h0, as in row(); a
+                # float v must raise here, since a tie never reads v & bit
+                base = operator.index(v) & ~bit
+                h = mix64(mix64(self._h0 ^ int(base)) ^ int(axis))
+                code = TIE if h < self._t_tie else UP if h < self._t_up else DOWN
+            else:
+                # edge_index(base, axis, n) with squeeze_bit inlined
+                squeezed = (v & (bit - 1)) | ((v >> (axis + 1)) << axis)
+                code = table.item(axis * self._half + squeezed)
+            if code == TIE or not v & bit:
+                return code
+            return DOWN if code == UP else UP
+        except TypeError:
+            axis = as_index(axis, AxisOutOfRange, "axis")
+            return self.orientation_seen_from(as_index(v, NonCanonicalEdge, "vertex"), axis)
 
     def neighbor_partition(self, v: Vertex) -> NeighborPartition:
         """Split v's n neighbors into (out, inward, tie), ordered by axis:

@@ -41,9 +41,11 @@ from .errors import (
 from .medium import (
     DOWN,
     EXHAUSTIVE_CAP,
+    MODE_EXHAUSTIVE,
     Medium,
     MediumParams,
     Vertex,
+    as_index,
     axis_view,
     edge_block,
     edge_count,
@@ -92,9 +94,11 @@ class PercolationGraph:
 
     def is_open(self, base: Vertex, axis: int) -> bool:
         """Whether the axis-`axis` edge at `base` is open; `base` may be
-        either endpoint."""
+        either endpoint, and numpy integers read like ints."""
+        axis = as_index(axis, AxisOutOfRange, "axis")
         if not 0 <= axis < self.n:
             raise AxisOutOfRange(f"axis {axis} outside [0, {self.n})")
+        base = as_index(base, NonCanonicalEdge, "vertex")
         self._check_vertex(base)
         return bool(self.open_edges[edge_index(base, axis, self.n)])
 
@@ -260,7 +264,7 @@ def fragment_stats(perc: PercolationGraph) -> FragmentStats:
 
 def reverse_accessible_from_zero(medium: Medium) -> set[int]:
     """Vertices with an oriented (best-response) path into vertex 0."""
-    if medium.mode == "exhaustive":
+    if medium.mode == MODE_EXHAUSTIVE:
         zero = np.zeros(1 << medium.n_players, dtype=bool)
         zero[0] = True
         return set(np.flatnonzero(backward_reach(medium, zero)).tolist())

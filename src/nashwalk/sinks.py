@@ -14,8 +14,8 @@ on packed bitsets, and searches for sink SCCs only on the closed remainder
 identifying strongly connected components in parallel", 2000).  Typical
 media leave a small remainder or none.  The search is numpy label
 propagation with pointer jumping on the remainder's edge list
-(:func:`_sink_sccs`); scipy's SCC runs only in :func:`_whole_graph_scc`,
-which imports it on first use, so the hot path never loads scipy.
+(:func:`_sink_sccs`), so the package needs numpy alone; one scipy SCC over
+the whole oriented graph stays in the tests as the oracle.
 
 Bitsets.  A per-vertex bool array packs into little-endian uint64 words,
 vertex v at bit ``v % 64`` of word ``v // 64`` (one word, zero-padded, for
@@ -30,7 +30,6 @@ out-edges, which the trap search needs, are all read from them.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -45,11 +44,9 @@ from .parallel import check_deadline
 
 @dataclass
 class SinkAnalysis:
-    """Full absorbing-structure decomposition of an exhaustive medium.
-
-    ``scc_id`` (component index per vertex) is computed on first access by
-    one SCC over the whole oriented graph; nothing on the hot path reads it.
-    """
+    """Full absorbing-structure decomposition of an exhaustive medium: the
+    PNEs and the traps, each trap's members ascending and the traps ordered
+    by first member."""
 
     n_players: int
     alpha: float
@@ -59,11 +56,6 @@ class SinkAnalysis:
     # bool per vertex; the same facts as pnes and traps, so equality skips them
     pne_mask: np.ndarray = field(compare=False)
     trap_mask: np.ndarray = field(compare=False)
-    medium: Medium = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def scc_id(self) -> np.ndarray:
-        return _whole_graph_scc(self.medium)[0]
 
     @property
     def pne_count(self) -> int:
@@ -102,28 +94,6 @@ def expected_pne_count(n: int, alpha: float) -> float:
     if not (0.0 <= alpha < 1.0):
         raise AlphaOutOfRange(f"alpha must be in [0, 1), got {alpha}")
     return (1.0 + alpha) ** n
-
-
-def _whole_graph_scc(medium: Medium) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(scc_id, pne_mask, trap_mask) from one scipy SCC over every oriented
-    edge of the cube.  Backs the lazy ``SinkAnalysis.scc_id``, and is the
-    tests' oracle for :func:`sink_components`; scipy is imported here, so
-    nothing else loads it."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    src, dst = medium.oriented_edge_arrays()
-    size = 1 << medium.n_players
-    graph = csr_matrix(
-        (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(size, size)
-    )
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
-    comp_sizes = np.bincount(labels, minlength=n_comp)
-    is_sink = np.ones(n_comp, dtype=bool)
-    is_sink[labels[src[labels[src] != labels[dst]]]] = False
-    pne_comp = is_sink & (comp_sizes == 1)
-    trap_comp = is_sink & (comp_sizes >= 2)
-    return labels, pne_comp[labels], trap_comp[labels]
 
 
 # Bits of a word whose in-word axis bit (axes 0-5) is clear.
@@ -336,7 +306,6 @@ def sink_components(medium: Medium, *, deadline: float | None = None) -> SinkAna
         traps=traps,
         pne_mask=pne_mask,
         trap_mask=trap_mask,
-        medium=medium,
     )
 
 

@@ -3,12 +3,16 @@
 The two-player examples are small enough to verify by hand; the escape
 cube is a three-player table built so that best-response walkers get
 stuck in the bottom face while mixed walkers can climb out of it.
+:func:`whole_graph_scc` is the SCC oracle for ``sinks.sink_components``;
+scipy is a test dependency only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from nashwalk.medium import DOWN, TIE, UP, Medium, PayoffGame, medium_from_payoffs
 
@@ -97,3 +101,21 @@ def snake_cube(n: int, loop: int = 0) -> Medium:
         squeezed = (base & ((1 << axis) - 1)) | ((base >> (axis + 1)) << axis)
         table[axis * half + squeezed] = UP if u == base else DOWN
     return Medium.from_orientation_table(n, table)
+
+
+def whole_graph_scc(medium: Medium) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(labels, pne_mask, trap_mask) from one scipy SCC over every oriented
+    edge of the cube: the component index of each vertex, and whether that
+    component is a sink of size 1 (a PNE) or of size >= 2 (a trap)."""
+    src, dst = medium.oriented_edge_arrays()
+    size = 1 << medium.n_players
+    graph = csr_matrix(
+        (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(size, size)
+    )
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
+    comp_sizes = np.bincount(labels, minlength=n_comp)
+    is_sink = np.ones(n_comp, dtype=bool)
+    is_sink[labels[src[labels[src] != labels[dst]]]] = False
+    pne_comp = is_sink & (comp_sizes == 1)
+    trap_comp = is_sink & (comp_sizes >= 2)
+    return labels, pne_comp[labels], trap_comp[labels]

@@ -319,15 +319,17 @@ def test_time_budget_stops_analyze_inside_the_trap_search(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
-# Imports the CLI, runs each command line in process, and fails if scipy or
-# multiprocessing has been loaded after the import or after any run.
+# Blocks scipy from import, imports the CLI, runs each command line in
+# process, and fails if scipy or multiprocessing has been loaded after the
+# import or after any run.
 NO_SCIPY_CHILD = """
 import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 import nashwalk.cli
 
 def loaded():
-    return sorted(m for m in sys.modules
-                  if m.split(".")[0] in ("scipy", "multiprocessing"))
+    return sorted(m for m, module in sys.modules.items()
+                  if module is not None and m.split(".")[0] in ("scipy", "multiprocessing"))
 
 assert not loaded(), loaded()
 for argv in sys.argv[1:]:
@@ -338,13 +340,20 @@ for argv in sys.argv[1:]:
 
 def test_the_cli_loads_neither_scipy_nor_multiprocessing(tmp_path):
     out = f"--seed 3 --threads 1 --out {tmp_path / 'out'}"
+    medium = tmp_path / "m8.nwmedium"
     runs = (
         f"pne-stats --n 8 --alpha 0.5 --trials 4 {out}",
+        f"walk --n 8 --alpha 0.5 --trials 3 {out}",
         f"walk --n 8 --alpha 0.5 --mode lazy --trials 3 {out}",
         # alpha 0 and 0.9 leave remainders with traps to search
         f"figure1 --n 8 --alpha 0 --alpha 0.9 --trials 6 {out}",
+        f"theorem --n 6 --n 8 --alpha 0.9 --trials 6 {out}",
         f"percolation --n 6 --alpha 0.5 --trials 4 {out}",
         f"analyze --n 11 --alpha 0 --seed 1 --out {tmp_path / 'analysis'}",
+        f"generate --n 8 --alpha 0.5 --seed 3 --out {medium}",
+        f"generate --n 30 --alpha 0.5 --mode lazy {out}",
+        f"analyze --in {medium} --out {tmp_path / 'read_back'}",
+        f"analyze --n 8 --alpha 0.5 --seed 3 --out {tmp_path / 'rebuilt'}",
     )
     root = Path(__file__).resolve().parents[1]
     done = subprocess.run(
@@ -353,6 +362,7 @@ def test_the_cli_loads_neither_scipy_nor_multiprocessing(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads((tmp_path / "analysis").read_text())["traps"]
+    assert (tmp_path / "read_back").read_text() == (tmp_path / "rebuilt").read_text()
 
 
 def test_module_runs_as_script():

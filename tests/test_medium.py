@@ -36,6 +36,7 @@ from nashwalk.medium import (
     sample_payoff_game,
     squeeze_bit,
 )
+from nashwalk.percolation import sample_percolation
 from nashwalk.rng import fold, TAG_MEDIUM
 from nashwalk.sinks import VertexClass, classify_vertex
 from nashwalk.walkers import Policy, verify_assumption
@@ -346,28 +347,53 @@ def test_numpy_vertices_read_like_ints_in_both_modes(seed):
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_numpy_integer_edge_refs_read_like_ints(mode, seed):
     # A numpy uint64 base against a numpy int64 axis (or the reverse) used to
-    # raise numpy's TypeError from the canonical-bit check.
+    # raise numpy's TypeError from the canonical-bit check, and from the
+    # squeeze arithmetic of orientation_seen_from and is_open.
     n = 6
     med = build_medium(n, 0.5, seed, mode=mode)
+    perc = sample_percolation(n, 0.5, seed)
     casts = (int, np.int64, np.uint64)
     for base in range(1 << n):
         for axis in range(n):
             if base >> axis & 1:
                 continue
+            top = base | 1 << axis
             expect = med.orientation(EdgeRef(base, axis))
+            from_top = med.orientation_seen_from(top, axis)
+            is_open = perc.is_open(base, axis)
             for base_cast in casts:
                 for axis_cast in casts:
+                    cast = (base_cast, axis_cast)
                     edge = EdgeRef(base_cast(base), axis_cast(axis))
-                    assert med.orientation(edge) == expect, (base_cast, axis_cast)
+                    assert med.orientation(edge) == expect, cast
+                    seen = med.orientation_seen_from(base_cast(base), axis_cast(axis))
+                    assert seen == expect, cast
+                    seen = med.orientation_seen_from(base_cast(top), axis_cast(axis))
+                    assert seen == from_top, cast
+                    assert perc.is_open(base_cast(base), axis_cast(axis)) == is_open, cast
+                    assert perc.is_open(base_cast(top), axis_cast(axis)) == is_open, cast
 
 
 def test_non_integer_edge_refs_are_rejected(gamma2_medium):
-    for axis in (1.5, 0.0, "0"):
+    # every edge of the lazy square is a tie, whose read returns before
+    # testing the vertex against the axis bit
+    reads = (
+        gamma2_medium.orientation_seen_from,
+        build_medium(2, 0.999, 3, mode=MODE_LAZY).orientation_seen_from,
+        sample_percolation(2, 0.5, 1).is_open,
+    )
+    for axis in (1.5, 0.0, np.float64(1.0), "0"):
         with pytest.raises(AxisOutOfRange, match="is not an integer"):
             gamma2_medium.orientation(EdgeRef(0, axis))
-    for base in (1.5, np.float64(0.0), None):
+        for read in reads:
+            with pytest.raises(AxisOutOfRange, match="is not an integer"):
+                read(0, axis)
+    for base in (1.5, 1.0, np.float64(0.0), None):
         with pytest.raises(NonCanonicalEdge, match="is not an integer"):
             gamma2_medium.orientation(EdgeRef(base, 0))
+        for read in reads:
+            with pytest.raises(NonCanonicalEdge, match="is not an integer"):
+                read(base, 0)
 
 
 def test_table_is_copied_on_wrap():
