@@ -28,12 +28,12 @@ index arithmetic.
 
 Hashing.  ``fold(seed, base, axis) = mix64(mix64(mix64(seed) ^ base) ^ axis)``:
 the seed's pass is the same for every edge, and ``mix64(h0 ^ v)`` is shared
-by every edge whose base is v.  Both storage modes hash that vertex pass once
-per vertex.  :func:`edge_hashes` does it for all 2^n vertices at once and
-then yields each axis's edge hashes in table-block order; exhaustive builds
-(key ``mix64(seed)``) and percolations (key ``fold(seed, "perc")``) both
-draw from it, at 2^n + n * 2^(n-1) mix passes instead of n * 2^n.  Lazy rows
-do the same per vertex (below).
+by every edge whose base is v.  :func:`edge_hashes` hashes that vertex pass
+once for all 2^n vertices and then yields each axis's edge hashes in
+table-block order; exhaustive builds (key ``mix64(seed)``) and percolations
+(key ``fold(seed, "perc")``) both draw from it, at 2^n + n * 2^(n-1) mix
+passes instead of n * 2^n.  Lazy rows instead hash one vertex's n edges
+side by side (below).
 
 Rows.  Every per-vertex query (``is_pne``, closures, walk steps,
 ``neighbor_partition``) reads ``row(v)``: two n-bit masks, bit i of
@@ -42,16 +42,22 @@ Rows.  Every per-vertex query (``is_pne``, closures, walk steps,
 at most 2^min(n, 16) of them (the default closure budget, so the whole cube
 for n <= 16); a full memo is emptied before the next row is stored.  A memo
 miss is the one place the storage modes differ.  An exhaustive medium reads
-v's n table entries.  A lazy medium hashes them: the seed's pass is
-computed once per medium, and ``mix64(h0 ^ v)`` is shared by every axis
-whose bit in v is clear (v is those edges' base), so a row costs
-1 + n + popcount(v) passes instead of 3n.  Closure probes and walks
-revisit the same vertices many times, and with the memo those revisits read
-nothing.
+v's n table entries.  A lazy medium hashes them all in one Python int of n
+128-bit lanes: lane i starts as the base of v's axis-i edge,
+``h0 ^ (v & ~bit_i)`` (the seed's pass h0 is computed once per medium), and
+:func:`~nashwalk.rng.mix64_lanes` mixes every lane at once, the vertex pass
+and then, after each lane is xored with its axis, the edge pass.  Adding
+``(2^64 - t)`` to every lane carries into a lane's bit 64 exactly when its
+hash is >= t, so the tie and up thresholds give the row's non-tie and
+down-edge masks, read off the lanes' bytes.  For any n a row costs two
+mix passes and two threshold reads over one 16n-byte int.  Closure probes
+and walks revisit the same vertices many times, and with the memo those
+revisits read nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -67,7 +73,9 @@ from .errors import (
     IncompleteTable,
     NonCanonicalEdge,
 )
-from .rng import MASK64, TAG_MEDIUM, fold, mix64, mix64_np, threshold
+from .rng import (
+    MASK64, TAG_MEDIUM, fold, lane_constants, mix64, mix64_lanes, mix64_np, threshold,
+)
 
 Vertex = int
 
@@ -202,6 +210,28 @@ def edge_hashes(key: int, n: int):
         yield mix64_np(out, out=out, tmp=spare)
 
 
+@functools.cache
+def _row_lanes(n: int) -> tuple[int, int, int, int, int]:
+    """(ONE, LOW, GOLDEN, DIAG, AXES) for a lazy row's n 128-bit lanes:
+    :func:`lane_constants`, then bit i and the integer i in lane i."""
+    one, low, golden = lane_constants(n)
+    diag = sum(1 << (129 * i) for i in range(n))
+    axes = sum(i << (128 * i) for i in range(n))
+    return one, low, golden, diag, axes
+
+
+# byte 0 -> "0", byte 1 -> "1": a lane's byte 8 read as a binary digit
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _lane_carries(x: int, n: int) -> int:
+    """n-bit mask of the lanes of `x` whose bit 64 is set, where each lane
+    is below 2^65.  Bit 64 is the low bit of the lane's byte 8, and every
+    other bit of that byte is clear."""
+    digits = x.to_bytes(16 * n, "little")[8::16][::-1].translate(_BINARY_DIGITS)
+    return int(digits, 2)
+
+
 def _tie_up_thresholds(alpha: float) -> tuple[int, int]:
     # [0, t_tie) -> Tie, [t_tie, t_up) -> Up, [t_up, 2^64) -> Down.  The
     # Up/Down split is the exact integer midpoint of the non-tie mass.
@@ -250,6 +280,12 @@ class Medium:
             # fold(seed, base, axis) == mix64(mix64(h0 ^ base) ^ axis); the
             # seed's own pass is the same for every edge, so it is done once
             self._h0 = mix64(params.seed)
+            one, low, golden, diag, axes = _row_lanes(n)
+            # adding 2^64 - t to a lane carries into its bit 64 exactly when
+            # the lane's hash is >= t (both t < 2^64, as alpha < 1)
+            tie_add = ((1 << 64) - self._t_tie) * one
+            up_add = ((1 << 64) - self._t_up) * one
+            self._lanes = (one, low, golden, diag, axes, tie_add, up_add)
 
     # -- construction -----------------------------------------------------
 
@@ -299,32 +335,33 @@ class Medium:
 
     def row(self, v: Vertex) -> tuple[int, int]:
         """(out_bits, in_bits) of v: bit i set when v's axis-i edge points
-        out of / into v; neither bit for a tie.  Memoized."""
+        out of / into v; neither bit for a tie.  Memoized.
+
+        On a miss, v is read through ``operator.index`` (a numpy integer
+        reads like an int, a non-integer raises NonCanonicalEdge) and
+        range-checked.  An exhaustive medium then reads v's n table
+        entries; a lazy one hashes all n edges at once in one lane-packed
+        int (see the module docstring)."""
         row = self._rows.get(v)
         if row is not None:
             return row
         n = self.params.n_players
+        v = as_index(v, NonCanonicalEdge, "vertex")
         if not 0 <= v < self._half << 1:
             raise NonCanonicalEdge(f"vertex {v} outside the {n}-cube")
         table = self._table
-        out_bits = in_bits = 0
         if table is None:
-            v = int(v)  # a numpy integer would overflow (or wrap) against h0
-            h0, t_tie, t_up = self._h0, self._t_tie, self._t_up
-            h_v = mix64(h0 ^ v)  # shared by every edge whose base is v itself
-            for axis, bit in enumerate(self._axis_bits):
-                if v & bit:
-                    h = mix64(mix64(h0 ^ (v ^ bit)) ^ axis)
-                else:
-                    h = mix64(h_v ^ axis)
-                if h < t_tie:
-                    continue
-                # UP runs from the base (bit clear) to the partner (bit set)
-                if (h < t_up) == (not v & bit):
-                    out_bits |= bit
-                else:
-                    in_bits |= bit
+            one, low, golden, diag, axes, tie_add, up_add = self._lanes
+            # lane i holds the base of v's axis-i edge, h0 ^ (v & ~bit_i)
+            x = ((self._h0 ^ v) * one) ^ ((v * one) & diag)
+            x = mix64_lanes(mix64_lanes(x, golden, low) ^ axes, golden, low)
+            nontie = _lane_carries(x + tie_add, n)
+            down = _lane_carries(x + up_add, n)
+            # UP runs from the base (bit clear) to the partner (bit set)
+            out_bits = ((nontie ^ down) & ~v) | (down & v)
+            in_bits = nontie ^ out_bits
         else:
+            out_bits = in_bits = 0
             half = self._half
             for axis, bit in enumerate(self._axis_bits):
                 # edge_index(v & ~bit, axis, n) with squeeze_bit inlined
@@ -379,7 +416,9 @@ class Medium:
 
     def neighbor_partition(self, v: Vertex) -> NeighborPartition:
         """Split v's n neighbors into (out, inward, tie), ordered by axis:
-        a decode of :meth:`row` into fresh lists, which the caller owns."""
+        a decode of :meth:`row` into fresh lists of ints, which the caller
+        owns (a numpy integer v gives int neighbors too)."""
+        v = as_index(v, NonCanonicalEdge, "vertex")
         out_bits, in_bits = self.row(v)
         tie_bits = ((self._half << 1) - 1) ^ out_bits ^ in_bits
         return NeighborPartition(

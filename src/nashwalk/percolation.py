@@ -103,6 +103,8 @@ class PercolationGraph:
         return bool(self.open_edges[edge_index(base, axis, self.n)])
 
     def open_neighbors(self, v: Vertex) -> list[Vertex]:
+        """v's neighbors across open edges, as ints, in ascending axis order."""
+        v = as_index(v, NonCanonicalEdge, "vertex")
         self._check_vertex(v)
         n = self.n
         return [

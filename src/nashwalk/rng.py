@@ -7,9 +7,10 @@ state, so lazy and exhaustive media agree edge-for-edge, walks replay exactly,
 and trials can be computed in any order or process without changing results.
 
 Scalar helpers use plain Python ints masked to 64 bits; :func:`mix64_np` does
-the same pass on numpy uint64 arrays, and a test pins the two against each
-other.  Vectorized callers fold the scalar coordinates with :func:`fold` and
-absorb the array word last with one :func:`mix64_np` pass, since
+the same pass on numpy uint64 arrays, and :func:`mix64_lanes` on every
+128-bit lane of one Python int; tests pin both against the scalar pass.
+Vectorized callers fold the scalar coordinates with :func:`fold` and absorb
+the array word last with one :func:`mix64_np` pass, since
 ``fold(seed, *words, x) == mix64(fold(seed, *words) ^ x)``.
 """
 
@@ -62,6 +63,28 @@ def mix64_np(
         x *= np.uint64(mult)
     x ^= np.right_shift(x, np.uint64(31), out=tmp)
     return x
+
+
+def lane_constants(lanes: int) -> tuple[int, int, int]:
+    """(ONE, LOW, GOLDEN) for `lanes` 128-bit lanes packed in one Python int,
+    lane i holding bits 128 i .. 128 i + 127: a 1, the low 64 bits, and
+    mix64's additive constant in every lane."""
+    one = sum(1 << (128 * i) for i in range(lanes))
+    return one, one * MASK64, one * _GOLDEN
+
+
+def mix64_lanes(x: int, golden: int, low: int) -> int:
+    """mix64 on every lane of a lane-packed int at once, each lane holding a
+    64-bit word (`golden` and `low` from :func:`lane_constants`).
+
+    The steps are mix64's.  A lane's 128 bits hold any 64 x 64-bit product,
+    so a multiply never carries into the next lane; each right shift would
+    pull the next lane's low bits into the lane's high half, and each product
+    fills it, so both are masked back to the low 64 bits."""
+    x = (x + golden) & low
+    x = ((x ^ ((x >> 30) & low)) * _MIX1) & low
+    x = ((x ^ ((x >> 27) & low)) * _MIX2) & low
+    return x ^ ((x >> 31) & low)
 
 
 def unit_interval(h: int) -> float:

@@ -343,6 +343,93 @@ def test_numpy_vertices_read_like_ints_in_both_modes(seed):
             assert verify_assumption(policy, medium, array) == expect
 
 
+# t_tie is 0 at alpha 0 and 2^64 - 2^11 at the largest alpha below 1, so the
+# lanes' threshold adds run from 2^64 down to 2^11
+LANE_ALPHAS = (0.0, 0.5, 0.9, 1.0 - 2.0**-53)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=62),
+    alpha=st.sampled_from(LANE_ALPHAS),
+    seed=st.one_of(
+        st.sampled_from((0, 2**64 - 1)), st.integers(min_value=0, max_value=2**64 - 1)
+    ),
+    picks=st.lists(st.integers(min_value=0, max_value=2**62 - 1), max_size=6),
+)
+def test_lazy_rows_match_per_edge_hash_up_to_the_cap(n, alpha, seed, picks):
+    # Oracle: the scalar per-edge hash of orientation_seen_from, which does
+    # not go through the lane-packed row.
+    assert _tie_up_thresholds(LANE_ALPHAS[-1])[0] == 2**64 - 2**11
+    med = build_medium(n, alpha, seed, mode=MODE_LAZY)
+    for v in (0, (1 << n) - 1, *(p % (1 << n) for p in picks)):
+        out_bits = in_bits = 0
+        for axis in range(n):
+            seen = med.orientation_seen_from(v, axis)
+            if seen == UP:
+                out_bits |= 1 << axis
+            elif seen == DOWN:
+                in_bits |= 1 << axis
+        med._rows.clear()
+        assert med.row(v) == (out_bits, in_bits), v
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 62])
+def test_lazy_rows_split_a_hash_equal_to_a_threshold_like_the_scalar_read(monkeypatch, n):
+    # A hash equal to t_tie is not a tie and one equal to t_up is Down; a
+    # random seed almost never puts a hash on a threshold, so the thresholds
+    # are set to two of the row's own edge hashes, fold(seed, base, axis).
+    seed, v = 11, (1 << n) - 1
+    hashes = sorted(fold(seed, v & ~(1 << axis), axis) for axis in range(n))
+    t_tie, t_up = hashes[n // 3], hashes[(2 * n) // 3]
+    monkeypatch.setattr("nashwalk.medium._tie_up_thresholds", lambda alpha: (t_tie, t_up))
+    for u in (v, 0, 0x5555555555555555 & v):
+        med = build_medium(n, 0.5, seed, mode=MODE_LAZY)
+        codes = [med.orientation(EdgeRef(u & ~(1 << axis), axis)) for axis in range(n)]
+        hashes_u = [fold(seed, u & ~(1 << axis), axis) for axis in range(n)]
+        assert codes == [
+            TIE if h < t_tie else UP if h < t_up else DOWN for h in hashes_u
+        ]
+        up_bits = sum(1 << axis for axis, code in enumerate(codes) if code == UP)
+        down_bits = sum(1 << axis for axis, code in enumerate(codes) if code == DOWN)
+        out_bits = (up_bits & ~u) | (down_bits & u)
+        assert med.row(u) == (out_bits, (up_bits | down_bits) ^ out_bits)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", MODE_LAZY])
+@pytest.mark.parametrize("warm", [False, True])
+def test_non_integer_vertices_are_rejected_by_rows(mode, warm):
+    # Neither a lazy row (which must not hash 1.5 as vertex 1) nor an
+    # exhaustive one (which must not fail on float arithmetic) reads a
+    # non-integer, and nothing is memoized for it.
+    med = build_medium(6, 0.5, 1, mode=mode)
+    if warm:
+        for v in range(1 << 6):
+            med.row(v)
+    for v in (1.5, np.float64(2.5), "3", None):
+        with pytest.raises(NonCanonicalEdge, match="is not an integer"):
+            med.row(v)
+        with pytest.raises(NonCanonicalEdge, match="is not an integer"):
+            med.neighbor_partition(v)
+    assert len(med._rows) == (1 << 6 if warm else 0)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", MODE_LAZY])
+@pytest.mark.parametrize("warm", [False, True])
+def test_numpy_vertices_give_int_neighbors(mode, warm):
+    med = build_medium(6, 0.5, 1, mode=mode)
+    perc = sample_percolation(6, 0.5, 1)
+    for v in range(1 << 6):
+        if warm:
+            med.row(v)
+        for cast in (np.int64, np.uint64):
+            part = med.neighbor_partition(cast(v))
+            assert part == med.neighbor_partition(v)
+            assert all(type(w) is int for side in part for w in side)
+            neighbors = perc.open_neighbors(cast(v))
+            assert neighbors == perc.open_neighbors(v)
+            assert all(type(w) is int for w in neighbors)
+
+
 @pytest.mark.parametrize("mode", ["exhaustive", MODE_LAZY])
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_numpy_integer_edge_refs_read_like_ints(mode, seed):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, strategies as st
 
-from nashwalk.rng import MASK64, fold, mix64, mix64_np, threshold, unit_interval
+from nashwalk.rng import (
+    MASK64, fold, lane_constants, mix64, mix64_lanes, mix64_np, threshold, unit_interval,
+)
 
 
 def reference_mix(x: int) -> int:
@@ -25,6 +27,17 @@ def test_mix64_known_answers():
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_mix64_matches_reference(x):
     assert mix64(x) == reference_mix(x)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=62))
+def test_mix64_lanes_matches_scalar(words):
+    _, low, golden = lane_constants(len(words))
+    packed = sum(w << (128 * i) for i, w in enumerate(words))
+    mixed = mix64_lanes(packed, golden, low)
+    # whole 128-bit lanes, so a carry or a stray bit in a lane's high half shows
+    assert [(mixed >> (128 * i)) & ((1 << 128) - 1) for i in range(len(words))] == [
+        reference_mix(w) for w in words
+    ]
 
 
 def test_mix64_stays_in_64_bits():
