@@ -1,7 +1,7 @@
 """Byte-identity guard: sha256 digests of serialized media, percolations,
 their derived arrays, lazy- and exhaustive-mode walk records,
-percolation-audit reports and the sink-analysis, figure1 and theorem CLI
-outputs over fixed grids.
+percolation-audit and pne-stats reports and the sink-analysis, figure1 and
+theorem CLI outputs (CSV and JSON) over fixed grids.
 
 The digests in golden_digests.json were recorded from a known-good build.
 Any rewrite of the table, hashing, degree, sink or component code must
@@ -117,6 +117,17 @@ THEOREM_GRID = [
     for threads in (1, 2)
 ]
 
+# `figure1 --format json`, with the figure1 grid's alphas, trials and step cap.
+FIGURE1_JSON_GRID = [(n, seed) for n in (4, 8) for seed in (0, 5, MASK64)]
+
+# `pne-stats`, 20 trials each.
+PNE_STATS_GRID = [
+    (n, alpha, seed)
+    for n in (4, 8, 12)
+    for alpha in (0.0, 0.5, 0.9)
+    for seed in (0, 5, MASK64)
+]
+
 
 def _sha(*chunks) -> str:
     h = hashlib.sha256()
@@ -213,19 +224,44 @@ def analyze_digest(n, alpha, seed, tmp_dir) -> str:
     ], tmp_dir)
 
 
-def figure1_digest(n, seed, threads, tmp_dir) -> str:
-    return _cli_digest([
+def _figure1_argv(n, seed, threads) -> list:
+    return [
         "figure1", "--n", str(n), "--alpha", "0", "--alpha", "0.5", "--alpha", "0.9",
         "--trials", str(FIGURE1_TRIALS[n]), "--max-steps", "1000",
         "--seed", str(seed), "--threads", str(threads),
-    ], tmp_dir)
+    ]
 
 
-def theorem_digest(alpha, policy, seed, threads, tmp_dir) -> str:
-    return _cli_digest([
+def figure1_digest(n, seed, threads, tmp_dir) -> str:
+    return _cli_digest(_figure1_argv(n, seed, threads), tmp_dir)
+
+
+def figure1_json_digest(n, seed, tmp_dir) -> str:
+    return _cli_digest(_figure1_argv(n, seed, 1) + ["--format", "json"], tmp_dir)
+
+
+def _theorem_argv(alpha, policy, seed, threads) -> list:
+    return [
         "theorem", "--n", "4", "--n", "7", "--n", "10", "--alpha", str(alpha),
         "--policy", policy, "--trials", "20", "--seed", str(seed),
         "--threads", str(threads),
+    ]
+
+
+def theorem_digest(alpha, policy, seed, threads, tmp_dir) -> str:
+    return _cli_digest(_theorem_argv(alpha, policy, seed, threads), tmp_dir)
+
+
+def theorem_json_digest(alpha, policy, seed, threads, tmp_dir) -> str:
+    return _cli_digest(
+        _theorem_argv(alpha, policy, seed, threads) + ["--format", "json"], tmp_dir
+    )
+
+
+def pne_stats_digest(n, alpha, seed, tmp_dir) -> str:
+    return _cli_digest([
+        "pne-stats", "--n", str(n), "--alpha", str(alpha), "--trials", "20",
+        "--seed", str(seed),
     ], tmp_dir)
 
 
@@ -245,6 +281,9 @@ SECTIONS = {
     "analyze": (ANALYZE_GRID, analyze_digest, True),
     "figure1": (FIGURE1_GRID, figure1_digest, True),
     "theorem": (THEOREM_GRID, theorem_digest, True),
+    "figure1_json": (FIGURE1_JSON_GRID, figure1_json_digest, True),
+    "theorem_json": (THEOREM_GRID, theorem_json_digest, True),
+    "pne_stats": (PNE_STATS_GRID, pne_stats_digest, True),
 }
 
 
@@ -317,7 +356,24 @@ def test_theorem_cli_digests(golden, case, tmp_path):
     assert theorem_digest(*case, str(tmp_path)) == golden["theorem"][_key(*case)]
 
 
-@pytest.mark.parametrize("section", ["exact_walk", "perc_cli", "figure1", "theorem"])
+@pytest.mark.parametrize("case", FIGURE1_JSON_GRID, ids=lambda c: _key(*c))
+def test_figure1_json_cli_digests(golden, case, tmp_path):
+    assert figure1_json_digest(*case, str(tmp_path)) == golden["figure1_json"][_key(*case)]
+
+
+@pytest.mark.parametrize("case", THEOREM_GRID, ids=lambda c: _key(*c))
+def test_theorem_json_cli_digests(golden, case, tmp_path):
+    assert theorem_json_digest(*case, str(tmp_path)) == golden["theorem_json"][_key(*case)]
+
+
+@pytest.mark.parametrize("case", PNE_STATS_GRID, ids=lambda c: _key(*c))
+def test_pne_stats_cli_digests(golden, case, tmp_path):
+    assert pne_stats_digest(*case, str(tmp_path)) == golden["pne_stats"][_key(*case)]
+
+
+@pytest.mark.parametrize(
+    "section", ["exact_walk", "perc_cli", "figure1", "theorem", "theorem_json"]
+)
 def test_digests_do_not_depend_on_thread_count(golden, section):
     by_threads = {}
     for key, digest in golden[section].items():
