@@ -20,20 +20,24 @@ import time
 
 from .errors import NashwalkError, TimeBudgetExceeded
 from .experiments import (
-    QUANTILE_COLUMNS,
     SCHEMA_VERSION,
-    TREND_COLUMNS,
+    WALK_CSV_COLUMNS,
+    WALK_SCHEMA_VERSION,
+    QuantileRow,
+    TrendRow,
     absorption_trend,
     percolation_audit,
     pne_count_stats,
+    records_to_jsonl,
     report_to_json,
     rows_to_csv,
+    walk_fields,
     walk_length_quantiles,
 )
 from .medium import MODE_EXHAUSTIVE, MODE_LAZY, MediumParams, build_medium
 from .parallel import check_deadline, resolve_workers
 from .sinks import sink_components
-from .walkers import WalkConfig, parse_policy, records_to_csv, records_to_jsonl, run_trials
+from .walkers import WalkConfig, parse_policy, run_trials
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -147,13 +151,18 @@ def _deadline(args) -> float | None:
     return time.monotonic() + args.time_budget
 
 
-def _emit_rows(args, columns: tuple, rows: list, echo: dict) -> int:
-    """Write a report's rows as --format asks: csv, or json with the echo."""
+def _emit_json(payload: dict, out: str | None) -> None:
+    """Write a JSON report; the one place its schema_version is added."""
+    _emit(report_to_json(dict(payload, schema_version=SCHEMA_VERSION)), out)
+
+
+def _emit_rows(args, row_type: type, rows: list, echo: dict) -> int:
+    """Write a report's rows as --format asks: csv with the row dataclass's
+    fields as columns, or json with the echo."""
     if args.format == "json":
-        payload = dict(echo, schema_version=SCHEMA_VERSION,
-                       rows=[dataclasses.asdict(r) for r in rows])
-        _emit(report_to_json(payload), args.out)
+        _emit_json(dict(echo, rows=[dataclasses.asdict(r) for r in rows]), args.out)
     else:
+        columns = tuple(f.name for f in dataclasses.fields(row_type))
         _emit(rows_to_csv(columns, rows, echo), args.out)
     return 0
 
@@ -169,7 +178,7 @@ def _cmd_figure1(args) -> int:
         "command": "figure1", "n": args.n, "alphas": args.alpha,
         "trials": args.trials, "policies": policies, "seed": args.seed,
     }
-    return _emit_rows(args, QUANTILE_COLUMNS, rows, echo)
+    return _emit_rows(args, QuantileRow, rows, echo)
 
 
 def _cmd_theorem(args) -> int:
@@ -182,7 +191,7 @@ def _cmd_theorem(args) -> int:
         "command": "theorem", "n_list": args.n, "alpha": args.alpha,
         "policy": args.policy, "trials": args.trials, "seed": args.seed,
     }
-    return _emit_rows(args, TREND_COLUMNS, rows, echo)
+    return _emit_rows(args, TrendRow, rows, echo)
 
 
 def _cmd_pne_stats(args) -> int:
@@ -190,9 +199,8 @@ def _cmd_pne_stats(args) -> int:
         args.n, args.alpha, args.trials, args.seed,
         n_workers=resolve_workers(args.threads), deadline=_deadline(args),
     )
-    payload = dict(dataclasses.asdict(report), schema_version=SCHEMA_VERSION,
-                   command="pne-stats", seed=args.seed)
-    _emit(report_to_json(payload), args.out)
+    payload = dict(dataclasses.asdict(report), command="pne-stats", seed=args.seed)
+    _emit_json(payload, args.out)
     return 0
 
 
@@ -201,8 +209,7 @@ def _cmd_percolation(args) -> int:
         args.n, args.alpha, args.trials, args.seed,
         n_workers=resolve_workers(args.threads), deadline=_deadline(args),
     )
-    payload = dict(report, command="percolation")
-    _emit(report_to_json(payload), args.out)
+    _emit_json(dict(report, command="percolation"), args.out)
     return 0
 
 
@@ -220,7 +227,8 @@ def _cmd_walk(args) -> int:
     if args.format == "jsonl":
         _emit(records_to_jsonl(records), args.out)
     else:
-        _emit(records_to_csv(records, echo), args.out)
+        _emit(rows_to_csv(WALK_CSV_COLUMNS, records, echo, WALK_SCHEMA_VERSION,
+                          walk_fields(WALK_CSV_COLUMNS)), args.out)
     return 0
 
 

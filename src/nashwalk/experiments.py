@@ -9,6 +9,11 @@ that sweep gives trial i the job ``(*job, i)`` and returns the results in
 trial order, so trials may be distributed over processes without changing a
 byte of output.  A walk trial returns its records in policy order, so
 figure1 reads policy k's records as column k of the results.
+
+This module also holds every output writer.  :func:`rows_to_csv` is the one
+CSV writer, for report rows and walk records alike; a report's columns are
+its row dataclass's fields, and both walk formats read a record through
+:func:`walk_fields`.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from .errors import NoConditionedTrials
 from .medium import MediumParams, edge_count, trial_medium
 from .parallel import map_ordered
 from .percolation import run_coupling_trials
+from .sinks import expected_pne_count
 from .walkers import (
     TERMINAL_STEP_CAP,
     TERMINAL_UNKNOWN,
@@ -135,20 +142,7 @@ def walk_length_quantiles(
                     f"no conditioned trials for policy={label} alpha={alpha}"
                 )
             q = [lower_quantile(taus, p) for p in QUANTILES]
-            rows.append(
-                QuantileRow(
-                    policy=label,
-                    n=n,
-                    alpha=alpha,
-                    trials_total=trials,
-                    trials_conditioned=len(taus),
-                    q05=q[0],
-                    q25=q[1],
-                    q50=q[2],
-                    q75=q[3],
-                    q95=q[4],
-                )
-            )
+            rows.append(QuantileRow(label, n, alpha, trials, len(taus), *q))
     return rows
 
 
@@ -185,18 +179,7 @@ def absorption_trend(
             raise NoConditionedTrials(f"all trials hit the step cap at n={n}")
         p_hat = successes / counted
         se = math.sqrt(p_hat * (1.0 - p_hat) / counted)
-        rows.append(
-            TrendRow(
-                n=n,
-                alpha=alpha,
-                policy=policy,
-                trials=counted,
-                successes=successes,
-                p_hat=p_hat,
-                standard_error=se,
-                excluded_step_cap=excluded,
-            )
-        )
+        rows.append(TrendRow(n, alpha, policy, counted, successes, p_hat, se, excluded))
     return rows
 
 
@@ -213,7 +196,7 @@ def pne_count_stats(
     counts = np.array(
         map_ordered(_pne_trial, job, samples, n_workers, deadline), dtype=np.float64
     )
-    mu = float((1.0 + alpha) ** n)
+    mu = expected_pne_count(n, alpha)
     sigma = float((1.0 + alpha) ** (n / 2.0))
     standardized = (counts - mu) / sigma
     return PneCountReport(
@@ -240,9 +223,8 @@ def percolation_audit(
     """Coupling identity, marginal preservation, and fragment statistics over
     fresh media and fresh initial percolations."""
     results = run_coupling_trials(n, alpha, trials, seed, n_workers, deadline)
-    beta = (1.0 - alpha) / 2.0
+    beta = MediumParams(n, alpha, seed).beta
     return {
-        "schema_version": SCHEMA_VERSION,
         "n": n,
         "alpha": alpha,
         "beta": beta,
@@ -260,40 +242,49 @@ def percolation_audit(
 
 # -- output -------------------------------------------------------------------
 
+# Reports carry SCHEMA_VERSION; walk records carry their own version, which a
+# report schema change leaves alone.
+WALK_SCHEMA_VERSION = 1
 
-def rows_to_csv(columns: tuple, rows: list, echo: dict) -> str:
-    """CSV with a single leading '#' comment carrying schema + config echo."""
-    head = {"schema_version": SCHEMA_VERSION}
-    head.update(echo)
+WALK_CSV_COLUMNS = ("trial", "policy", "n", "alpha", "tau", "xi", "steps", "terminal")
+
+WALK_JSON_FIELDS = WALK_CSV_COLUMNS + ("start",)
+
+
+def walk_fields(names: tuple):
+    """The one accessor of both walk formats: a getter of a WalkRecord's
+    values under the written names `names`, in order.  The record's
+    `steps_taken` is written as `steps`."""
+    return attrgetter(*("steps_taken" if name == "steps" else name for name in names))
+
+
+def rows_to_csv(
+    columns: tuple, rows, echo: dict, schema_version: int = SCHEMA_VERSION, read=None
+) -> str:
+    """CSV with a single leading '#' comment carrying schema + config echo.
+
+    A row's cells are `read(row)` (default: its attributes named `columns`),
+    in column order; a None cell is written as an empty field.
+    """
+    read = read or attrgetter(*columns)
+    head = {"schema_version": schema_version, **echo}
     lines = ["# " + json.dumps(head, sort_keys=True), ",".join(columns)]
     for row in rows:
-        lines.append(",".join(str(getattr(row, c)) for c in columns))
+        lines.append(",".join(["" if x is None else str(x) for x in read(row)]))
     return "\n".join(lines) + "\n"
 
 
-QUANTILE_COLUMNS = (
-    "policy",
-    "n",
-    "alpha",
-    "trials_total",
-    "trials_conditioned",
-    "q05",
-    "q25",
-    "q50",
-    "q75",
-    "q95",
-)
-
-TREND_COLUMNS = (
-    "n",
-    "alpha",
-    "policy",
-    "trials",
-    "successes",
-    "p_hat",
-    "standard_error",
-    "excluded_step_cap",
-)
+def records_to_jsonl(records: list[WalkRecord]) -> str:
+    """One JSON object per walk record, each carrying the walk schema version."""
+    read = walk_fields(WALK_JSON_FIELDS)
+    lines = [
+        json.dumps(
+            dict(zip(WALK_JSON_FIELDS, read(r)), schema_version=WALK_SCHEMA_VERSION),
+            sort_keys=True,
+        )
+        for r in records
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def report_to_json(payload: dict) -> str:

@@ -408,7 +408,7 @@ def check_lemma_finally(n: int, alpha: float, trials: int, seed: int) -> dict:
     fresh (medium, percolation, coupling) trials."""
     results = run_coupling_trials(n, alpha, trials, seed)
     assert all(r.identity_holds for r in results)
-    beta = (1.0 - alpha) / 2.0
+    beta = MediumParams(n, alpha, seed).beta
     mismatches = sum(r.lemma_mismatch for r in results)
     return {
         "schema_version": 1,

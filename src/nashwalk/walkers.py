@@ -13,7 +13,8 @@ Three policies move a token along the cube:
 Every policy is absorbed at PNEs.  Walks start at vertex 0 unless configured
 otherwise and draw each step from a counter-based stream keyed by
 (walk_seed, step), so trajectories replay exactly.  Records carry tau (first
-PNE visit index) and xi (first trap-vertex visit index) when known.
+PNE visit index) and xi (first trap-vertex visit index) when known; they are
+written as CSV or JSON lines by :mod:`nashwalk.experiments`.
 
 Trap detection follows from what a walk is given: :func:`run_walk` reads
 PNEs and traps off a :class:`SinkAnalysis` when it has one, and otherwise
@@ -50,8 +51,6 @@ TERMINAL_ABSORBED = "absorbed_pne"
 TERMINAL_IN_TRAP = "inside_trap"
 TERMINAL_STEP_CAP = "step_cap"
 TERMINAL_UNKNOWN = "unknown"
-
-WALK_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -340,63 +339,3 @@ def run_trials(
     """
     job = (params, (policy,), config)
     return map_ordered(_trial_worker, job, trials, n_workers, deadline)
-
-
-# -- serialization -----------------------------------------------------------
-
-WALK_CSV_COLUMNS = ("trial", "policy", "n", "alpha", "tau", "xi", "steps", "terminal")
-
-
-def _cell(x) -> str:
-    return "" if x is None else str(x)
-
-
-def records_to_csv(records: list[WalkRecord], config_echo: dict | None = None) -> str:
-    """CSV with one leading '#' comment line carrying schema + config echo."""
-    import json
-
-    echo = {"schema_version": WALK_SCHEMA_VERSION}
-    echo.update(config_echo or {})
-    lines = ["# " + json.dumps(echo, sort_keys=True)]
-    lines.append(",".join(WALK_CSV_COLUMNS))
-    for r in records:
-        lines.append(
-            ",".join(
-                (
-                    str(r.trial),
-                    r.policy,
-                    str(r.n),
-                    str(r.alpha),
-                    _cell(r.tau),
-                    _cell(r.xi),
-                    str(r.steps_taken),
-                    r.terminal,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def records_to_jsonl(records: list[WalkRecord]) -> str:
-    import json
-
-    lines = []
-    for r in records:
-        lines.append(
-            json.dumps(
-                {
-                    "schema_version": WALK_SCHEMA_VERSION,
-                    "trial": r.trial,
-                    "policy": r.policy,
-                    "n": r.n,
-                    "alpha": r.alpha,
-                    "start": r.start,
-                    "tau": r.tau,
-                    "xi": r.xi,
-                    "steps": r.steps_taken,
-                    "terminal": r.terminal,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"

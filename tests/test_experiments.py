@@ -5,15 +5,19 @@ from __future__ import annotations
 import json
 import math
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from nashwalk.errors import EmptyTrialCount, NoConditionedTrials, TimeBudgetExceeded
+from nashwalk.cli import main
 from nashwalk.experiments import (
-    QUANTILE_COLUMNS,
-    TREND_COLUMNS,
+    WALK_CSV_COLUMNS,
+    WALK_SCHEMA_VERSION,
+    QuantileRow,
+    TrendRow,
     _walk_trial,
     absorption_trend,
     lower_quantile,
@@ -21,12 +25,13 @@ from nashwalk.experiments import (
     pne_count_stats,
     report_to_json,
     rows_to_csv,
+    walk_fields,
     walk_length_quantiles,
 )
 from nashwalk.medium import MediumParams, build_medium
 from nashwalk.rng import fold, TAG_MEDIUM, TAG_WALK
 from nashwalk.sinks import expected_pne_count, sink_components
-from nashwalk.walkers import WalkConfig, parse_policy, run_trials, run_walk
+from nashwalk.walkers import WalkConfig, WalkRecord, parse_policy, run_trials, run_walk
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +211,43 @@ def test_percolation_audit_report():
 
 def test_rows_to_csv_shape():
     rows = walk_length_quantiles(5, [0.5], 10, ["brd"], seed=11)
-    text = rows_to_csv(QUANTILE_COLUMNS, rows, echo={"trials": 10})
+    columns = tuple(f.name for f in fields(QuantileRow))
+    text = rows_to_csv(columns, rows, echo={"trials": 10})
     lines = text.strip().split("\n")
     assert lines[0].startswith("# {")
     echo = json.loads(lines[0][2:])
     assert echo["schema_version"] == 1 and echo["trials"] == 10
-    assert lines[1] == ",".join(QUANTILE_COLUMNS)
+    assert lines[1] == ",".join(columns)
     assert len(lines) == 2 + len(rows)
+
+
+@pytest.mark.parametrize(
+    "argv, row_type",
+    [
+        (["figure1", "--n", "5", "--alpha", "0.5", "--trials", "4"], QuantileRow),
+        (["theorem", "--n", "4", "--n", "5", "--alpha", "0.5", "--trials", "4"], TrendRow),
+    ],
+    ids=["figure1", "theorem"],
+)
+def test_report_csv_header_is_the_row_dataclass_fields(argv, row_type, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[1].split(",") == [f.name for f in fields(row_type)]
+    assert main(argv + ["--format", "json"]) == 0
+    for row in json.loads(capsys.readouterr().out)["rows"]:
+        assert list(row) == sorted(f.name for f in fields(row_type))
+
+
+def test_walk_csv_writes_none_cells_as_empty_fields():
+    record = WalkRecord(trial=3, policy="srw", n=5, alpha=0.5, start=0, tau=None,
+                        xi=None, steps_taken=40, terminal="step_cap")
+    text = rows_to_csv(WALK_CSV_COLUMNS, [record], {}, WALK_SCHEMA_VERSION,
+                       walk_fields(WALK_CSV_COLUMNS))
+    assert text.splitlines()[1:] == [
+        "trial,policy,n,alpha,tau,xi,steps,terminal",
+        "3,srw,5,0.5,,,40,step_cap",
+    ]
 
 
 def test_report_to_json_is_sorted_and_terminated():

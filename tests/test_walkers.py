@@ -14,6 +14,13 @@ import nashwalk.sinks as sinks
 import nashwalk.walkers as walkers
 from nashwalk.cli import main
 from nashwalk.errors import EmptyTrialCount, NonCanonicalEdge, PneInSample, StepCapZero
+from nashwalk.experiments import (
+    WALK_CSV_COLUMNS,
+    WALK_SCHEMA_VERSION,
+    records_to_jsonl,
+    rows_to_csv,
+    walk_fields,
+)
 from nashwalk.medium import MODE_LAZY, MediumParams, build_medium
 from nashwalk.rng import fold, unit_interval
 from nashwalk.sinks import is_pne, sink_components
@@ -25,8 +32,6 @@ from nashwalk.walkers import (
     Policy,
     WalkConfig,
     parse_policy,
-    records_to_csv,
-    records_to_jsonl,
     run_trials,
     run_walk,
     sample_categorical,
@@ -479,7 +484,8 @@ def test_lazy_mode_trials_run_without_full_analysis():
 def test_records_to_csv_has_schema_echo():
     params = MediumParams(n_players=5, alpha=0.5, seed=77)
     records = run_trials(params, Policy.brd(), WalkConfig(walk_seed=7), trials=4)
-    text = records_to_csv(records, config_echo={"n": 5, "alpha": 0.5})
+    text = rows_to_csv(WALK_CSV_COLUMNS, records, {"n": 5, "alpha": 0.5},
+                       WALK_SCHEMA_VERSION, walk_fields(WALK_CSV_COLUMNS))
     lines = text.strip().split("\n")
     assert lines[0].startswith("# {")
     echo = json.loads(lines[0][2:])
