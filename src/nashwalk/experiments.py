@@ -30,14 +30,7 @@ from .medium import MediumParams, edge_count, trial_medium
 from .parallel import map_ordered
 from .percolation import run_coupling_trials
 from .sinks import expected_pne_count
-from .walkers import (
-    TERMINAL_STEP_CAP,
-    TERMINAL_UNKNOWN,
-    WalkConfig,
-    WalkRecord,
-    parse_policy,
-    walk_trial,
-)
+from .walkers import WalkConfig, WalkRecord, parse_policy, walk_trial
 
 SCHEMA_VERSION = 1
 
@@ -70,7 +63,7 @@ class TrendRow:
     n: int
     alpha: float
     policy: str
-    trials: int  # counted trials (step-cap runs excluded)
+    trials: int  # decided trials (tau or xi observed)
     successes: int  # tau finite and before any trap visit
     p_hat: float
     standard_error: float
@@ -158,8 +151,11 @@ def absorption_trend(
 ) -> list[TrendRow]:
     """P(reach a PNE before any trap visit) across dimensions.
 
-    Step-cap and unresolved runs are excluded from both numerator and
-    denominator and reported separately.
+    A trial is a success when tau is observed and xi is not, or tau < xi; a
+    failure when xi is observed and tau is not, or xi < tau (a walk that
+    visits a trap first fails even if it then steps to the cap).  A trial
+    that observed neither is undecided: it is left out of both numerator
+    and denominator and counted in `excluded_step_cap`.
     """
     rows: list[TrendRow] = []
     parsed = (parse_policy(policy),)
@@ -170,10 +166,10 @@ def absorption_trend(
         successes = 0
         excluded = 0
         for (r,) in results:
-            if r.terminal in (TERMINAL_STEP_CAP, TERMINAL_UNKNOWN):
-                excluded += 1
-            elif _pne_first(r):
+            if _pne_first(r):
                 successes += 1
+            elif r.xi is None:  # tau is None too: neither was observed
+                excluded += 1
         counted = trials - excluded
         if counted == 0:
             raise NoConditionedTrials(f"all trials hit the step cap at n={n}")

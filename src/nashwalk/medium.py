@@ -337,16 +337,18 @@ class Medium:
         """(out_bits, in_bits) of v: bit i set when v's axis-i edge points
         out of / into v; neither bit for a tie.  Memoized.
 
-        On a miss, v is read through ``operator.index`` (a numpy integer
-        reads like an int, a non-integer raises NonCanonicalEdge) and
-        range-checked.  An exhaustive medium then reads v's n table
-        entries; a lazy one hashes all n edges at once in one lane-packed
-        int (see the module docstring)."""
+        A v that is not an int is read through ``operator.index`` before the
+        memo is consulted (a numpy integer reads like an int; a non-integer,
+        1.0 included, raises NonCanonicalEdge whether or not vertex 1's row
+        is memoized).  On a miss v is range-checked; an exhaustive medium
+        then reads v's n table entries, and a lazy one hashes all n edges at
+        once in one lane-packed int (see the module docstring)."""
+        if type(v) is not int:
+            v = as_index(v, NonCanonicalEdge, "vertex")
         row = self._rows.get(v)
         if row is not None:
             return row
         n = self.params.n_players
-        v = as_index(v, NonCanonicalEdge, "vertex")
         if not 0 <= v < self._half << 1:
             raise NonCanonicalEdge(f"vertex {v} outside the {n}-cube")
         table = self._table

@@ -411,7 +411,6 @@ def check_lemma_finally(n: int, alpha: float, trials: int, seed: int) -> dict:
     beta = MediumParams(n, alpha, seed).beta
     mismatches = sum(r.lemma_mismatch for r in results)
     return {
-        "schema_version": 1,
         "n": n,
         "alpha": alpha,
         "beta": beta,

@@ -17,8 +17,11 @@ PNE visit index) and xi (first trap-vertex visit index) when known; they are
 written as CSV or JSON lines by :mod:`nashwalk.experiments`.
 
 Trap detection follows from what a walk is given: :func:`run_walk` reads
-PNEs and traps off a :class:`SinkAnalysis` when it has one, and otherwise
-probes each first revisit with a budgeted closure on the medium's rows.
+traps off a :class:`SinkAnalysis` when it has one, and otherwise probes each
+first revisit outside the traps found so far with a closure on the medium's
+rows, of the closures' default budget.  Either way a step reads the current
+vertex's row once, for its PNE test and its step law, except in an exact srw
+walk, whose law ignores the row and which tests PNEs on the analysis's mask.
 :func:`walk_trial` derives trial i (medium, walk seed, and the sink analysis
 exactly when the medium is exhaustive) and walks every policy on it;
 ``run_trials`` and every walk experiment sweep it with
@@ -36,6 +39,7 @@ from .medium import (
     Medium,
     MediumParams,
     Vertex,
+    as_index,
     neighbors,
     trial_medium,
 )
@@ -105,7 +109,6 @@ def parse_policy(text: str) -> Policy:
 class WalkConfig:
     walk_seed: int
     max_steps: int | None = None  # default 1000 * n^2, resolved at run time
-    lazy_budget: int | None = None
     start: Vertex = 0
     record_path: bool = False
 
@@ -207,76 +210,63 @@ def run_walk(
     """Simulate one trajectory and record (tau, xi, steps, terminal).
 
     tau is the first index at a PNE, xi the first index at a trap vertex.
-    Given `sinks`, detection is exact: both are read off its masks.  Without
-    it detection is lazy: each vertex is probed on its first revisit with a
-    closure of at most config.lazy_budget vertices.  Brd-like walks stop on
-    confirmed trap entry; other policies keep moving and may leave the trap.
+    Each step reads the current vertex's row once, for the PNE test and the
+    step law; an exact srw walk, whose law ignores the row, reads none and
+    tests PNEs on `sinks.pne_mask`.  Given `sinks`, traps are read off its
+    trap_mask.  Without it a vertex is probed on its second visit, with a
+    closure of the default budget, unless it lies in a trap found already.
+    Brd-like walks stop on confirmed trap entry; other policies keep moving
+    and may leave the trap.
     """
     n = medium.n_players
     max_steps = 1000 * n * n if config.max_steps is None else config.max_steps
     if max_steps < 1:
         raise StepCapZero(f"max_steps must be >= 1, got {max_steps}")
-    lazy = sinks is None
-    pne_mask = None if lazy else sinks.pne_mask
-    trap_mask = None if lazy else sinks.trap_mask
-    lazy_budget = config.lazy_budget  # None: the closures' own default
-
-    v = config.start
+    v = as_index(config.start, NonCanonicalEdge, "start vertex")
     if not 0 <= v < 1 << n:
         raise NonCanonicalEdge(f"start vertex {v} outside the {n}-cube")
-    path = [v]
-    tau: int | None = None
-    xi: int | None = None
+    trap_mask = None if sinks is None else sinks.trap_mask
+    pne_mask = None if sinks is None or policy.kind != POLICY_SRW else sinks.pne_mask
     brd_like = policy.brd_like
-    # the srw step law does not depend on the row, so srw steps read none
-    needs_row = policy.kind != POLICY_SRW
 
-    first_seen: set[int] = set()
-    classified: set[int] = set()
-    lazy_trap_union: set[int] = set()
-    budget_blind = False  # a lazy closure test overran its budget
-
-    def at_pne(u: Vertex) -> bool:
-        if pne_mask is not None:
-            return bool(pne_mask[u])
-        return not medium.row(u)[0]
-
-    def in_trap(u: Vertex) -> bool:
-        if trap_mask is not None:
-            return bool(trap_mask[u])
-        return u in lazy_trap_union
-
-    def lazy_probe(u: Vertex) -> None:
-        """On revisiting u, test whether u sits inside a closed PNE-free set."""
-        nonlocal xi, budget_blind
-        classified.add(u)
-        verdict = classify_vertex(medium, u, lazy_budget)
-        if verdict == VertexClass.UNKNOWN:
-            budget_blind = True
-        elif verdict == VertexClass.IN_TRAP:
-            members = forward_closure(medium, u, lazy_budget).visited
-            lazy_trap_union.update(members)
-            # the trap is strongly connected and closed: probing any member
-            # finds this same closure, so none of them is probed again
-            classified.update(members)
-            if xi is None:
-                xi = next(i for i, x in enumerate(path) if x in members)
+    path = [v]
+    xi: int | None = None
+    out_bits = in_bits = 0  # an exact srw walk keeps these: it reads no row
+    visits: dict[int, int] = {}
+    trap_members: set[int] = set()  # the members of every trap found
+    budget_blind = False  # a lazy probe overran its budget
 
     # step t + 1 draws fold(walk_seed, TAG_STEP, t); the first two of its
     # three mix passes do not depend on t
     step_key = fold(config.walk_seed, TAG_STEP)
     for t in range(max_steps + 1):
-        # v = path[t]; index 0 is the start, which is never a revisit
-        if at_pne(v):
-            tau = t
+        # v = path[t]; index 0 is the start, which is never a second visit
+        if pne_mask is None:
+            out_bits, in_bits = medium.row(v)
+            at_pne = not out_bits
+        else:
+            at_pne = pne_mask[v]
+        if at_pne:
             terminal = TERMINAL_ABSORBED
             break
-        if lazy:
-            if v not in first_seen:
-                first_seen.add(v)
-            elif v not in classified:
-                lazy_probe(v)
-        if in_trap(v):
+        if trap_mask is not None:
+            trapped = trap_mask[v]
+        else:
+            visits[v] = count = visits.get(v, 0) + 1
+            if count == 2 and v not in trap_members:
+                # a first revisit: does v sit inside a closed PNE-free set?
+                verdict = classify_vertex(medium, v)
+                if verdict == VertexClass.UNKNOWN:
+                    budget_blind = True
+                elif verdict == VertexClass.IN_TRAP:
+                    members = forward_closure(medium, v).visited
+                    # the trap is strongly connected and closed: probing any
+                    # member finds this same closure, so none is probed again
+                    trap_members.update(members)
+                    if xi is None:
+                        xi = next(i for i, x in enumerate(path) if x in members)
+            trapped = v in trap_members
+        if trapped:
             if xi is None:
                 xi = t
             if brd_like:
@@ -285,7 +275,6 @@ def run_walk(
         if t == max_steps:
             terminal = TERMINAL_UNKNOWN if budget_blind else TERMINAL_STEP_CAP
             break
-        out_bits, in_bits = medium.row(v) if needs_row else (0, 0)
         dist = _distribution(policy, n, v, out_bits, in_bits)
         v = sample_categorical(dist, unit_interval(mix64(step_key ^ t)))
         path.append(v)
@@ -295,8 +284,8 @@ def run_walk(
         policy=policy.label(),
         n=n,
         alpha=medium.params.alpha,
-        start=config.start,
-        tau=tau,
+        start=path[0],
+        tau=t if terminal == TERMINAL_ABSORBED else None,
         xi=xi,
         steps_taken=t,
         terminal=terminal,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import nashwalk.experiments as experiments
 from nashwalk.errors import EmptyTrialCount, NoConditionedTrials, TimeBudgetExceeded
 from nashwalk.cli import main
 from nashwalk.experiments import (
@@ -31,7 +32,17 @@ from nashwalk.experiments import (
 from nashwalk.medium import MediumParams, build_medium
 from nashwalk.rng import fold, TAG_MEDIUM, TAG_WALK
 from nashwalk.sinks import expected_pne_count, sink_components
-from nashwalk.walkers import WalkConfig, WalkRecord, parse_policy, run_trials, run_walk
+from nashwalk.walkers import (
+    TERMINAL_ABSORBED,
+    TERMINAL_IN_TRAP,
+    TERMINAL_STEP_CAP,
+    TERMINAL_UNKNOWN,
+    WalkConfig,
+    WalkRecord,
+    parse_policy,
+    run_trials,
+    run_walk,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +163,46 @@ def test_absorption_trend_deterministic():
     a = absorption_trend([5], 0.7, "srw", 50, seed=7)
     b = absorption_trend([5], 0.7, "srw", 50, seed=7)
     assert a == b
+
+
+def test_absorption_trend_counts_a_trap_first_walk_as_a_failure():
+    # srw keeps stepping after it enters a trap, so a walk that visits a trap
+    # before any PNE reaches the step cap with xi set and tau None: a
+    # failure, not an undecided trial.  At alpha 0, n 6, 22 of these 60
+    # walks start in a trap; once they count, srw's row equals brd's.
+    job = (MediumParams(6, 0.0, 1), (parse_policy("srw"),), WalkConfig(1, 2000))
+    records = [_walk_trial((*job, i))[0] for i in range(60)]
+    trap_first = [r for r in records if r.tau is None and r.xi is not None]
+    assert len(trap_first) == 22
+    assert {r.terminal for r in trap_first} == {TERMINAL_STEP_CAP}
+    (srw,) = absorption_trend([6], 0.0, "srw", 60, seed=1, max_steps=2000)
+    assert (srw.trials, srw.successes, srw.excluded_step_cap) == (60, 38, 0)
+    (brd,) = absorption_trend([6], 0.0, "brd", 60, seed=1, max_steps=2000)
+    assert (brd.trials, brd.successes, brd.p_hat) == (srw.trials, srw.successes, srw.p_hat)
+
+
+def test_absorption_trend_decides_each_trial_by_the_first_of_tau_and_xi(monkeypatch):
+    # success: tau observed, and xi not or later; failure: xi observed, and
+    # tau not or later; neither observed: undecided, hence excluded
+    outcomes = [
+        (5, None, TERMINAL_ABSORBED),
+        (9, 4, TERMINAL_ABSORBED),
+        (4, 9, TERMINAL_ABSORBED),
+        (None, 3, TERMINAL_STEP_CAP),
+        (None, 3, TERMINAL_IN_TRAP),
+        (None, None, TERMINAL_STEP_CAP),
+        (None, None, TERMINAL_UNKNOWN),
+    ]
+
+    def fake_trial(args):
+        *_, trial = args
+        tau, xi, terminal = outcomes[trial]
+        return [WalkRecord(trial, "srw", 6, 0.5, 0, tau, xi, 0, terminal)]
+
+    monkeypatch.setattr(experiments, "_walk_trial", fake_trial)
+    (row,) = absorption_trend([6], 0.5, "srw", len(outcomes), seed=0, n_workers=1)
+    assert (row.trials, row.successes, row.excluded_step_cap) == (5, 2, 2)
+    assert row.p_hat == pytest.approx(2 / 5)
 
 
 def test_absorption_trend_all_trials_censored():

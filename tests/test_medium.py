@@ -400,12 +400,13 @@ def test_lazy_rows_split_a_hash_equal_to_a_threshold_like_the_scalar_read(monkey
 def test_non_integer_vertices_are_rejected_by_rows(mode, warm):
     # Neither a lazy row (which must not hash 1.5 as vertex 1) nor an
     # exhaustive one (which must not fail on float arithmetic) reads a
-    # non-integer, and nothing is memoized for it.
+    # non-integer, and nothing is memoized for it.  An integral float hashes
+    # like its int, so a warm memo must not answer 1.0 with vertex 1's row.
     med = build_medium(6, 0.5, 1, mode=mode)
     if warm:
         for v in range(1 << 6):
             med.row(v)
-    for v in (1.5, np.float64(2.5), "3", None):
+    for v in (1.5, np.float64(2.5), "3", None, 1.0, np.float64(2.0)):
         with pytest.raises(NonCanonicalEdge, match="is not an integer"):
             med.row(v)
         with pytest.raises(NonCanonicalEdge, match="is not an integer"):

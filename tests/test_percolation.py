@@ -484,6 +484,8 @@ def test_check_lemma_finally_reports():
     assert 0.0 <= report["mismatch_frequency"] <= 1.0
     assert report["beta"] == pytest.approx(0.25)
     assert report == check_lemma_finally(6, 0.5, 30, seed=5)
+    # the CLI's JSON writer is the one place a schema version is added
+    assert "schema_version" not in report
 
 
 def test_lemma_mismatches_fade_with_dimension():

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -287,6 +288,36 @@ def test_start_outside_the_cube_is_rejected(lazy):
     assert run_walk(med, Policy.brd(), cfg, sinks=sa).start == 15
 
 
+@pytest.mark.parametrize("lazy", [False, True], ids=["exact", "lazy"])
+def test_start_vertex_is_read_as_an_index(lazy):
+    # a numpy integer start is recorded as an int, so the record serializes;
+    # a non-integer start is rejected alike in both detection modes
+    med = build_medium(6, 0.5, 1)
+    sa = None if lazy else sink_components(med)
+    want = run_walk(med, Policy.brd(), WalkConfig(walk_seed=0, start=5), sinks=sa)
+    for start in (np.uint64(5), np.int8(5)):
+        rec = run_walk(med, Policy.brd(), WalkConfig(walk_seed=0, start=start), sinks=sa)
+        assert type(rec.start) is int and rec == want
+        assert records_to_jsonl([rec]) == records_to_jsonl([want])
+    for start in (1.0, np.float64(5.0), "5", None):
+        with pytest.raises(NonCanonicalEdge, match="is not an integer"):
+            run_walk(med, Policy.brd(), WalkConfig(walk_seed=0, start=start), sinks=sa)
+
+
+@pytest.mark.parametrize("policy", ["brd", "lambda:0.5", "srw"])
+def test_an_exact_walk_reads_one_row_per_step(policy):
+    # the PNE test and the step law share one row read per visited vertex;
+    # the srw law ignores the row, so an exact srw walk reads none
+    policy = parse_policy(policy)
+    for i in range(20):
+        med = build_medium(8, 0.5, fold(77, i))
+        analysis = sink_components(med)
+        reads, row = [], med.row
+        med.row = lambda v: reads.append(v) or row(v)
+        rec = run_walk(med, policy, WalkConfig(walk_seed=i, max_steps=300), sinks=analysis)
+        assert len(reads) == (0 if policy.kind == "srw" else rec.steps_taken + 1)
+
+
 def test_lazy_detection_matches_exact():
     # without a sink analysis, run_walk detects traps lazily
     for i in range(40):
@@ -428,8 +459,10 @@ def test_lazy_detection_from_a_start_inside_a_trap(policy, escape_cube_medium, c
                 assert lazy.path == exact.path
 
 
-def test_lazy_detection_with_starved_budget(cyclic2_medium):
-    cfg = WalkConfig(walk_seed=3, max_steps=20, lazy_budget=3)
+def test_lazy_detection_with_starved_budget(monkeypatch, cyclic2_medium):
+    # a probe whose closure budget is too small to settle anything
+    monkeypatch.setattr(walkers, "classify_vertex", partial(sinks.classify_vertex, budget=3))
+    cfg = WalkConfig(walk_seed=3, max_steps=20)
     rec = run_walk(cyclic2_medium, Policy.brd(), cfg)
     assert rec.terminal == TERMINAL_UNKNOWN
     assert rec.xi is None
