@@ -34,7 +34,7 @@ from .experiments import (
     walk_fields,
     walk_length_quantiles,
 )
-from .medium import MODE_EXHAUSTIVE, MODE_LAZY, MediumParams, build_medium
+from .medium import MODE_EXHAUSTIVE, MODE_LAZY, Medium, MediumParams, build_medium
 from .parallel import check_deadline, resolve_workers
 from .sinks import sink_components
 from .walkers import WalkConfig, parse_policy, run_trials
@@ -171,7 +171,7 @@ def _cmd_figure1(args) -> int:
     policies = args.policy or ["brd", "srw"]
     rows = walk_length_quantiles(
         args.n, args.alpha, args.trials, policies, args.seed,
-        max_steps=args.max_steps, n_workers=resolve_workers(args.threads),
+        max_steps=args.max_steps, n_workers=args.threads,
         deadline=_deadline(args),
     )
     echo = {
@@ -184,7 +184,7 @@ def _cmd_figure1(args) -> int:
 def _cmd_theorem(args) -> int:
     rows = absorption_trend(
         args.n, args.alpha, args.policy, args.trials, args.seed,
-        max_steps=args.max_steps, n_workers=resolve_workers(args.threads),
+        max_steps=args.max_steps, n_workers=args.threads,
         deadline=_deadline(args),
     )
     echo = {
@@ -197,7 +197,7 @@ def _cmd_theorem(args) -> int:
 def _cmd_pne_stats(args) -> int:
     report = pne_count_stats(
         args.n, args.alpha, args.trials, args.seed,
-        n_workers=resolve_workers(args.threads), deadline=_deadline(args),
+        n_workers=args.threads, deadline=_deadline(args),
     )
     payload = dict(dataclasses.asdict(report), command="pne-stats", seed=args.seed)
     _emit_json(payload, args.out)
@@ -207,7 +207,7 @@ def _cmd_pne_stats(args) -> int:
 def _cmd_percolation(args) -> int:
     report = percolation_audit(
         args.n, args.alpha, args.trials, args.seed,
-        n_workers=resolve_workers(args.threads), deadline=_deadline(args),
+        n_workers=args.threads, deadline=_deadline(args),
     )
     _emit_json(dict(report, command="percolation"), args.out)
     return 0
@@ -218,7 +218,7 @@ def _cmd_walk(args) -> int:
     config = WalkConfig(walk_seed=args.seed, max_steps=args.max_steps)
     records = run_trials(
         params, parse_policy(args.policy), config, args.trials,
-        n_workers=resolve_workers(args.threads), deadline=_deadline(args),
+        n_workers=args.threads, deadline=_deadline(args),
     )
     echo = {
         "command": "walk", "n": args.n, "alpha": args.alpha, "seed": args.seed,
@@ -235,8 +235,6 @@ def _cmd_walk(args) -> int:
 def _cmd_analyze(args) -> int:
     deadline = _deadline(args)
     if args.infile:
-        from .medium import Medium
-
         with _file_errors(args.infile), open(args.infile, "rb") as fh:
             data = fh.read()
         medium = Medium.load_bytes(data)

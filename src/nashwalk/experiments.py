@@ -29,7 +29,7 @@ from .errors import NoConditionedTrials
 from .medium import MediumParams, edge_count, trial_medium
 from .parallel import map_ordered
 from .percolation import run_coupling_trials
-from .sinks import expected_pne_count
+from .sinks import enumerate_pnes, expected_pne_count
 from .walkers import WalkConfig, WalkRecord, parse_policy, walk_trial
 
 SCHEMA_VERSION = 1
@@ -91,10 +91,7 @@ def _walk_trial(args):
 
 
 def _pne_trial(args):
-    params, trial = args
-    medium = trial_medium(params, trial)
-    out_deg, _, _ = medium.degrees()
-    return int(np.count_nonzero(out_deg == 0))
+    return len(enumerate_pnes(trial_medium(*args)))
 
 
 # -- experiments --------------------------------------------------------------

@@ -40,10 +40,12 @@ Rows.  Every per-vertex query (``is_pne``, closures, walk steps,
 ``out_bits`` / ``in_bits`` set when v's axis-i edge points out of / into v
 (a tie sets neither).  Rows are memoized per medium in either storage mode,
 at most 2^min(n, 16) of them (the default closure budget, so the whole cube
-for n <= 16); a full memo is emptied before the next row is stored.  A memo
-miss is the one place the storage modes differ.  An exhaustive medium reads
-v's n table entries.  A lazy medium hashes them all in one Python int of n
-128-bit lanes: lane i starts as the base of v's axis-i edge,
+for n <= 16); a full memo is emptied before the next row is stored.  On a
+memo miss an exhaustive medium reads v's n table entries, and its per-edge
+reads (``orientation``, ``orientation_seen_from``) read one entry without a
+row.  A lazy medium answers its per-edge reads from ``row(v)`` as well, so
+the row is its one hasher: it hashes v's n edges in one Python int of n
+128-bit lanes.  Lane i starts as the base of v's axis-i edge,
 ``h0 ^ (v & ~bit_i)`` (the seed's pass h0 is computed once per medium), and
 :func:`~nashwalk.rng.mix64_lanes` mixes every lane at once, the vertex pass
 and then, after each lane is xored with its axis, the edge pass.  Adding
@@ -135,15 +137,9 @@ def edge_count(n: int) -> int:
 
 
 def squeeze_bit(v: int, axis: int) -> int:
-    """Drop bit `axis` from v, closing the gap (inverse of expand_bit)."""
+    """Drop bit `axis` from v, closing the gap."""
     low = v & ((1 << axis) - 1)
     return low | ((v >> (axis + 1)) << axis)
-
-
-def expand_bit(s: int, axis: int) -> int:
-    """Insert a zero bit at position `axis`."""
-    low = s & ((1 << axis) - 1)
-    return low | ((s >> axis) << (axis + 1))
 
 
 def as_index(value, error: type[Exception], what: str) -> int:
@@ -276,15 +272,15 @@ class Medium:
         self._row_cap = default_closure_budget(n)
         self._axis_bits = tuple(1 << axis for axis in range(n))
         if table is None:
-            self._t_tie, self._t_up = _tie_up_thresholds(params.alpha)
+            t_tie, t_up = _tie_up_thresholds(params.alpha)
             # fold(seed, base, axis) == mix64(mix64(h0 ^ base) ^ axis); the
             # seed's own pass is the same for every edge, so it is done once
             self._h0 = mix64(params.seed)
             one, low, golden, diag, axes = _row_lanes(n)
             # adding 2^64 - t to a lane carries into its bit 64 exactly when
             # the lane's hash is >= t (both t < 2^64, as alpha < 1)
-            tie_add = ((1 << 64) - self._t_tie) * one
-            up_add = ((1 << 64) - self._t_up) * one
+            tie_add = ((1 << 64) - t_tie) * one
+            up_add = ((1 << 64) - t_up) * one
             self._lanes = (one, low, golden, diag, axes, tie_add, up_add)
 
     # -- construction -----------------------------------------------------
@@ -384,8 +380,9 @@ class Medium:
         """Edge state relative to v: UP = out of v, DOWN = into v, TIE = tie.
 
         The coupling's per-edge read: axis and v are checked once, then the
-        entry is read straight from the table (or hashed in lazy mode).  A
-        numpy uint64 meeting a numpy int64 makes that arithmetic raise
+        entry is read straight from the table.  A lazy medium decodes bit
+        `axis` of :meth:`row` instead, so its edges are hashed in one place.
+        A numpy uint64 meeting a numpy int64 makes the table arithmetic raise
         TypeError; only then are v and axis read through ``operator.index``
         (as in :meth:`check_edge`) and the read retried, so the Python-int
         path does no extra work.  A non-integer raises NonCanonicalEdge or
@@ -400,15 +397,11 @@ class Medium:
             bit = 1 << axis
             table = self._table
             if table is None:
-                # numpy ints would overflow against h0, as in row(); a
-                # float v must raise here, since a tie never reads v & bit
-                base = operator.index(v) & ~bit
-                h = mix64(mix64(self._h0 ^ int(base)) ^ int(axis))
-                code = TIE if h < self._t_tie else UP if h < self._t_up else DOWN
-            else:
-                # edge_index(base, axis, n) with squeeze_bit inlined
-                squeezed = (v & (bit - 1)) | ((v >> (axis + 1)) << axis)
-                code = table.item(axis * self._half + squeezed)
+                out_bits, in_bits = self.row(v)
+                return UP if out_bits & bit else DOWN if in_bits & bit else TIE
+            # edge_index(base, axis, n) with squeeze_bit inlined
+            squeezed = (v & (bit - 1)) | ((v >> (axis + 1)) << axis)
+            code = table.item(axis * self._half + squeezed)
             if code == TIE or not v & bit:
                 return code
             return DOWN if code == UP else UP
@@ -440,11 +433,6 @@ class Medium:
         """Orientation codes for axis's canonical edges, shaped to line up
         with ``axis_view(per_vertex, axis)[:, 0, :]``."""
         return edge_block(self.require_table(), axis, self.n_players)
-
-    def axis_bases(self, axis: int) -> np.ndarray:
-        """Base vertices for axis_block(axis), flattened in block order (uint64)."""
-        vertices = np.arange(1 << self.n_players, dtype=np.uint64)
-        return axis_view(vertices, axis)[:, 0, :].ravel()
 
     def out_mask(self, axis: int, out: np.ndarray) -> np.ndarray:
         """Fill the per-vertex bool buffer `out` (length 2^n) with "v's

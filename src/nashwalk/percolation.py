@@ -52,12 +52,11 @@ from .medium import (
     edge_hashes,
     edge_index,
     file_positions,
-    neighbors,
     trial_medium,
 )
 from .parallel import map_ordered
 from .rng import MASK64, TAG_PERC, fold, threshold
-from .sinks import backward_reach
+from .sinks import backward_reach, reaching
 
 PERC_MAGIC = b"NWPERC\x00\x00"  # 8-byte field, name NUL-padded
 PERC_FORMAT_VERSION = 1
@@ -270,15 +269,7 @@ def reverse_accessible_from_zero(medium: Medium) -> set[int]:
         zero = np.zeros(1 << medium.n_players, dtype=bool)
         zero[0] = True
         return set(np.flatnonzero(backward_reach(medium, zero)).tolist())
-    seen = {0}
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for w in neighbors(u, medium.row(u)[1]):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+    return reaching(medium, 0)
 
 
 @dataclass(frozen=True)

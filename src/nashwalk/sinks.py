@@ -81,7 +81,7 @@ def is_pne(medium: Medium, v: Vertex) -> bool:
 def enumerate_pnes(medium: Medium) -> list[int]:
     """All PNE vertices, ascending (exhaustive mode only)."""
     out_deg, _, _ = medium.degrees()
-    return [int(v) for v in np.nonzero(out_deg == 0)[0]]
+    return np.flatnonzero(out_deg == 0).tolist()
 
 
 def expected_pne_count(n: int, alpha: float) -> float:
@@ -397,20 +397,26 @@ def classify_vertex(medium: Medium, v: Vertex, budget: int | None = None) -> Ver
         return VertexClass.TRANSIENT
     members = closure.visited
     assert len(members) >= 2  # a non-PNE vertex has at least one out-neighbor
-    # Does every member reach v?  Walk in-edges from v inside the closure;
-    # paths from members cannot leave a closed set, so this is exact.
+    # Does every member reach v?  Paths from members cannot leave a closed
+    # set, so searching in-edges inside the closure is exact.
+    if len(reaching(medium, v, members)) == len(members):
+        return VertexClass.IN_TRAP
+    return VertexClass.DOOMED
+
+
+def reaching(medium: Medium, v: Vertex, within: set[int] | None = None) -> set[int]:
+    """Every vertex with an oriented path into v, v included: a DFS along
+    in-edges (``row(u)[1]``), in either storage mode.  With `within`, the
+    search enters only members of `within` (v is always in the result)."""
     seen = {v}
     queue = [v]
     while queue:
         u = queue.pop()
         for w in neighbors(u, medium.row(u)[1]):
-            if w in members and w not in seen:
+            if w not in seen and (within is None or w in within):
                 seen.add(w)
                 queue.append(w)
-    if len(seen) == len(members):
-        assert not closure.contains_pne
-        return VertexClass.IN_TRAP
-    return VertexClass.DOOMED
+    return seen
 
 
 def m_beta(alpha: float) -> int:

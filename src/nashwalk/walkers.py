@@ -316,7 +316,7 @@ def run_trials(
     policy: Policy,
     config: WalkConfig,
     trials: int,
-    n_workers: int = 1,
+    n_workers: int | None = 1,
     deadline: float | None = None,
 ) -> list[WalkRecord]:
     """Run independent trials; trial i derives its own medium and walk seeds.

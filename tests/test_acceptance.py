@@ -235,8 +235,9 @@ def test_criterion_10_payoff_oracle_equivalence():
         medium = medium_from_payoffs(game)
         ok = True
         for axis in range(n):
-            for base in medium.axis_bases(axis):
-                base = int(base)
+            for base in range(1 << n):
+                if base >> axis & 1:
+                    continue
                 partner = base | (1 << axis)
                 z_b = game.payoffs[axis, base]
                 z_p = game.payoffs[axis, partner]

@@ -148,15 +148,19 @@ def test_walk_length_quantiles_needs_trials():
 
 
 def test_absorption_trend_rows():
-    rows = absorption_trend([4, 6], 0.5, "brd", 200, seed=6)
-    assert [r.n for r in rows] == [4, 6]
-    for row in rows:
-        assert row.trials == 200
-        assert 0 <= row.successes <= 200 - row.excluded_step_cap
-        assert 0.0 <= row.p_hat <= 1.0
-        counted = row.trials - row.excluded_step_cap
-        want_se = math.sqrt(row.p_hat * (1 - row.p_hat) / counted)
-        assert row.standard_error == pytest.approx(want_se)
+    # TrendRow.trials counts the decided trials alone, so the undecided ones
+    # make up the rest of the 200 requested.  Without a cap brd decides
+    # every trial here; a two-step cap leaves 49 and 107 undecided.
+    for max_steps, excluded in ((None, [0, 0]), (2, [49, 107])):
+        rows = absorption_trend([4, 6], 0.5, "brd", 200, seed=6, max_steps=max_steps)
+        assert [r.n for r in rows] == [4, 6]
+        assert [r.excluded_step_cap for r in rows] == excluded
+        for row in rows:
+            assert row.trials + row.excluded_step_cap == 200
+            assert 0 <= row.successes <= row.trials
+            assert row.p_hat == row.successes / row.trials
+            want_se = math.sqrt(row.p_hat * (1 - row.p_hat) / row.trials)
+            assert row.standard_error == pytest.approx(want_se)
 
 
 def test_absorption_trend_deterministic():

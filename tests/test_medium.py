@@ -29,7 +29,6 @@ from nashwalk.medium import (
     build_medium,
     edge_count,
     edge_index,
-    expand_bit,
     medium_from_payoffs,
     neighbor_partition,
     orientation,
@@ -140,9 +139,10 @@ def test_lazy_matches_exhaustive(alpha):
     ex = build_medium(n, alpha, seed)
     lz = build_medium(n, alpha, seed, mode=MODE_LAZY)
     for axis in range(n):
-        for base in ex.axis_bases(axis):
-            ref = EdgeRef(int(base), axis)
-            assert ex.orientation(ref) == lz.orientation(ref)
+        for base in range(1 << n):
+            if not base >> axis & 1:
+                ref = EdgeRef(base, axis)
+                assert ex.orientation(ref) == lz.orientation(ref)
 
 
 @given(
@@ -269,14 +269,25 @@ def test_degrees_of_constant_tables(n, code):
         assert np.array_equal(got, want)
 
 
+def lazy_and_twin(med):
+    """A lazy medium with med's n, alpha and seed, and its exhaustive twin.
+
+    A lazy medium's per-edge reads decode its rows, so the twin's table,
+    which is hashed without rows, is the oracle for both."""
+    n, alpha, seed = med.n_players, med.params.alpha, med.params.seed
+    return build_medium(n, alpha, seed, mode=MODE_LAZY), build_medium(n, alpha, seed)
+
+
 @given(media_up_to_9(), st.booleans())
 def test_orientation_seen_from_matches_neighbor_partition(med, lazy):
-    # Oracle: neighbor_partition's out / inward / tie lists, per vertex.
+    # Oracle: neighbor_partition's out / inward / tie lists, per vertex, of
+    # the medium itself or, for a lazy medium, of its exhaustive twin.
     n = med.n_players
+    oracle = med
     if lazy:
-        med = build_medium(n, med.params.alpha, med.params.seed, mode=MODE_LAZY)
+        med, oracle = lazy_and_twin(med)
     for v in range(1 << n):
-        part = med.neighbor_partition(v)
+        part = oracle.neighbor_partition(v)
         expect = {w: UP for w in part.out}
         expect.update((w, DOWN) for w in part.inward)
         expect.update((w, TIE) for w in part.tie)
@@ -286,20 +297,24 @@ def test_orientation_seen_from_matches_neighbor_partition(med, lazy):
 
 @given(media_up_to_9(), st.booleans(), st.booleans())
 def test_rows_match_per_edge_oracle(med, lazy, cap_one):
-    # Oracle: the per-edge reads orientation / orientation_seen_from, which
-    # do not go through rows.  Both modes, every row queried twice, and with
-    # a one-row memo emptied before almost every store.
+    # Oracle: an exhaustive medium's per-edge reads orientation /
+    # orientation_seen_from, which do not go through rows: the medium's own
+    # or, for a lazy medium (whose per-edge reads are row decodes, checked
+    # here too), its exhaustive twin's.  Both modes, every row queried
+    # twice, and with a one-row memo emptied before almost every store.
     n = med.n_players
+    oracle = med
     if lazy:
-        med = build_medium(n, med.params.alpha, med.params.seed, mode=MODE_LAZY)
+        med, oracle = lazy_and_twin(med)
     if cap_one:
         med._row_cap = 1
     for v in range(1 << n):
         out_bits = in_bits = 0
         for axis in range(n):
             bit = 1 << axis
-            code = med.orientation(EdgeRef(v & ~bit, axis))
-            seen = med.orientation_seen_from(v, axis)
+            code = oracle.orientation(EdgeRef(v & ~bit, axis))
+            seen = oracle.orientation_seen_from(v, axis)
+            assert med.orientation_seen_from(v, axis) == seen
             if code == TIE:
                 assert seen == TIE
             elif (code == UP) == (not v & bit):
@@ -357,18 +372,23 @@ LANE_ALPHAS = (0.0, 0.5, 0.9, 1.0 - 2.0**-53)
     picks=st.lists(st.integers(min_value=0, max_value=2**62 - 1), max_size=6),
 )
 def test_lazy_rows_match_per_edge_hash_up_to_the_cap(n, alpha, seed, picks):
-    # Oracle: the scalar per-edge hash of orientation_seen_from, which does
-    # not go through the lane-packed row.
+    # Oracle: long hand, the scalar fold(seed, base, axis) of each of v's
+    # edges against the Tie / Up thresholds, one edge at a time.
     assert _tie_up_thresholds(LANE_ALPHAS[-1])[0] == 2**64 - 2**11
+    t_tie, t_up = _tie_up_thresholds(alpha)
     med = build_medium(n, alpha, seed, mode=MODE_LAZY)
     for v in (0, (1 << n) - 1, *(p % (1 << n) for p in picks)):
         out_bits = in_bits = 0
         for axis in range(n):
-            seen = med.orientation_seen_from(v, axis)
-            if seen == UP:
-                out_bits |= 1 << axis
-            elif seen == DOWN:
-                in_bits |= 1 << axis
+            bit = 1 << axis
+            h = fold(seed, v & ~bit, axis)
+            if h < t_tie:
+                continue
+            # an Up edge (t_tie <= h < t_up) points out of its base
+            if (h < t_up) == (not v & bit):
+                out_bits |= bit
+            else:
+                in_bits |= bit
         med._rows.clear()
         assert med.row(v) == (out_bits, in_bits), v
 
@@ -519,7 +539,8 @@ def test_squeeze_expand_roundtrip(n, data):
     base = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     base &= ~(1 << axis)  # canonical form: chosen bit cleared
     packed = squeeze_bit(base, axis)
-    assert expand_bit(packed, axis) == base
+    # long hand: insert a zero bit at `axis`
+    assert (packed & ((1 << axis) - 1)) | ((packed >> axis) << (axis + 1)) == base
     idx = edge_index(base, axis, n)
     assert 0 <= idx < edge_count(n)
 
@@ -610,9 +631,10 @@ def test_medium_from_payoffs_matches_naive_comparison(spec):
         game = sample_payoff_game(5, spec, seed=fold(303, trial))
         med = medium_from_payoffs(game)
         for axis in range(5):
-            for base in med.axis_bases(axis):
-                got = med.orientation(EdgeRef(int(base), axis))
-                assert got == naive_orientation_from_payoffs(game, int(base), axis)
+            for base in range(1 << 5):
+                if not base >> axis & 1:
+                    got = med.orientation(EdgeRef(base, axis))
+                    assert got == naive_orientation_from_payoffs(game, base, axis)
 
 
 @pytest.mark.parametrize("spec", [

@@ -82,6 +82,8 @@ def test_each_traced_trial_is_counted_once(tmp_path):
         f"theorem --n 4 --n 5 --alpha 0.5 --trials 2 {out}",  # 4 trials
         f"walk --n 5 --alpha 0.5 --trials 4 {out}",  # 4 trials
         f"walk --n 8 --alpha 0.5 --mode lazy --trials 3 {out}",  # 3 trials
+        f"pne-stats --n 5 --alpha 0.5 --trials 3 {out}",  # 3 trials
+        f"percolation --n 5 --alpha 0.5 --trials 2 {out}",  # 2 trials
     )
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "nwbench")])
     done = subprocess.run(
@@ -89,4 +91,4 @@ def test_each_traced_trial_is_counted_once(tmp_path):
         env=dict(os.environ, PYTHONPATH=path), timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [6, 10, 14, 17]
+    assert json.loads(done.stdout.splitlines()[-1]) == [6, 10, 14, 17, 20, 22]
