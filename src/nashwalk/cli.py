@@ -35,7 +35,7 @@ from .experiments import (
     walk_length_quantiles,
 )
 from .medium import MODE_EXHAUSTIVE, MODE_LAZY, Medium, MediumParams, build_medium
-from .parallel import check_deadline, resolve_workers
+from .parallel import check_deadline, keep_freed_pages, resolve_workers
 from .sinks import sink_components
 from .walkers import WalkConfig, parse_policy, run_trials
 
@@ -278,6 +278,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    keep_freed_pages()
     try:
         _check_common(args)
         return _HANDLERS[args.command](args)

@@ -120,7 +120,7 @@ def walk_length_quantiles(
     """
     rows: list[QuantileRow] = []
     parsed = tuple(parse_policy(label) for label in policies)
-    config = WalkConfig(seed, max_steps)
+    config = WalkConfig(seed, max_steps, stop_at_trap=True)
     for alpha in alphas:
         job = (MediumParams(n, alpha, seed), parsed, config)
         results = map_ordered(_walk_trial, job, trials, n_workers, deadline)
@@ -156,7 +156,7 @@ def absorption_trend(
     """
     rows: list[TrendRow] = []
     parsed = (parse_policy(policy),)
-    config = WalkConfig(seed, max_steps)
+    config = WalkConfig(seed, max_steps, stop_at_trap=True)
     for n in n_list:
         job = (MediumParams(n, alpha, seed), parsed, config)
         results = map_ordered(_walk_trial, job, trials, n_workers, deadline)

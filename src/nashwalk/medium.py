@@ -22,9 +22,16 @@ and :func:`edge_block` that of a per-edge array (a table, a percolation's
 open edges, file positions); every vectorized walk over an axis's edges
 (hashing, :meth:`Medium.out_mask`, degrees, edge lists, payoff comparison,
 file order, percolation) goes through them, with strided views instead of
-index arrays.  Edge positions come from :func:`edge_index` (elementwise on
-int64 arrays too), so no other module spells out the table's codes or its
-index arithmetic.
+index arrays.  On axes 1 and 2 these views have inner runs of 2 or 4
+elements, and a ufunc pass over them costs several times a high axis's, so
+the per-trial kernels (:func:`edge_hashes`, :meth:`Medium.out_mask`,
+:meth:`Medium.degrees`) pass every operand below axis 3 through
+:func:`long_inner`, a transpose that puts the long dimension innermost, and
+call the ufunc with ``order="C"``.  Edge positions come from
+:func:`edge_index` (elementwise on int64 arrays too), so no other module
+spells out the table's codes or its index arithmetic.  The buffers these
+kernels allocate per trial are reused across trials only when freed memory
+stays mapped, which :func:`nashwalk.parallel.keep_freed_pages` arranges.
 
 Hashing.  ``fold(seed, base, axis) = mix64(mix64(mix64(seed) ^ base) ^ axis)``:
 the seed's pass is the same for every edge, and ``mix64(h0 ^ v)`` is shared
@@ -90,6 +97,9 @@ MODE_LAZY = "lazy"
 
 EXHAUSTIVE_CAP = 24
 LAZY_CAP = 62
+
+# axes below this one are walked through transposed views (see long_inner)
+LOW_AXES = 3
 
 MEDIUM_MAGIC = b"NWMEDIUM"
 MEDIUM_FORMAT_VERSION = 1
@@ -168,6 +178,20 @@ def axis_view(per_vertex: np.ndarray, axis: int) -> np.ndarray:
     return per_vertex.reshape(-1, 2, 1 << axis)
 
 
+def long_inner(half: np.ndarray, axis: int) -> np.ndarray:
+    """A (2^(n-1-axis), 2^axis) view -- an :func:`axis_view` half or an
+    :func:`edge_block` -- laid out so a ufunc runs long inner loops.
+
+    A ufunc walks such a view in inner runs of 2^axis elements, which on
+    axes 1 and 2 are runs of 2 or 4 that cost several times a high axis's
+    pass.  Below axis 3 the view is transposed, so a ufunc called with
+    ``order="C"`` runs 2^(n-1-axis) strided elements per inner loop; from
+    axis 3 on it is returned as it is.  Every operand of one ufunc call goes
+    through it with the same axis, so they stay lined up elementwise.
+    """
+    return half.T if axis < LOW_AXES else half
+
+
 def edge_block(per_edge: np.ndarray, axis: int, n: int) -> np.ndarray:
     """View axis `axis`'s block of an axis-major per-edge array (length
     n * 2^(n-1)) as (2^(n-1-axis), 2^axis), lined up elementwise with
@@ -202,7 +226,8 @@ def edge_hashes(key: int, n: int):
     for axis in range(n):
         bases = axis_view(hv, axis)[:, 0, :]
         out, spare = h.reshape(bases.shape), tmp.reshape(bases.shape)
-        np.bitwise_xor(bases, np.uint64(axis), out=out)
+        np.bitwise_xor(long_inner(bases, axis), np.uint64(axis),
+                       out=long_inner(out, axis), order="C")
         yield mix64_np(out, out=out, tmp=spare)
 
 
@@ -438,18 +463,26 @@ class Medium:
         """Fill the per-vertex bool buffer `out` (length 2^n) with "v's
         axis-`axis` edge points out of v" and return it: an Up edge leaves
         its base, a Down edge its partner, a tie neither."""
-        block = self.axis_block(axis)
+        return self._code_mask(axis, out, UP, DOWN)
+
+    def _code_mask(
+        self, axis: int, out: np.ndarray, base_code: int, partner_code: int
+    ) -> np.ndarray:
+        """Fill `out` with "the axis-`axis` edge's code is `base_code`" at the
+        edge's base and "is `partner_code`" at its partner, by two compares
+        of the table block (through :func:`long_inner`), and return it."""
+        block = long_inner(self.axis_block(axis), axis)
         view = axis_view(out, axis)
-        np.equal(block, UP, out=view[:, 0, :])
-        np.equal(block, DOWN, out=view[:, 1, :])
+        np.equal(block, base_code, out=long_inner(view[:, 0, :], axis), order="C")
+        np.equal(block, partner_code, out=long_inner(view[:, 1, :], axis), order="C")
         return out
 
     def degrees(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(out_degree, in_degree, tie_degree) int16 arrays over all vertices.
 
-        Per axis, :meth:`out_mask` fills a per-vertex bool buffer, and its
-        two halves swapped across the axis are the "into v" buffer (an edge
-        points into v when it points out of v's partner); both are then
+        Per axis, two per-vertex bool buffers are filled by compares of the
+        table block: :meth:`out_mask`, and "into v", where a Down edge
+        points into its base and an Up edge into its partner.  Both are
         added to the counts as contiguous arrays.  The counts are int8,
         which holds any degree of an exhaustive cube (n <= 24), and are
         widened once at the end.
@@ -460,12 +493,8 @@ class Medium:
         out_b = np.empty(1 << n, dtype=bool)
         in_b = np.empty(1 << n, dtype=bool)
         for axis in range(n):
-            out_v = axis_view(self.out_mask(axis, out_b), axis)
-            in_v = axis_view(in_b, axis)
-            in_v[:, 0, :] = out_v[:, 1, :]
-            in_v[:, 1, :] = out_v[:, 0, :]
-            out_deg += out_b.view(np.int8)
-            in_deg += in_b.view(np.int8)
+            out_deg += self.out_mask(axis, out_b).view(np.int8)
+            in_deg += self._code_mask(axis, in_b, DOWN, UP).view(np.int8)
         out_deg = out_deg.astype(np.int16)
         in_deg = in_deg.astype(np.int16)
         return out_deg, in_deg, n - out_deg - in_deg

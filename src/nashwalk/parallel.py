@@ -10,16 +10,41 @@ other value that is not an integer of at least 1 is an error.  A wall-clock
 deadline is checked before every trial and after the last (serial) or as
 every result arrives (parallel, after which the pending trials are
 cancelled), so a sweep whose last trial overruns fails on either path.
+
+Each trial allocates and frees the same few buffers (about 1 MiB for an
+exhaustive n=15 trial).  By default glibc maps blocks of that size afresh
+and unmaps them on free, so every trial faults its pages back in;
+:func:`keep_freed_pages` stops that, once per process: the CLI calls it
+before it dispatches, and a pool runs it in every worker.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import time
 
 from .errors import EmptyTrialCount, NashwalkError, TimeBudgetExceeded
 
 ENV_THREADS = "NASHWALK_THREADS"
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def keep_freed_pages() -> None:
+    """Keep freed memory mapped for reuse: serve blocks below 32 MiB from
+    the heap and never trim it, through glibc's ``mallopt``.  A no-op where
+    the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, -1)
 
 
 def resolve_workers(n_workers: int | None = None) -> int:
@@ -72,7 +97,7 @@ def map_ordered(
 
     check_deadline(deadline)
     chunk = max(1, len(jobs) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    with ProcessPoolExecutor(max_workers=workers, initializer=keep_freed_pages) as ex:
         try:
             for result in ex.map(fn, jobs, chunksize=chunk):
                 check_deadline(deadline)

@@ -111,6 +111,9 @@ class WalkConfig:
     max_steps: int | None = None  # default 1000 * n^2, resolved at run time
     start: Vertex = 0
     record_path: bool = False
+    # stop every walk at its first known trap visit, as brd-like walks stop;
+    # for reports that read only which of tau and xi comes first
+    stop_at_trap: bool = False
 
 
 @dataclass
@@ -215,8 +218,9 @@ def run_walk(
     tests PNEs on `sinks.pne_mask`.  Given `sinks`, traps are read off its
     trap_mask.  Without it a vertex is probed on its second visit, with a
     closure of the default budget, unless it lies in a trap found already.
-    Brd-like walks stop on confirmed trap entry; other policies keep moving
-    and may leave the trap.
+    Brd-like walks stop on confirmed trap entry, and so does every walk
+    under ``config.stop_at_trap``; other walks keep moving and may leave
+    the trap.
     """
     n = medium.n_players
     max_steps = 1000 * n * n if config.max_steps is None else config.max_steps
@@ -227,7 +231,7 @@ def run_walk(
         raise NonCanonicalEdge(f"start vertex {v} outside the {n}-cube")
     trap_mask = None if sinks is None else sinks.trap_mask
     pne_mask = None if sinks is None or policy.kind != POLICY_SRW else sinks.pne_mask
-    brd_like = policy.brd_like
+    stop_in_trap = policy.brd_like or config.stop_at_trap
 
     path = [v]
     xi: int | None = None
@@ -269,7 +273,7 @@ def run_walk(
         if trapped:
             if xi is None:
                 xi = t
-            if brd_like:
+            if stop_in_trap:
                 terminal = TERMINAL_IN_TRAP
                 break
         if t == max_steps:
@@ -316,11 +320,12 @@ def run_trials(
     policy: Policy,
     config: WalkConfig,
     trials: int,
-    n_workers: int | None = 1,
+    n_workers: int | None = None,
     deadline: float | None = None,
 ) -> list[WalkRecord]:
     """Run independent trials; trial i derives its own medium and walk seeds.
 
+    `n_workers` None means NASHWALK_THREADS, as in every other sweep.
     Results are ordered by trial index regardless of worker count, and every
     per-trial quantity is a pure function of (base seeds, i), so reruns are
     bit-identical.  `deadline` (a time.monotonic() value) is checked before

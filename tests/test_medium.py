@@ -26,8 +26,10 @@ from nashwalk.medium import (
     PayoffGame,
     PayoffSpec,
     _tie_up_thresholds,
+    axis_view,
     build_medium,
     edge_count,
+    edge_hashes,
     edge_index,
     medium_from_payoffs,
     neighbor_partition,
@@ -36,7 +38,7 @@ from nashwalk.medium import (
     squeeze_bit,
 )
 from nashwalk.percolation import sample_percolation
-from nashwalk.rng import fold, TAG_MEDIUM
+from nashwalk.rng import fold, mix64, TAG_MEDIUM
 from nashwalk.sinks import VertexClass, classify_vertex
 from nashwalk.walkers import Policy, verify_assumption
 
@@ -267,6 +269,50 @@ def test_degrees_of_constant_tables(n, code):
     }[code]
     for got, want in zip((out_deg, in_deg, tie_deg), expect):
         assert np.array_equal(got, want)
+
+
+def prefilled_empty(fill: bool):
+    """A stand-in for ``np.empty`` whose arrays start full: True for bool
+    arrays, and every byte 0xFF (or 0 when `fill` is False) for others."""
+    empty = np.empty
+
+    def prefilled(*args, **kwargs):
+        a = empty(*args, **kwargs)
+        if a.dtype == bool:
+            a[...] = fill
+        else:
+            a.view(np.uint8)[...] = 0xFF if fill else 0
+        return a
+
+    return prefilled
+
+
+@pytest.mark.parametrize("fill", [True, False])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_kernels_overwrite_every_element_of_their_buffers(n, fill, monkeypatch):
+    # Axes below 3 are written through transposed views; a position they
+    # missed would keep the buffer's old contents.  out_mask is handed a
+    # prefilled buffer, and degrees and edge_hashes allocate theirs with a
+    # prefilling np.empty.  The oracles are the per-vertex rows and the
+    # scalar fold.
+    seed = fold(n, int(fill))
+    med = build_medium(n, 0.5, seed)
+    rows = [med.row(v) for v in range(1 << n)]
+    buf = np.empty(1 << n, dtype=bool)
+    for axis in range(n):
+        buf[...] = fill
+        assert med.out_mask(axis, buf) is buf
+        assert buf.tolist() == [bool(out >> axis & 1) for out, _ in rows], axis
+    monkeypatch.setattr(np, "empty", prefilled_empty(fill))
+    out_deg, in_deg, tie_deg = med.degrees()
+    assert out_deg.tolist() == [out.bit_count() for out, _ in rows]
+    assert in_deg.tolist() == [inn.bit_count() for _, inn in rows]
+    assert (out_deg + in_deg + tie_deg == n).all()
+    vertices = np.arange(1 << n)
+    for axis, h in enumerate(edge_hashes(mix64(seed), n)):
+        bases = axis_view(vertices, axis)[:, 0, :].ravel().tolist()
+        assert h.ravel().tolist() == [fold(seed, b, axis) for b in bases], axis
+    assert np.array_equal(build_medium(n, 0.5, seed).require_table(), med.require_table())
 
 
 def lazy_and_twin(med):

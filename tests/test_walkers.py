@@ -10,6 +10,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nashwalk.sinks as sinks
 import nashwalk.walkers as walkers
@@ -22,7 +23,7 @@ from nashwalk.experiments import (
     rows_to_csv,
     walk_fields,
 )
-from nashwalk.medium import MODE_LAZY, MediumParams, build_medium
+from nashwalk.medium import MODE_EXHAUSTIVE, MODE_LAZY, MediumParams, build_medium
 from nashwalk.rng import fold, unit_interval
 from nashwalk.sinks import is_pne, sink_components
 from nashwalk.walkers import (
@@ -352,6 +353,60 @@ def test_walk_trial_agrees_across_storage_modes(n, alpha):
                     assert lz.path[: len(ex.path)] == ex.path
                 else:
                     assert (ex.path, ex.terminal) == (lz.path, lz.terminal)
+
+
+def decision(record) -> str:
+    """How figure1 and theorem read a record: which of tau and xi came first."""
+    if record.tau is not None and (record.xi is None or record.tau < record.xi):
+        return "success"
+    return "excluded" if record.xi is None else "failure"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=10),
+    alpha=st.sampled_from([0.0, 0.3, 0.9]),
+    policy=st.sampled_from(["brd", "srw", "lambda:0.5"]),
+    mode=st.sampled_from([MODE_EXHAUSTIVE, MODE_LAZY]),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    trial=st.integers(min_value=0, max_value=1000),
+)
+def test_a_walk_stopped_at_its_trap_is_decided_like_the_full_walk(
+    n, alpha, policy, mode, seed, trial
+):
+    # figure1 and theorem stop every walk at its first known trap visit.
+    # The stopped walk is a prefix of the full one, and it is a success, a
+    # failure or undecided exactly when the full walk is.
+    params = MediumParams(n, alpha, seed, mode)
+    policies = (parse_policy(policy),)
+    cfg = WalkConfig(walk_seed=seed, max_steps=2000, record_path=True)
+    (full,) = walk_trial(params, policies, cfg, trial)
+    (stopped,) = walk_trial(params, policies, replace(cfg, stop_at_trap=True), trial)
+    assert decision(stopped) == decision(full)
+    assert full.path[: len(stopped.path)] == stopped.path
+    assert (stopped.tau, stopped.xi) == (full.tau, full.xi) or (
+        stopped.tau is None and stopped.xi == full.xi
+        and stopped.terminal == TERMINAL_IN_TRAP
+    )
+    if full.xi is None or policies[0].brd_like:
+        assert stopped == full
+
+
+@pytest.mark.parametrize("mode", [MODE_EXHAUSTIVE, MODE_LAZY])
+@pytest.mark.parametrize("policy", ["srw", "lambda:0.5"])
+def test_trap_first_walks_stop_and_are_decided_alike(policy, mode):
+    # theorem's alpha = 0 srw cell: about two walks in five visit a trap
+    # before any PNE, so the stop cuts many of these walks short
+    params = MediumParams(8, 0.0, 1, mode)
+    policies = (parse_policy(policy),)
+    cfg = WalkConfig(walk_seed=1, max_steps=4000)
+    cut = 0
+    for trial in range(30):
+        (full,) = walk_trial(params, policies, cfg, trial)
+        (stopped,) = walk_trial(params, policies, replace(cfg, stop_at_trap=True), trial)
+        assert decision(stopped) == decision(full)
+        cut += stopped.steps_taken < full.steps_taken
+    assert cut >= 5
 
 
 def test_lazy_walks_do_not_depend_on_the_row_memo():
