@@ -62,6 +62,17 @@ down-edge masks, read off the lanes' bytes.  For any n a row costs two
 mix passes and two threshold reads over one 16n-byte int.  Closure probes
 and walks revisit the same vertices many times, and with the memo those
 revisits read nothing.
+
+Files.  NWMEDIUM (a medium's 2-bit codes) and NWPERC (a percolation's
+1-bit open flags) are one codec: :func:`dump_edges` writes a
+:mod:`~nashwalk.container` with the caller's JSON header and the per-edge
+values in (base ascending, axis ascending) order, :func:`file_positions`
+being that permutation of the table layout, packed 8 // width to a byte,
+entry k at bits width * (k mod 8 // width).  :func:`load_edges` reverses it
+and makes every check the two formats share (header fields,
+``format_version``, a 64-bit seed, the exact payload length); each format
+checks only its own fields.  A loaded medium is built by
+:meth:`Medium.from_orientation_table`, the one check that codes are 0-2.
 """
 
 from __future__ import annotations
@@ -102,7 +113,7 @@ LAZY_CAP = 62
 LOW_AXES = 3
 
 MEDIUM_MAGIC = b"NWMEDIUM"
-MEDIUM_FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # of NWMEDIUM and NWPERC files alike
 
 
 @dataclass(frozen=True)
@@ -314,8 +325,9 @@ class Medium:
     def from_orientation_table(
         cls, n: int, table, alpha: float = 0.0, seed: int = 0
     ) -> "Medium":
-        """Wrap a copy of an explicit axis-major orientation table (tests,
-        fixtures); later changes to `table` do not reach the medium."""
+        """Wrap a copy of an explicit axis-major orientation table (a loaded
+        file, tests, fixtures); later changes to `table` do not reach the
+        medium.  The one check that every code is 0, 1 or 2."""
         arr = np.array(table, dtype=np.int8)
         if arr.shape != (edge_count(n),):
             raise IncompleteTable(
@@ -527,43 +539,33 @@ class Medium:
             "alpha": self.params.alpha,
             "seed": self.params.seed,
             "mode": self.params.mode,
-            "format_version": MEDIUM_FORMAT_VERSION,
+            "format_version": FORMAT_VERSION,
         }
 
     def dump_bytes(self) -> bytes:
-        """Binary dump: header plus 2-bit entries in (base asc, axis asc) order."""
-        table = self.require_table()
-        n = self.n_players
-        file_order = np.empty(table.size, dtype=np.uint8)
-        file_order[file_positions(n)] = table
-        return pack_container(MEDIUM_MAGIC, self.header(), _pack2(file_order))
+        """Binary dump: header plus 2-bit codes in file order (:func:`dump_edges`)."""
+        return dump_edges(MEDIUM_MAGIC, self.header(), self.require_table(), self.n_players, 2)
 
     @classmethod
     def load_bytes(cls, data: bytes) -> "Medium":
-        header, payload = unpack_container(data, MEDIUM_MAGIC)
-        check_header(header, {
+        header, codes = load_edges(data, MEDIUM_MAGIC, {
             "n_players": int, "alpha": (int, float), "seed": int, "mode": str,
-            "format_version": int,
-        })
-        if header["format_version"] != MEDIUM_FORMAT_VERSION:
-            raise IncompleteTable(
-                f"unsupported medium format_version {header['format_version']}"
-            )
-        if header["mode"] != MODE_EXHAUSTIVE:
-            raise IncompleteTable(
-                f"medium files hold exhaustive tables, header says mode "
-                f"{header['mode']!r}"
-            )
-        if not (0 <= header["seed"] <= MASK64):
-            raise IncompleteTable(f"seed {header['seed']} is not a 64-bit word")
-        n = header["n_players"]
-        params = MediumParams(n, float(header["alpha"]), header["seed"], MODE_EXHAUSTIVE)
-        _validate_params(params, sampled=False)
-        file_order = _unpack2(payload, edge_count(n))
-        table = file_order[file_positions(n)].astype(np.int8)
-        if table.size and table.max() > DOWN:
-            raise IncompleteTable("orientation payload contains invalid codes")
-        return cls(params, table)
+        }, 2, _medium_file_n)
+        return cls.from_orientation_table(
+            header["n_players"], codes, float(header["alpha"]), header["seed"]
+        )
+
+
+def _medium_file_n(header: dict) -> int:
+    """The n of a NWMEDIUM header, once its mode, alpha and n are ones a
+    medium file may hold: exhaustive, alpha up to 1, n up to the cap."""
+    if header["mode"] != MODE_EXHAUSTIVE:
+        raise IncompleteTable(
+            f"medium files hold exhaustive tables, header says mode {header['mode']!r}"
+        )
+    n = header["n_players"]
+    _validate_params(MediumParams(n, float(header["alpha"]), header["seed"]), sampled=False)
+    return n
 
 
 def _popcount(a: np.ndarray) -> np.ndarray:
@@ -592,28 +594,66 @@ def file_positions(n: int) -> np.ndarray:
     return pos
 
 
-def _pack2(codes: np.ndarray) -> bytes:
-    """Pack 2-bit codes, four per byte, entry k in bits 2k..2k+1 of its byte."""
-    padded = np.zeros((codes.size + 3) // 4 * 4, dtype=np.uint8)
-    padded[: codes.size] = codes
-    quads = padded.reshape(-1, 4)
-    return (
-        quads[:, 0] | (quads[:, 1] << 2) | (quads[:, 2] << 4) | (quads[:, 3] << 6)
-    ).astype(np.uint8).tobytes()
+def dump_edges(magic: bytes, header: dict, per_edge: np.ndarray, n: int, width: int) -> bytes:
+    """The NWMEDIUM / NWPERC writer: the container with `header`, then the
+    n-cube's axis-major `per_edge` values (each below 2^width) in file order,
+    packed 8 // width to a byte, entry k at bits width * (k mod 8 // width)
+    of byte k // (8 // width); the last byte's spare bits are clear."""
+    per_byte = 8 // width
+    file_order = np.zeros(-(-edge_count(n) // per_byte) * per_byte, dtype=np.uint8)
+    file_order[file_positions(n)] = per_edge
+    # Read each byte's run of entries as one little-endian word, entry k at
+    # bit 8k.  One product moves entry k to bit 8 * (per_byte - 1) + width * k
+    # (no two partial products overlap), so the word's top byte is the
+    # packed byte.
+    word = np.dtype(f"<u{per_byte}")
+    top = 8 * (per_byte - 1)
+    spread = sum(1 << (top - (8 - width) * k) for k in range(per_byte))
+    words = file_order.view(word)
+    words *= word.type(spread)
+    words >>= word.type(top)
+    return pack_container(magic, header, words.astype(np.uint8).tobytes())
 
 
-def _unpack2(payload: bytes, count: int) -> np.ndarray:
-    if len(payload) != (count + 3) // 4:
-        raise IncompleteTable(
-            f"payload is {len(payload)} bytes, {count} entries need {(count + 3) // 4}"
-        )
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    out = np.empty(len(raw) * 4, dtype=np.uint8)
-    out[0::4] = raw & 3
-    out[1::4] = (raw >> 2) & 3
-    out[2::4] = (raw >> 4) & 3
-    out[3::4] = (raw >> 6) & 3
-    return out[:count]
+@functools.cache
+def _byte_entries(width: int) -> np.ndarray:
+    """Per byte value, its 8 // width entries of `width` bits, one per byte
+    of a little-endian word: the decode table of :func:`load_edges`."""
+    per_byte = 8 // width
+    shifts = width * np.arange(per_byte, dtype=np.uint8)
+    entries = (np.arange(256, dtype=np.uint8)[:, None] >> shifts) & ((1 << width) - 1)
+    table = entries.view(f"<u{per_byte}").ravel()
+    table.flags.writeable = False  # shared by every call
+    return table
+
+
+def load_edges(
+    data: bytes, magic: bytes, fields: dict, width: int, file_n
+) -> tuple[dict, np.ndarray]:
+    """The NWMEDIUM / NWPERC reader, inverse of :func:`dump_edges`: the
+    header and the per-edge values (uint8, axis-major).
+
+    The header must hold exactly `fields` and ``format_version``, the
+    version must be :data:`FORMAT_VERSION` and a non-null ``seed`` (both
+    formats carry one) a 64-bit word.  ``file_n(header)`` makes the format's
+    own checks and returns n, before anything of payload size is allocated;
+    the payload must then hold exactly the n-cube's entries.
+    """
+    header, payload = unpack_container(data, magic)
+    check_header(header, {**fields, "format_version": int})
+    if header["format_version"] != FORMAT_VERSION:
+        name = magic.rstrip(b"\x00").decode()
+        raise IncompleteTable(f"unsupported {name} format_version {header['format_version']}")
+    seed = header["seed"]
+    if seed is not None and not 0 <= seed <= MASK64:
+        raise IncompleteTable(f"seed {seed} is not a 64-bit word")
+    n = file_n(header)
+    count = edge_count(n)
+    size = -(-count // (8 // width))
+    if len(payload) != size:
+        raise IncompleteTable(f"payload is {len(payload)} bytes, {count} entries need {size}")
+    file_order = _byte_entries(width)[np.frombuffer(payload, dtype=np.uint8)].view(np.uint8)
+    return header, file_order[file_positions(n)]
 
 
 def build_medium(
@@ -657,15 +697,29 @@ DIST_CONTINUOUS_UNIFORM = "continuous_uniform"
 DIST_BERNOULLI = "bernoulli"
 DIST_DISCRETE_UNIFORM = "discrete_uniform"
 DIST_EXPLICIT = "explicit"
+_PAYOFF_KINDS = (DIST_CONTINUOUS_UNIFORM, DIST_BERNOULLI, DIST_DISCRETE_UNIFORM, DIST_EXPLICIT)
 
 _PAYOFF_TAG = int.from_bytes(b"payoff", "little")
 
 
 @dataclass(frozen=True)
 class PayoffSpec:
+    """A payoff family: one of the four kinds, p in [0, 1] when given (the
+    Bernoulli mass, default 1/2) and k at least 1 (discrete_uniform's value
+    count, required there); anything else raises IncompleteTable."""
+
     kind: str
     p: float | None = None
     k: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in _PAYOFF_KINDS:
+            raise IncompleteTable(f"unknown payoff family {self.kind!r}")
+        if self.p is not None and not 0.0 <= self.p <= 1.0:
+            raise IncompleteTable(f"p must be in [0, 1], got {self.p}")
+        if self.k is not None or self.kind == DIST_DISCRETE_UNIFORM:
+            if as_index(self.k, IncompleteTable, "k") < 1:
+                raise IncompleteTable(f"k must be an integer of at least 1, got {self.k!r}")
 
     def induced_alpha(self) -> float:
         """Tie probability of the orientation law this family induces."""
@@ -719,8 +773,6 @@ def sample_payoff_game(n_players: int, spec: PayoffSpec, seed: int) -> PayoffGam
             else:
                 table[i] = (h < np.uint64(t)).astype(np.float64)
         elif spec.kind == DIST_DISCRETE_UNIFORM:
-            if not spec.k or spec.k < 1:
-                raise IncompleteTable("discrete_uniform needs k >= 1")
             table[i] = (h % np.uint64(spec.k)).astype(np.float64)
         else:
             raise IncompleteTable(f"cannot sample family {spec.kind!r}")

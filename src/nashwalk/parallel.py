@@ -84,9 +84,10 @@ def map_ordered(
     if trials < 1:
         raise EmptyTrialCount(f"trials must be >= 1, got {trials}")
     jobs = [(*job, i) for i in range(trials)]
-    workers = resolve_workers(n_workers)
+    # a pool forks all its workers up front, so never ask for more than jobs
+    workers = min(resolve_workers(n_workers), len(jobs))
     results = []
-    if workers <= 1 or len(jobs) <= 1:
+    if workers <= 1:
         for job in jobs:
             check_deadline(deadline)
             results.append(fn(job))

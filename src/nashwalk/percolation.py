@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .container import check_header, pack_container, unpack_container
 from .errors import (
     AxisOutOfRange,
     BetaOutOfRange,
@@ -41,17 +40,19 @@ from .errors import (
 from .medium import (
     DOWN,
     EXHAUSTIVE_CAP,
+    FORMAT_VERSION,
     MODE_EXHAUSTIVE,
     Medium,
     MediumParams,
     Vertex,
     as_index,
     axis_view,
+    dump_edges,
     edge_block,
     edge_count,
     edge_hashes,
     edge_index,
-    file_positions,
+    load_edges,
     trial_medium,
 )
 from .parallel import map_ordered
@@ -59,7 +60,6 @@ from .rng import MASK64, TAG_PERC, fold, threshold
 from .sinks import backward_reach, reaching
 
 PERC_MAGIC = b"NWPERC\x00\x00"  # 8-byte field, name NUL-padded
-PERC_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -117,46 +117,32 @@ class PercolationGraph:
             "n": self.n,
             "beta": self.beta,
             "seed": self.seed,
-            "format_version": PERC_FORMAT_VERSION,
+            "format_version": FORMAT_VERSION,
         }
 
     def dump_bytes(self) -> bytes:
-        file_order = np.zeros(edge_count(self.n), dtype=np.uint8)
-        file_order[file_positions(self.n)] = self.open_edges
-        payload = np.packbits(file_order, bitorder="little").tobytes()
-        return pack_container(PERC_MAGIC, self.header(), payload)
+        """Binary dump: header plus 1-bit open flags in file order
+        (:func:`~nashwalk.medium.dump_edges`)."""
+        return dump_edges(PERC_MAGIC, self.header(), self.open_edges, self.n, 1)
 
     @classmethod
     def load_bytes(cls, data: bytes) -> "PercolationGraph":
-        header, payload = unpack_container(data, PERC_MAGIC)
-        check_header(header, {
+        header, open_edges = load_edges(data, PERC_MAGIC, {
             "n": int, "beta": (int, float, type(None)), "seed": (int, type(None)),
-            "format_version": int,
-        })
-        if header["format_version"] != PERC_FORMAT_VERSION:
-            raise IncompleteTable(
-                f"unsupported percolation format_version {header['format_version']}"
-            )
-        n, beta, seed = header["n"], header["beta"], header["seed"]
-        if not (1 <= n <= EXHAUSTIVE_CAP):
-            raise DimensionTooLarge(f"percolation needs 1 <= n <= {EXHAUSTIVE_CAP}")
+        }, 1, lambda header: _check_dimension(header["n"]))
+        beta = header["beta"]
         if beta is not None and not (0.0 <= beta <= 1.0):
             raise BetaOutOfRange(f"beta must be in [0, 1], got {beta}")
-        if seed is not None and not (0 <= seed <= MASK64):
-            raise IncompleteTable(f"seed {seed} is not a 64-bit word")
-        count = edge_count(n)
-        if len(payload) != (count + 7) // 8:
-            raise IncompleteTable(
-                f"payload is {len(payload)} bytes, {count} entries need {(count + 7) // 8}"
-            )
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
-        file_order = bits[:count].astype(bool)
         return cls(
-            n,
-            file_order[file_positions(n)],
-            None if beta is None else float(beta),
-            seed,
+            header["n"], open_edges, None if beta is None else float(beta), header["seed"]
         )
+
+
+def _check_dimension(n: int) -> int:
+    """`n`, once an exhaustive percolation on the n-cube is allowed."""
+    if not (1 <= n <= EXHAUSTIVE_CAP):
+        raise DimensionTooLarge(f"percolation needs 1 <= n <= {EXHAUSTIVE_CAP}")
+    return n
 
 
 def sample_percolation(n: int, beta: float, seed: int) -> PercolationGraph:
@@ -168,8 +154,7 @@ def sample_percolation(n: int, beta: float, seed: int) -> PercolationGraph:
     """
     if not (0.0 < beta < 1.0):
         raise BetaOutOfRange(f"beta must be in (0, 1), got {beta}")
-    if not (1 <= n <= EXHAUSTIVE_CAP):
-        raise DimensionTooLarge(f"percolation needs 1 <= n <= {EXHAUSTIVE_CAP}")
+    _check_dimension(n)
     seed &= MASK64
     t = np.uint64(threshold(beta))
     open_edges = np.empty(edge_count(n), dtype=bool)

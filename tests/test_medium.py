@@ -617,6 +617,24 @@ def test_payoff_spec_induced_alpha():
     assert PayoffSpec("discrete_uniform", k=4).induced_alpha() == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "bernoulli", "p": 1.5},
+    {"kind": "bernoulli", "p": -0.1},
+    {"kind": "bernoulli", "p": float("nan")},
+    {"kind": "discrete_uniform"},
+    {"kind": "discrete_uniform", "k": 0},
+    {"kind": "discrete_uniform", "k": 2.5},
+    {"kind": "continuous_uniform", "k": -1},
+    {"kind": "gaussian"},
+], ids=("p-above-1", "p-below-0", "p-nan", "k-missing", "k-zero", "k-float",
+        "k-negative", "unknown-kind"))
+def test_payoff_spec_rejects_bad_parameters(kwargs):
+    # caught where the spec is made: unchecked, p = 1.5 gives alpha 2.5 and
+    # the others fail inside the sampler with a non-package error
+    with pytest.raises(IncompleteTable):
+        PayoffSpec(**kwargs)
+
+
 def test_sample_payoff_game_shape_and_determinism():
     spec = PayoffSpec("continuous_uniform")
     g1 = sample_payoff_game(5, spec, seed=42)
@@ -754,14 +772,32 @@ def test_lazy_medium_has_no_table():
     assert med.orientation(EdgeRef(0, 3)) in (TIE, UP, DOWN)
 
 
-def test_dump_load_roundtrip():
-    med = build_medium(6, 0.3, 404)
+@pytest.mark.parametrize("n", range(1, 10))
+def test_dump_load_roundtrip(n):
+    # n = 1 leaves three padding slots in its one payload byte
+    med = build_medium(n, 0.3, 404)
     blob = med.dump_bytes()
     back = Medium.load_bytes(blob)
-    assert back.n_players == 6
+    assert back.n_players == n
     assert back.params.alpha == pytest.approx(0.3)
     assert back.params.seed == 404
     assert np.array_equal(back.require_table(), med.require_table())
+    assert back.dump_bytes() == blob
+
+
+def test_code_3_is_rejected_from_a_file_and_from_a_table():
+    # a loaded medium is built by from_orientation_table, the one check of
+    # the codes: 3 fits a file's two bits but is no orientation
+    n = 3
+    blob = Medium.from_orientation_table(n, np.full(edge_count(n), UP)).dump_bytes()
+    # the payload is 3 bytes of 4 Up codes each; make entry 0's code 3
+    corrupt = blob[:-3] + bytes([blob[-3] | 3]) + blob[-2:]
+    with pytest.raises(IncompleteTable, match="codes"):
+        Medium.load_bytes(corrupt)
+    codes = np.full(edge_count(n), UP)
+    codes[5] = 3
+    with pytest.raises(IncompleteTable, match="codes"):
+        Medium.from_orientation_table(n, codes)
 
 
 def test_load_rejects_bad_blobs():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import ctypes
 import os
 import subprocess
@@ -44,6 +45,34 @@ def test_a_last_trial_past_the_deadline_raises(workers):
     # check the deadline after the last result.
     with pytest.raises(TimeBudgetExceeded):
         map_ordered(_slow, (), 1, n_workers=workers, deadline=time.monotonic() + 0.01)
+
+
+@pytest.mark.parametrize("workers, trials, pool", [
+    (5000, 2, [2]), (2, 9, [2]), (3, 3, [3]), (5000, 1, []),
+])
+def test_the_pool_never_outnumbers_the_trials(workers, trials, pool, monkeypatch):
+    # A pool forks all max_workers processes up front, so a worker count
+    # above the trial count would start idle processes.  The stand-in pool
+    # records max_workers and maps serially: no process is started.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers=None, initializer=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    got = map_ordered(_echo, ("job",), trials, n_workers=workers)
+    assert got == [("job", i) for i in range(trials)]
+    assert sizes == pool
 
 
 SWEEPS = {

@@ -456,13 +456,17 @@ def test_coupling_rejects_size_mismatch():
 # serialization
 
 
-def test_percolation_roundtrip():
-    g = sample_percolation(7, 0.35, 888)
-    back = PercolationGraph.load_bytes(g.dump_bytes())
-    assert back.n == 7
+@pytest.mark.parametrize("n", range(1, 10))
+def test_percolation_roundtrip(n):
+    # n <= 3 leaves the last payload byte with padding bits
+    g = sample_percolation(n, 0.35, 888)
+    blob = g.dump_bytes()
+    back = PercolationGraph.load_bytes(blob)
+    assert back.n == n
     assert back.beta == pytest.approx(0.35)
     assert back.seed == 888
     assert np.array_equal(back.open_edges, g.open_edges)
+    assert back.dump_bytes() == blob
 
 
 def test_percolation_load_rejects_garbage():
