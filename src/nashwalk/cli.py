@@ -16,7 +16,6 @@ import contextlib
 import dataclasses
 import json
 import sys
-import time
 
 from .errors import NashwalkError, TimeBudgetExceeded
 from .experiments import (
@@ -35,7 +34,7 @@ from .experiments import (
     walk_length_quantiles,
 )
 from .medium import MODE_EXHAUSTIVE, MODE_LAZY, Medium, MediumParams, build_medium
-from .parallel import check_deadline, keep_freed_pages, resolve_workers
+from .parallel import check_deadline, keep_freed_pages, resolve_workers, time_budget
 from .sinks import sink_components
 from .walkers import WalkConfig, parse_policy, run_trials
 
@@ -145,12 +144,6 @@ def _check_common(args) -> None:
         raise NashwalkError(f"--time-budget must be a number >= 0, got {budget}")
 
 
-def _deadline(args) -> float | None:
-    if args.time_budget is None:
-        return None
-    return time.monotonic() + args.time_budget
-
-
 def _emit_json(payload: dict, out: str | None) -> None:
     """Write a JSON report; the one place its schema_version is added."""
     _emit(report_to_json(dict(payload, schema_version=SCHEMA_VERSION)), out)
@@ -172,7 +165,6 @@ def _cmd_figure1(args) -> int:
     rows = walk_length_quantiles(
         args.n, args.alpha, args.trials, policies, args.seed,
         max_steps=args.max_steps, n_workers=args.threads,
-        deadline=_deadline(args),
     )
     echo = {
         "command": "figure1", "n": args.n, "alphas": args.alpha,
@@ -185,7 +177,6 @@ def _cmd_theorem(args) -> int:
     rows = absorption_trend(
         args.n, args.alpha, args.policy, args.trials, args.seed,
         max_steps=args.max_steps, n_workers=args.threads,
-        deadline=_deadline(args),
     )
     echo = {
         "command": "theorem", "n_list": args.n, "alpha": args.alpha,
@@ -196,8 +187,7 @@ def _cmd_theorem(args) -> int:
 
 def _cmd_pne_stats(args) -> int:
     report = pne_count_stats(
-        args.n, args.alpha, args.trials, args.seed,
-        n_workers=args.threads, deadline=_deadline(args),
+        args.n, args.alpha, args.trials, args.seed, n_workers=args.threads
     )
     payload = dict(dataclasses.asdict(report), command="pne-stats", seed=args.seed)
     _emit_json(payload, args.out)
@@ -206,8 +196,7 @@ def _cmd_pne_stats(args) -> int:
 
 def _cmd_percolation(args) -> int:
     report = percolation_audit(
-        args.n, args.alpha, args.trials, args.seed,
-        n_workers=args.threads, deadline=_deadline(args),
+        args.n, args.alpha, args.trials, args.seed, n_workers=args.threads
     )
     _emit_json(dict(report, command="percolation"), args.out)
     return 0
@@ -217,8 +206,7 @@ def _cmd_walk(args) -> int:
     params = MediumParams(args.n, args.alpha, args.seed, args.mode)
     config = WalkConfig(walk_seed=args.seed, max_steps=args.max_steps)
     records = run_trials(
-        params, parse_policy(args.policy), config, args.trials,
-        n_workers=args.threads, deadline=_deadline(args),
+        params, parse_policy(args.policy), config, args.trials, n_workers=args.threads
     )
     echo = {
         "command": "walk", "n": args.n, "alpha": args.alpha, "seed": args.seed,
@@ -233,7 +221,6 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    deadline = _deadline(args)
     if args.infile:
         with _file_errors(args.infile), open(args.infile, "rb") as fh:
             data = fh.read()
@@ -242,23 +229,22 @@ def _cmd_analyze(args) -> int:
         raise NashwalkError("analyze needs --n and --alpha unless --in is given")
     else:
         medium = build_medium(args.n, args.alpha, args.seed)
-    text = sink_components(medium, deadline=deadline).to_json() + "\n"
-    check_deadline(deadline)
+    text = sink_components(medium).to_json() + "\n"
+    check_deadline()
     _emit(text, args.out)
     return 0
 
 
 def _cmd_generate(args) -> int:
-    deadline = _deadline(args)
     medium = build_medium(args.n, args.alpha, args.seed, args.mode)
     if args.mode == MODE_LAZY:
-        check_deadline(deadline)
+        check_deadline()
         _emit(json.dumps(medium.header(), sort_keys=True) + "\n", args.out)
         return 0
     if args.out is None:
         raise NashwalkError("generate --mode exhaustive requires --out FILE")
     blob = medium.dump_bytes()
-    check_deadline(deadline)
+    check_deadline()
     with _file_errors(args.out), open(args.out, "wb") as fh:
         fh.write(blob)
     return 0
@@ -281,7 +267,8 @@ def main(argv=None) -> int:
     keep_freed_pages()
     try:
         _check_common(args)
-        return _HANDLERS[args.command](args)
+        with time_budget(args.time_budget):
+            return _HANDLERS[args.command](args)
     except TimeBudgetExceeded as exc:
         print(f"nashwalk: {exc}", file=sys.stderr)
         return 3

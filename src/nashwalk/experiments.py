@@ -28,7 +28,7 @@ import numpy as np
 from .errors import NoConditionedTrials
 from .medium import MediumParams, edge_count, trial_medium
 from .parallel import map_ordered
-from .percolation import run_coupling_trials
+from .percolation import coupling_trial
 from .sinks import enumerate_pnes, expected_pne_count
 from .walkers import WalkConfig, WalkRecord, parse_policy, walk_trial
 
@@ -110,7 +110,6 @@ def walk_length_quantiles(
     seed: int,
     max_steps: int | None = None,
     n_workers: int | None = None,
-    deadline: float | None = None,
 ) -> list[QuantileRow]:
     """Empirical tau quantiles per (policy, alpha), conditioned on reaching a
     PNE without previously visiting any trap vertex.
@@ -123,7 +122,7 @@ def walk_length_quantiles(
     config = WalkConfig(seed, max_steps, stop_at_trap=True)
     for alpha in alphas:
         job = (MediumParams(n, alpha, seed), parsed, config)
-        results = map_ordered(_walk_trial, job, trials, n_workers, deadline)
+        results = map_ordered(_walk_trial, job, trials, n_workers)
         # a trial's records come in policy order: policy k's are column k
         for label, records in zip(policies, zip(*results)):
             taus = sorted(r.tau for r in records if _pne_first(r))
@@ -144,7 +143,6 @@ def absorption_trend(
     seed: int,
     max_steps: int | None = None,
     n_workers: int | None = None,
-    deadline: float | None = None,
 ) -> list[TrendRow]:
     """P(reach a PNE before any trap visit) across dimensions.
 
@@ -159,7 +157,7 @@ def absorption_trend(
     config = WalkConfig(seed, max_steps, stop_at_trap=True)
     for n in n_list:
         job = (MediumParams(n, alpha, seed), parsed, config)
-        results = map_ordered(_walk_trial, job, trials, n_workers, deadline)
+        results = map_ordered(_walk_trial, job, trials, n_workers)
         successes = 0
         excluded = 0
         for (r,) in results:
@@ -182,13 +180,10 @@ def pne_count_stats(
     samples: int,
     seed: int,
     n_workers: int | None = None,
-    deadline: float | None = None,
 ) -> PneCountReport:
     """PNE-count distribution over fresh media, with CLT-normalized moments."""
     job = (MediumParams(n, alpha, seed),)
-    counts = np.array(
-        map_ordered(_pne_trial, job, samples, n_workers, deadline), dtype=np.float64
-    )
+    counts = np.array(map_ordered(_pne_trial, job, samples, n_workers), dtype=np.float64)
     mu = expected_pne_count(n, alpha)
     sigma = float((1.0 + alpha) ** (n / 2.0))
     standardized = (counts - mu) / sigma
@@ -211,12 +206,12 @@ def percolation_audit(
     trials: int,
     seed: int,
     n_workers: int | None = None,
-    deadline: float | None = None,
 ) -> dict:
     """Coupling identity, marginal preservation, and fragment statistics over
     fresh media and fresh initial percolations."""
-    results = run_coupling_trials(n, alpha, trials, seed, n_workers, deadline)
-    beta = MediumParams(n, alpha, seed).beta
+    params = MediumParams(n, alpha, seed)
+    results = map_ordered(coupling_trial, (params,), trials, n_workers)
+    beta = params.beta
     return {
         "n": n,
         "alpha": alpha,

@@ -70,8 +70,8 @@ values in (base ascending, axis ascending) order, :func:`file_positions`
 being that permutation of the table layout, packed 8 // width to a byte,
 entry k at bits width * (k mod 8 // width).  :func:`load_edges` reverses it
 and makes every check the two formats share (header fields,
-``format_version``, a 64-bit seed, the exact payload length); each format
-checks only its own fields.  A loaded medium is built by
+``format_version``, a 64-bit seed, the exact payload length, clear spare
+bits); each format checks only its own fields.  A loaded medium is built by
 :meth:`Medium.from_orientation_table`, the one check that codes are 0-2.
 """
 
@@ -637,7 +637,8 @@ def load_edges(
     version must be :data:`FORMAT_VERSION` and a non-null ``seed`` (both
     formats carry one) a 64-bit word.  ``file_n(header)`` makes the format's
     own checks and returns n, before anything of payload size is allocated;
-    the payload must then hold exactly the n-cube's entries.
+    the payload must then hold exactly the n-cube's entries, and the last
+    byte's spare bits must be clear.
     """
     header, payload = unpack_container(data, magic)
     check_header(header, {**fields, "format_version": int})
@@ -653,6 +654,8 @@ def load_edges(
     if len(payload) != size:
         raise IncompleteTable(f"payload is {len(payload)} bytes, {count} entries need {size}")
     file_order = _byte_entries(width)[np.frombuffer(payload, dtype=np.uint8)].view(np.uint8)
+    if file_order[count:].any():
+        raise IncompleteTable("the last payload byte's spare bits must be clear")
     return header, file_order[file_positions(n)]
 
 

@@ -6,10 +6,16 @@ only code that runs one: it checks the trial count, hands trial i the job
 randomness from its index, so distributing the trials over processes cannot
 change any result — only the wall time.  NASHWALK_THREADS sets the worker
 count when no explicit count is given; unset or empty it means 1, and any
-other value that is not an integer of at least 1 is an error.  A wall-clock
-deadline is checked before every trial and after the last (serial) or as
+other value that is not an integer of at least 1 is an error.
+
+The wall-clock budget is a scope: inside ``with time_budget(seconds)``,
+:func:`check_deadline` raises TimeBudgetExceeded once the budget is spent.
+A sweep checks it before every trial and after the last (serial) or as
 every result arrives (parallel, after which the pending trials are
-cancelled), so a sweep whose last trial overruns fails on either path.
+cancelled), so a sweep whose last trial overruns fails on either path; the
+sink analysis checks it every round and a walk every 1024 steps.  A pool
+hands the deadline to each worker when it starts, so trials running in
+workers stop too, whatever the start method.
 
 Each trial allocates and frees the same few buffers (about 1 MiB for an
 exhaustive n=15 trial).  By default glibc maps blocks of that size afresh
@@ -20,13 +26,18 @@ before it dispatches, and a pool runs it in every worker.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import time
+from contextvars import ContextVar
 
 from .errors import EmptyTrialCount, NashwalkError, TimeBudgetExceeded
 
 ENV_THREADS = "NASHWALK_THREADS"
+
+# the time.monotonic() value past which check_deadline raises, or None
+_DEADLINE: ContextVar[float | None] = ContextVar("nashwalk_deadline", default=None)
 
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -67,16 +78,33 @@ def resolve_workers(n_workers: int | None = None) -> int:
     return workers
 
 
-def check_deadline(deadline: float | None) -> None:
-    """Raise TimeBudgetExceeded once time.monotonic() has passed `deadline`."""
+@contextlib.contextmanager
+def time_budget(seconds: float | None):
+    """A scope in which :func:`check_deadline` raises once `seconds` have
+    passed (None: no budget); the enclosing budget holds again on exit."""
+    token = _DEADLINE.set(None if seconds is None else time.monotonic() + seconds)
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
+def check_deadline() -> None:
+    """Raise TimeBudgetExceeded once the current :func:`time_budget` is spent."""
+    deadline = _DEADLINE.get()
     if deadline is not None and time.monotonic() > deadline:
         raise TimeBudgetExceeded("wall-clock budget exhausted")
 
 
-def map_ordered(
-    fn, job: tuple, trials: int, n_workers: int | None = None,
-    deadline: float | None = None,
-) -> list:
+def _start_worker(until: float | None) -> None:
+    """A pool worker's setup: keep freed pages mapped and adopt the parent's
+    deadline, which a forkserver or spawned worker would not inherit
+    (time.monotonic() is one clock for every process on the host)."""
+    keep_freed_pages()
+    _DEADLINE.set(until)
+
+
+def map_ordered(fn, job: tuple, trials: int, n_workers: int | None = None) -> list:
     """``[fn((*job, i)) for i in range(trials)]``, optionally across processes.
 
     Raises EmptyTrialCount when `trials` is below 1.
@@ -89,19 +117,21 @@ def map_ordered(
     results = []
     if workers <= 1:
         for job in jobs:
-            check_deadline(deadline)
+            check_deadline()
             results.append(fn(job))
-        check_deadline(deadline)
+        check_deadline()
         return results
     # imported here, so serial runs never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    check_deadline(deadline)
+    check_deadline()
     chunk = max(1, len(jobs) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers, initializer=keep_freed_pages) as ex:
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_start_worker, initargs=(_DEADLINE.get(),)
+    ) as ex:
         try:
             for result in ex.map(fn, jobs, chunksize=chunk):
-                check_deadline(deadline)
+                check_deadline()
                 results.append(result)
         except BaseException:
             ex.shutdown(wait=True, cancel_futures=True)

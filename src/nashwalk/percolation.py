@@ -366,25 +366,13 @@ def coupling_trial(args) -> CouplingTrial:
     )
 
 
-def run_coupling_trials(
-    n: int,
-    alpha: float,
-    trials: int,
-    seed: int,
-    n_workers: int | None = None,
-    deadline: float | None = None,
-) -> list[CouplingTrial]:
-    """coupling_trial for trials 0..trials-1, in trial order."""
-    job = (MediumParams(n, alpha, seed),)
-    return map_ordered(coupling_trial, job, trials, n_workers, deadline)
-
-
 def check_lemma_finally(n: int, alpha: float, trials: int, seed: int) -> dict:
     """Frequency of {largest open component != reverse-accessible set} over
     fresh (medium, percolation, coupling) trials."""
-    results = run_coupling_trials(n, alpha, trials, seed)
+    params = MediumParams(n, alpha, seed)
+    results = map_ordered(coupling_trial, (params,), trials)
     assert all(r.identity_holds for r in results)
-    beta = MediumParams(n, alpha, seed).beta
+    beta = params.beta
     mismatches = sum(r.lemma_mismatch for r in results)
     return {
         "n": n,

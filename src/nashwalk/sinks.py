@@ -126,9 +126,7 @@ def _out_words(medium: Medium) -> np.ndarray:
     return np.stack([_pack(medium.out_mask(axis, buf)) for axis in range(n)])
 
 
-def _reach_back(
-    out_words: np.ndarray, seed: np.ndarray, deadline: float | None = None
-) -> tuple[np.ndarray, int]:
+def _reach_back(out_words: np.ndarray, seed: np.ndarray) -> tuple[np.ndarray, int]:
     """Every vertex with an oriented path into `seed`, and the round count.
 
     One round sweeps the axes in order, adding each vertex whose axis edge
@@ -136,7 +134,8 @@ def _reach_back(
     one adds nothing.  Updates within a round are seen by later axes, so the
     round count is at most one more than the longest shortest path to the
     seed.  The word-axis views and the scratch words are made once, so a
-    round allocates nothing; `deadline` is checked before every round.
+    round allocates nothing; the time budget is checked before every round
+    (:func:`~nashwalk.parallel.check_deadline`).
     """
     reach = seed.copy()
     before, a, b = np.empty_like(reach), np.empty_like(reach), np.empty_like(reach)
@@ -152,7 +151,7 @@ def _reach_back(
             across.append((r[:, 0, :], r[:, 1, :], o[:, 0, :], o[:, 1, :], h))
     rounds = 0
     while True:
-        check_deadline(deadline)
+        check_deadline()
         np.copyto(before, reach)
         for out, low, shift in in_word:
             np.bitwise_and(reach, low, out=a)
@@ -202,20 +201,17 @@ def _remainder_edges(
     return src, dst
 
 
-def _settle(
-    op: np.ufunc, vals: np.ndarray, src: np.ndarray, dst: np.ndarray,
-    deadline: float | None,
-) -> np.ndarray:
+def _settle(op: np.ufunc, vals: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Pointer-jumping fixpoint: each round folds every edge's `dst` value
     into its `src` (``op.at``), then jumps every pointer once
     (``vals = op(vals, vals[vals])``), until a round changes nothing.
 
     Each value is a vertex index that the caller's invariant keeps valid
-    under both steps; the jump only speeds the spread.  `deadline` is checked
-    before every round.
+    under both steps; the jump only speeds the spread.  The time budget is
+    checked before every round.
     """
     while True:
-        check_deadline(deadline)
+        check_deadline()
         before = vals.copy()
         op.at(vals, src, vals[dst])
         vals = op(vals, vals[vals])
@@ -223,9 +219,7 @@ def _settle(
             return vals
 
 
-def _sink_sccs(
-    src: np.ndarray, dst: np.ndarray, size: int, deadline: float | None = None
-) -> np.ndarray:
+def _sink_sccs(src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarray:
     """Per vertex of the graph src -> dst on `size` vertices, the id of the
     sink SCC that holds it, or -1; an SCC's id is its smallest member.
 
@@ -245,15 +239,15 @@ def _sink_sccs(
     ``p[u] == m[u]``; only edges inside root classes matter for that.
     """
     ids = np.arange(size, dtype=np.int32)  # narrow values halve the gathers' traffic
-    m = _settle(np.minimum, ids.copy(), src, dst, deadline)
-    mx = _settle(np.maximum, m.copy(), src, dst, deadline)
+    m = _settle(np.minimum, ids.copy(), src, dst)
+    mx = _settle(np.maximum, m.copy(), src, dst)
     root = (m == ids) & (mx == ids)
     inner = (m[src] == m[dst]) & root[m[src]]
-    p = _settle(np.minimum, ids.copy(), dst[inner], src[inner], deadline)
+    p = _settle(np.minimum, ids.copy(), dst[inner], src[inner])
     return np.where(root[m] & (p == m), m, -1)
 
 
-def sink_components(medium: Medium, *, deadline: float | None = None) -> SinkAnalysis:
+def sink_components(medium: Medium) -> SinkAnalysis:
     """Find the PNEs and the traps (sink SCCs of size >= 4) of the medium.
 
     Packed per-axis out-edge bitsets are built once, and the PNEs are the
@@ -268,9 +262,9 @@ def sink_components(medium: Medium, *, deadline: float | None = None) -> SinkAna
     The number of spread rounds is bounded by the longest shortest path to
     a PNE, so random media settle in a handful, while crafted snake-like
     tables stay correct but cost more rounds; the trap search's pointer
-    jumping keeps its rounds few even along a snake.  `deadline` (a
-    ``time.monotonic()`` value) is checked before every round of both and
-    raises TimeBudgetExceeded once passed.
+    jumping keeps its rounds few even along a snake.  The time budget
+    (:func:`nashwalk.parallel.time_budget`) is checked before every round of
+    both, and raises TimeBudgetExceeded once spent.
     """
     n = medium.n_players
     size = 1 << n
@@ -279,12 +273,12 @@ def sink_components(medium: Medium, *, deadline: float | None = None) -> SinkAna
     # vertices, which the unpacking drops
     pne_mask = _unpack(~np.bitwise_or.reduce(out_words, axis=0), size)
 
-    reach, _ = _reach_back(out_words, _pack(pne_mask), deadline)
+    reach, _ = _reach_back(out_words, _pack(pne_mask))
     rest = np.flatnonzero(~_unpack(reach, size))
     trap_mask = np.zeros(size, dtype=bool)
     traps: list[list[int]] = []
     if rest.size:
-        sink = _sink_sccs(*_remainder_edges(out_words, rest), rest.size, deadline)
+        sink = _sink_sccs(*_remainder_edges(out_words, rest), rest.size)
         in_trap = np.flatnonzero(sink >= 0)
         ids = sink[in_trap]
         counts = np.bincount(ids)

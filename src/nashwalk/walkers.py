@@ -43,7 +43,7 @@ from .medium import (
     neighbors,
     trial_medium,
 )
-from .parallel import map_ordered
+from .parallel import check_deadline, map_ordered
 from .rng import TAG_STEP, TAG_WALK, fold, mix64, unit_interval
 from .sinks import SinkAnalysis, VertexClass, classify_vertex, forward_closure, sink_components
 
@@ -220,7 +220,8 @@ def run_walk(
     closure of the default budget, unless it lies in a trap found already.
     Brd-like walks stop on confirmed trap entry, and so does every walk
     under ``config.stop_at_trap``; other walks keep moving and may leave
-    the trap.
+    the trap.  The time budget (:func:`nashwalk.parallel.time_budget`) is
+    checked every 1024 steps.
     """
     n = medium.n_players
     max_steps = 1000 * n * n if config.max_steps is None else config.max_steps
@@ -244,6 +245,8 @@ def run_walk(
     # three mix passes do not depend on t
     step_key = fold(config.walk_seed, TAG_STEP)
     for t in range(max_steps + 1):
+        if not t & 1023:
+            check_deadline()
         # v = path[t]; index 0 is the start, which is never a second visit
         if pne_mask is None:
             out_bits, in_bits = medium.row(v)
@@ -321,15 +324,13 @@ def run_trials(
     config: WalkConfig,
     trials: int,
     n_workers: int | None = None,
-    deadline: float | None = None,
 ) -> list[WalkRecord]:
     """Run independent trials; trial i derives its own medium and walk seeds.
 
     `n_workers` None means NASHWALK_THREADS, as in every other sweep.
     Results are ordered by trial index regardless of worker count, and every
     per-trial quantity is a pure function of (base seeds, i), so reruns are
-    bit-identical.  `deadline` (a time.monotonic() value) is checked before
-    every trial.
+    bit-identical.
     """
     job = (params, (policy,), config)
-    return map_ordered(_trial_worker, job, trials, n_workers, deadline)
+    return map_ordered(_trial_worker, job, trials, n_workers)

@@ -117,6 +117,20 @@ def test_time_budget_is_checked_per_trial(argv):
     assert run_cli(argv + ["--time-budget", "0.01"]) == 3
 
 
+@pytest.mark.parametrize("trials, threads", [("1", "1"), ("2", "2")])
+def test_time_budget_stops_a_long_walk(trials, threads, capsys):
+    # each srw walk here runs to its 3,000,000-step cap, about 14 s a trial:
+    # the budget is checked every 1024 steps, in every worker
+    argv = [
+        "walk", "--n", "14", "--alpha", "0", "--policy", "srw", "--max-steps", "3000000",
+        "--trials", trials, "--seed", "1", "--threads", threads, "--time-budget", "0.5",
+    ]
+    start = time.monotonic()
+    assert run_cli(argv) == 3
+    assert time.monotonic() - start < 3
+    assert capsys.readouterr().out == ""
+
+
 def test_walk_csv_and_jsonl(capsys):
     assert run_cli(["walk", "--n", "5", "--alpha", "0.5", "--trials", "3"]) == 0
     csv_text = capsys.readouterr().out
@@ -303,9 +317,9 @@ def test_time_budget_stops_analyze_inside_the_trap_search(monkeypatch, capsys):
 
     raised = []
 
-    def watched_check_deadline(deadline):
+    def watched_check_deadline():
         try:
-            check_deadline(deadline)
+            check_deadline()
         except TimeBudgetExceeded:
             raised.append(True)
             raise

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import fields
 
 import numpy as np
@@ -30,6 +29,7 @@ from nashwalk.experiments import (
     walk_length_quantiles,
 )
 from nashwalk.medium import MediumParams, build_medium
+from nashwalk.parallel import time_budget
 from nashwalk.rng import fold, TAG_MEDIUM, TAG_WALK
 from nashwalk.sinks import expected_pne_count, sink_components
 from nashwalk.walkers import (
@@ -242,8 +242,8 @@ def test_pne_count_stats_standardization():
 
 
 def test_pne_count_stats_deadline():
-    with pytest.raises(TimeBudgetExceeded):
-        pne_count_stats(6, 0.5, 10, seed=1, deadline=time.monotonic() - 1)
+    with time_budget(-1), pytest.raises(TimeBudgetExceeded):
+        pne_count_stats(6, 0.5, 10, seed=1)
 
 
 # ---------------------------------------------------------------------------

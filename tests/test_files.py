@@ -137,6 +137,23 @@ def test_perc_header_allows_null_beta_and_seed():
 
 
 # ---------------------------------------------------------------------------
+# both formats
+
+
+@pytest.mark.parametrize("blob, load, bits", [
+    (sample_percolation(1, 0.5, 3).dump_bytes(), PercolationGraph.load_bytes, 0xFE),
+    (build_medium(1, 0.5, 6).dump_bytes(), Medium.load_bytes, 0xFC),
+    (sample_percolation(2, 0.5, 3).dump_bytes(), PercolationGraph.load_bytes, 0xF0),
+], ids=["perc-n1", "medium-n1", "perc-n2"])
+def test_set_spare_bits_in_the_last_byte(blob, load, bits):
+    # the writer clears the spare bits of the last payload byte; a reader
+    # that ignored them would load (and re-dump) a file it never wrote
+    load(blob)
+    with pytest.raises(IncompleteTable, match="spare bits"):
+        load(blob[:-1] + bytes([blob[-1] | bits]))
+
+
+# ---------------------------------------------------------------------------
 # fuzz: any corruption either loads or raises a NashwalkError
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import ctypes
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -16,10 +17,15 @@ import nashwalk.parallel
 import nashwalk.percolation
 import nashwalk.walkers
 from nashwalk.errors import EmptyTrialCount, TimeBudgetExceeded
-from nashwalk.experiments import absorption_trend, pne_count_stats, walk_length_quantiles
+from nashwalk.experiments import (
+    absorption_trend,
+    percolation_audit,
+    pne_count_stats,
+    walk_length_quantiles,
+)
 from nashwalk.medium import MediumParams
-from nashwalk.parallel import map_ordered, resolve_workers
-from nashwalk.percolation import run_coupling_trials
+from nashwalk.parallel import check_deadline, map_ordered, resolve_workers, time_budget
+from nashwalk.percolation import check_lemma_finally
 from nashwalk.walkers import Policy, WalkConfig, run_trials
 
 
@@ -43,8 +49,50 @@ def test_a_last_trial_past_the_deadline_raises(workers):
     # One trial takes the serial path at either worker count, and its result
     # arrives after the deadline: the serial path, like the pooled one, must
     # check the deadline after the last result.
-    with pytest.raises(TimeBudgetExceeded):
-        map_ordered(_slow, (), 1, n_workers=workers, deadline=time.monotonic() + 0.01)
+    with time_budget(0.01), pytest.raises(TimeBudgetExceeded):
+        map_ordered(_slow, (), 1, n_workers=workers)
+
+
+def _spin(args):
+    # spins until the deadline passes or, without one, for 10 s
+    give_up = time.monotonic() + 10
+    while time.monotonic() < give_up:
+        check_deadline()
+
+
+@pytest.fixture
+def spawned_workers():
+    # spawned workers share no memory with the parent, as under forkserver
+    # (Python's default start method on Linux from 3.14): a deadline that
+    # only fork would hand down never reaches them
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    yield
+    multiprocessing.set_start_method(before, force=True)
+
+
+def test_the_budget_reaches_every_pool_worker(spawned_workers):
+    # each trial spins until its worker sees the deadline pass, so the sweep
+    # ends early only if the pool hands the deadline to its workers; a
+    # worker that never sees it returns after 10 s, and only then does the
+    # parent's own check raise
+    start = time.monotonic()
+    with time_budget(0.2), pytest.raises(TimeBudgetExceeded):
+        map_ordered(_spin, (), 2, n_workers=2)
+    assert time.monotonic() - start < 5
+
+
+def test_a_budget_restores_the_enclosing_one():
+    with time_budget(-1):  # already spent
+        with time_budget(None):
+            check_deadline()  # no budget in here
+        with pytest.raises(TimeBudgetExceeded):
+            check_deadline()  # the spent budget holds again
+        with pytest.raises(ValueError), time_budget(100):
+            raise ValueError
+        with pytest.raises(TimeBudgetExceeded):
+            check_deadline()  # ... also after an exception
+    check_deadline()  # and outside, none
 
 
 @pytest.mark.parametrize("workers, trials, pool", [
@@ -57,7 +105,7 @@ def test_the_pool_never_outnumbers_the_trials(workers, trials, pool, monkeypatch
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers=None, initializer=None):
+        def __init__(self, max_workers=None, initializer=None, initargs=()):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -79,7 +127,8 @@ SWEEPS = {
     "walk_length_quantiles": lambda t: walk_length_quantiles(5, [0.5], t, ["brd"], seed=1),
     "absorption_trend": lambda t: absorption_trend([5], 0.5, "brd", t, seed=1),
     "pne_count_stats": lambda t: pne_count_stats(5, 0.5, t, seed=1),
-    "run_coupling_trials": lambda t: run_coupling_trials(5, 0.5, t, seed=1),
+    "percolation_audit": lambda t: percolation_audit(5, 0.5, t, seed=1),
+    "check_lemma_finally": lambda t: check_lemma_finally(5, 0.5, t, seed=1),
     "run_trials": lambda t: run_trials(
         MediumParams(5, 0.5, 1), Policy.brd(), WalkConfig(walk_seed=1), t
     ),
@@ -97,7 +146,8 @@ SWEEP_MODULES = {
     "walk_length_quantiles": nashwalk.experiments,
     "absorption_trend": nashwalk.experiments,
     "pne_count_stats": nashwalk.experiments,
-    "run_coupling_trials": nashwalk.percolation,
+    "percolation_audit": nashwalk.experiments,
+    "check_lemma_finally": nashwalk.percolation,
     "run_trials": nashwalk.walkers,
 }
 
@@ -108,9 +158,9 @@ def test_every_sweep_takes_its_worker_count_from_the_environment(sweep, monkeypa
     # spy records the count map_ordered would resolve and runs serially.
     seen = []
 
-    def spy(fn, job, trials, n_workers=None, deadline=None):
+    def spy(fn, job, trials, n_workers=None):
         seen.append(resolve_workers(n_workers))
-        return map_ordered(fn, job, trials, 1, deadline)
+        return map_ordered(fn, job, trials, 1)
 
     monkeypatch.setattr(SWEEP_MODULES[sweep], "map_ordered", spy)
     monkeypatch.setenv("NASHWALK_THREADS", "2")

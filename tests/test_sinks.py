@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from nashwalk.errors import AlphaOutOfRange, TimeBudgetExceeded
 from nashwalk.medium import (
     DOWN, MODE_EXHAUSTIVE, MODE_LAZY, TIE, UP, Medium, build_medium, neighbors,
 )
+from nashwalk.parallel import time_budget
 from nashwalk.rng import fold, TAG_MEDIUM
 from nashwalk.sinks import (
     _out_words, _pack, _reach_back, _remainder_edges, _sink_sccs,
@@ -304,8 +304,8 @@ def test_the_trap_search_is_a_sink_scc_search():
 def test_an_exceeded_deadline_stops_the_sink_analysis():
     # the snake takes seconds at n=16 and a minute at n=18: the deadline is
     # checked between reach rounds, not only once the analysis is done
-    with pytest.raises(TimeBudgetExceeded):
-        sink_components(snake_cube(12), deadline=time.monotonic() - 1)
+    with time_budget(-1), pytest.raises(TimeBudgetExceeded):
+        sink_components(snake_cube(12))
 
 
 def reverse_bfs(medium: Medium, targets: np.ndarray) -> np.ndarray:
