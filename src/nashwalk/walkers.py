@@ -17,14 +17,20 @@ PNE visit index) and xi (first trap-vertex visit index) when known; they are
 written as CSV or JSON lines by :mod:`nashwalk.experiments`.
 
 Trap detection follows from what a walk is given: :func:`run_walk` reads
-traps off a :class:`SinkAnalysis` when it has one, and otherwise probes each
-first revisit outside the traps found so far with a closure on the medium's
-rows, of the closures' default budget.  Either way a step reads the current
-vertex's row once, for its PNE test and its step law, except in an exact srw
-walk, whose law ignores the row and which tests PNEs on the analysis's mask.
-:func:`walk_trial` derives trial i (medium, walk seed, and the sink analysis
-exactly when the medium is exhaustive) and walks every policy on it;
-``run_trials`` and every walk experiment sweep it with
+traps off a :class:`SinkAnalysis` when it has one, and otherwise probes
+revisits with a closure on the medium's rows, of the closures' default
+budget.  A walk that can leave a trap probes each first revisit outside the
+traps found so far.  A brd-like walk cannot, so a trap it enters holds it:
+it probes only a vertex's third visit and its cap, and one IN_TRAP verdict
+places the first revisit the eager rule would have stopped at.  Either way a
+step reads the current vertex's row once, for its PNE test and its step law,
+except in an exact srw walk, whose law ignores the row and which tests PNEs
+on the analysis's mask.  :func:`walk_trial` derives trial i (medium, walk
+seed, and the sink analysis when the medium is exhaustive) and walks every
+policy on it.  An exhaustive trial whose policies are all brd-like first
+walks the lazy twin without probes, and builds the table and its analysis
+only when a walk revisits a vertex or reaches its cap.  ``run_trials`` and
+every walk experiment sweep :func:`walk_trial` with
 :func:`nashwalk.parallel.map_ordered`.
 """
 
@@ -36,9 +42,11 @@ from dataclasses import dataclass, replace
 from .errors import NonCanonicalEdge, PneInSample, StepCapZero
 from .medium import (
     MODE_EXHAUSTIVE,
+    MODE_LAZY,
     Medium,
     MediumParams,
     Vertex,
+    _validate_params,
     as_index,
     neighbors,
     trial_medium,
@@ -216,12 +224,39 @@ def run_walk(
     Each step reads the current vertex's row once, for the PNE test and the
     step law; an exact srw walk, whose law ignores the row, reads none and
     tests PNEs on `sinks.pne_mask`.  Given `sinks`, traps are read off its
-    trap_mask.  Without it a vertex is probed on its second visit, with a
-    closure of the default budget, unless it lies in a trap found already.
-    Brd-like walks stop on confirmed trap entry, and so does every walk
-    under ``config.stop_at_trap``; other walks keep moving and may leave
-    the trap.  The time budget (:func:`nashwalk.parallel.time_budget`) is
-    checked every 1024 steps.
+    trap_mask.  Without it, traps are found by closure probes of the default
+    budget (:func:`classify_vertex`), and the walk stops at the first
+    revisit whose probe says IN_TRAP:
+
+    * A walk that is not brd-like probes each first revisit outside the
+      traps found already.
+    * A brd-like walk never leaves a trap, so it queues its first revisits
+      unprobed.  A vertex's third visit, or the vertex at the cap, is probed
+      alone: IN_TRAP cuts the walk back to the first queued revisit inside
+      that trap, and any other verdict clears every queued vertex of being
+      in a trap.  At the cap, queued vertices are then probed in order until
+      one overruns its budget, which makes the terminal ``unknown``.  A walk
+      absorbed at a PNE drops its queue unprobed.
+
+    Both rules give the same record.  Brd-like walks stop on confirmed trap
+    entry, and so does every walk under ``config.stop_at_trap``; other walks
+    keep moving and may leave the trap.  The time budget
+    (:func:`nashwalk.parallel.time_budget`) is checked every 1024 steps.
+    """
+    return _walk(medium, policy, config, sinks, trial)
+
+
+def _walk(
+    medium: Medium,
+    policy: Policy,
+    config: WalkConfig,
+    sinks: SinkAnalysis | None,
+    trial: int,
+    first_pass: bool = False,
+) -> WalkRecord | None:
+    """:func:`run_walk`'s engine.  With `first_pass`, a brd-like walk without
+    `sinks` probes nothing and gives up, returning None, at its first
+    revisit or at its cap: only an absorbed walk is decided without a probe.
     """
     n = medium.n_players
     max_steps = 1000 * n * n if config.max_steps is None else config.max_steps
@@ -233,6 +268,7 @@ def run_walk(
     trap_mask = None if sinks is None else sinks.trap_mask
     pne_mask = None if sinks is None or policy.kind != POLICY_SRW else sinks.pne_mask
     stop_in_trap = policy.brd_like or config.stop_at_trap
+    deferred = sinks is None and policy.brd_like
 
     path = [v]
     xi: int | None = None
@@ -240,6 +276,8 @@ def run_walk(
     visits: dict[int, int] = {}
     trap_members: set[int] = set()  # the members of every trap found
     budget_blind = False  # a lazy probe overran its budget
+    revisits: list[int] = []  # deferred: the indices of first revisits
+    verdicts: dict[int, VertexClass] = {}  # deferred: each vertex probed
 
     # step t + 1 draws fold(walk_seed, TAG_STEP, t); the first two of its
     # three mix passes do not depend on t
@@ -258,6 +296,26 @@ def run_walk(
             break
         if trap_mask is not None:
             trapped = trap_mask[v]
+        elif deferred:
+            visits[v] = count = visits.get(v, 0) + 1
+            if count == 2:
+                if first_pass:
+                    return None
+                revisits.append(t)
+            if (count == 3 or t == max_steps) and revisits and (
+                _verdict(medium, verdicts, v) == VertexClass.IN_TRAP
+            ):
+                # the walk entered v's trap and never left it, so its first
+                # revisit there is where a probe of every first revisit stops
+                members = forward_closure(medium, v).visited
+                cut = next((i for i in revisits if path[i] in members), None)
+                if cut is not None:
+                    del path[cut + 1 :]
+                    xi = next(i for i, x in enumerate(path) if x in members)
+                    t = cut
+                    terminal = TERMINAL_IN_TRAP
+                    break
+            trapped = False
         else:
             visits[v] = count = visits.get(v, 0) + 1
             if count == 2 and v not in trap_members:
@@ -280,6 +338,13 @@ def run_walk(
                 terminal = TERMINAL_IN_TRAP
                 break
         if t == max_steps:
+            if first_pass:
+                return None
+            if deferred:
+                budget_blind = any(
+                    _verdict(medium, verdicts, path[i]) == VertexClass.UNKNOWN
+                    for i in revisits
+                )
             terminal = TERMINAL_UNKNOWN if budget_blind else TERMINAL_STEP_CAP
             break
         dist = _distribution(policy, n, v, out_bits, in_bits)
@@ -300,17 +365,43 @@ def run_walk(
     )
 
 
+def _verdict(medium: Medium, verdicts: dict[int, VertexClass], v: Vertex) -> VertexClass:
+    """classify_vertex(medium, v), probed once per walk."""
+    if v not in verdicts:
+        verdicts[v] = classify_vertex(medium, v)
+    return verdicts[v]
+
+
 def walk_trial(
     params: MediumParams, policies: tuple[Policy, ...], config: WalkConfig, trial: int
 ) -> list[WalkRecord]:
     """One record per policy, in policy order, all walked on trial `trial`'s
     medium (:func:`trial_medium`) with one step stream,
     fold(config.walk_seed, "walk", trial), so they are paired.
-    An exhaustive medium gets its sink analysis and exact trap detection; a
-    lazy one gets lazy probes."""
-    medium = trial_medium(params, trial)
-    sinks = sink_components(medium) if params.mode == MODE_EXHAUSTIVE else None
+
+    A lazy medium gets lazy probes (:func:`run_walk` without `sinks`).  An
+    exhaustive medium gets exact trap detection, but when every policy is
+    brd-like the trial first walks the medium's lazy twin, which has the
+    same edges, without probes: a walk absorbed before its first revisit
+    never met a trap, so when every walk is, those records are final and no
+    table is built.  Otherwise the trial runs exactly: the table, its sink
+    analysis, and every walk again on it.
+    """
     cfg = replace(config, walk_seed=fold(config.walk_seed, TAG_WALK, trial))
+    exhaustive = params.mode == MODE_EXHAUSTIVE
+    if exhaustive and all(policy.brd_like for policy in policies):
+        _validate_params(params)  # the lazy twin would accept n > 24
+        twin = trial_medium(replace(params, mode=MODE_LAZY), trial)
+        records = []
+        for policy in policies:
+            record = _walk(twin, policy, cfg, None, trial, first_pass=True)
+            if record is None:
+                break
+            records.append(record)
+        else:
+            return records
+    medium = trial_medium(params, trial)
+    sinks = sink_components(medium) if exhaustive else None
     return [run_walk(medium, policy, cfg, sinks=sinks, trial=trial) for policy in policies]
 
 

@@ -4,7 +4,8 @@ The two-player examples are small enough to verify by hand; the escape
 cube is a three-player table built so that best-response walkers get
 stuck in the bottom face while mixed walkers can climb out of it.
 :func:`whole_graph_scc` is the SCC oracle for ``sinks.sink_components``;
-scipy is a test dependency only.
+scipy is a test dependency only.  :func:`eager_probe_walk` is the oracle for
+``run_walk``'s lazy trap detection: it probes every first revisit.
 """
 
 from __future__ import annotations
@@ -15,6 +16,19 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from nashwalk.medium import DOWN, TIE, UP, Medium, PayoffGame, medium_from_payoffs
+from nashwalk.rng import TAG_STEP, fold, mix64, unit_interval
+from nashwalk.sinks import VertexClass, classify_vertex, forward_closure
+from nashwalk.walkers import (
+    TERMINAL_ABSORBED,
+    TERMINAL_IN_TRAP,
+    TERMINAL_STEP_CAP,
+    TERMINAL_UNKNOWN,
+    Policy,
+    WalkConfig,
+    WalkRecord,
+    sample_categorical,
+    step_distribution,
+)
 
 # Payoffs for a 2-player game whose best-response digraph points every
 # edge toward vertex 0 (the unique pure equilibrium).
@@ -119,3 +133,59 @@ def whole_graph_scc(medium: Medium) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     pne_comp = is_sink & (comp_sizes == 1)
     trap_comp = is_sink & (comp_sizes >= 2)
     return labels, pne_comp[labels], trap_comp[labels]
+
+
+def eager_probe_walk(
+    medium: Medium, policy: Policy, config: WalkConfig, trial: int = 0, budget: int | None = None
+) -> WalkRecord:
+    """Oracle for ``run_walk`` without a sink analysis: the eager rule, which
+    probes every first revisit outside the traps found so far with a closure
+    of `budget` (the default when None), whatever the policy."""
+    n = medium.n_players
+    max_steps = 1000 * n * n if config.max_steps is None else config.max_steps
+    v = config.start
+    path = [v]
+    xi = None
+    visits: dict[int, int] = {}
+    trap_members: set[int] = set()
+    budget_blind = False
+    step_key = fold(config.walk_seed, TAG_STEP)
+    for t in range(max_steps + 1):
+        out_bits, in_bits = medium.row(v)
+        if not out_bits:
+            terminal = TERMINAL_ABSORBED
+            break
+        visits[v] = count = visits.get(v, 0) + 1
+        if count == 2 and v not in trap_members:
+            verdict = classify_vertex(medium, v, budget)
+            if verdict == VertexClass.UNKNOWN:
+                budget_blind = True
+            elif verdict == VertexClass.IN_TRAP:
+                members = forward_closure(medium, v).visited
+                trap_members.update(members)
+                if xi is None:
+                    xi = next(i for i, x in enumerate(path) if x in members)
+        if v in trap_members:
+            if xi is None:
+                xi = t
+            if policy.brd_like or config.stop_at_trap:
+                terminal = TERMINAL_IN_TRAP
+                break
+        if t == max_steps:
+            terminal = TERMINAL_UNKNOWN if budget_blind else TERMINAL_STEP_CAP
+            break
+        dist = step_distribution(policy, medium, v)
+        v = sample_categorical(dist, unit_interval(mix64(step_key ^ t)))
+        path.append(v)
+    return WalkRecord(
+        trial=trial,
+        policy=policy.label(),
+        n=n,
+        alpha=medium.params.alpha,
+        start=path[0],
+        tau=t if terminal == TERMINAL_ABSORBED else None,
+        xi=xi,
+        steps_taken=t,
+        terminal=terminal,
+        path=path if config.record_path else None,
+    )

@@ -246,6 +246,15 @@ def test_ignored_threads_and_budget_values_exit_2(command, flags, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_an_exhaustive_walk_past_the_cap_exits_2(capsys):
+    # a brd trial walks its medium's lazy twin first, and the lazy cap is
+    # higher: the exhaustive cap must still be checked before that walk
+    assert run_cli(["walk", "--n", "25", "--alpha", "0.9", "--policy", "brd", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds exhaustive cap 24" in captured.err
+
+
 ALL_SUBCOMMANDS = [
     ["figure1", "--n", "4", "--alpha", "0.5", "--trials", "2"],
     ["theorem", "--n", "4", "--alpha", "0.5", "--trials", "2"],

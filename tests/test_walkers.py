@@ -23,8 +23,8 @@ from nashwalk.experiments import (
     rows_to_csv,
     walk_fields,
 )
-from nashwalk.medium import MODE_EXHAUSTIVE, MODE_LAZY, MediumParams, build_medium
-from nashwalk.rng import fold, unit_interval
+from nashwalk.medium import MODE_EXHAUSTIVE, MODE_LAZY, MediumParams, build_medium, trial_medium
+from nashwalk.rng import TAG_WALK, fold, unit_interval
 from nashwalk.sinks import is_pne, sink_components
 from nashwalk.walkers import (
     TERMINAL_ABSORBED,
@@ -41,6 +41,8 @@ from nashwalk.walkers import (
     verify_assumption,
     walk_trial,
 )
+
+from conftest import eager_probe_walk
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +357,94 @@ def test_walk_trial_agrees_across_storage_modes(n, alpha):
                     assert (ex.path, ex.terminal) == (lz.path, lz.terminal)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    alpha=st.sampled_from([0.0, 0.0, 0.3, 0.9]),  # traps are common at alpha = 0
+    policies=st.sampled_from([("brd",), ("lambda:1",), ("brd", "lambda:1")]),
+    max_steps=st.integers(min_value=1, max_value=2000),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    trial=st.integers(min_value=0, max_value=1000),
+    trap_start=st.integers(min_value=-50, max_value=50),  # < 0: start at 0
+    starved=st.sampled_from([False, False, False, True]),
+)
+def test_deferred_probes_and_lazy_first_trials_give_the_eager_records(
+    n, alpha, policies, max_steps, seed, trial, trap_start, starved
+):
+    # A brd-like walk without a sink analysis probes third visits and its
+    # cap, not first revisits; an exhaustive brd-like trial walks its lazy
+    # twin first.  Neither may change a field of any record.  A starved
+    # closure budget turns probes UNKNOWN, which only the cap settles.
+    params = MediumParams(n, alpha, seed)
+    policies = tuple(map(parse_policy, policies))
+    exhaustive = trial_medium(params, trial)
+    lazy = trial_medium(replace(params, mode=MODE_LAZY), trial)
+    analysis = sink_components(exhaustive)
+    start = 0
+    if trap_start >= 0 and analysis.traps:
+        start = analysis.traps[trap_start % len(analysis.traps)][-1]
+    cfg = WalkConfig(walk_seed=seed, max_steps=max_steps, start=start, record_path=True)
+    budget = 3 if starved else None
+    with pytest.MonkeyPatch.context() as patch:
+        if starved:
+            patch.setattr(walkers, "classify_vertex", partial(sinks.classify_vertex, budget=budget))
+        for policy in policies:
+            want = eager_probe_walk(lazy, policy, cfg, trial, budget)
+            assert run_walk(lazy, policy, cfg, trial=trial) == want
+    trial_cfg = replace(cfg, walk_seed=fold(seed, TAG_WALK, trial))
+    assert walk_trial(params, policies, cfg, trial) == [
+        run_walk(exhaustive, policy, trial_cfg, sinks=analysis, trial=trial)
+        for policy in policies
+    ]
+
+
+@pytest.mark.parametrize("budget", [None, 3])
+def test_deferred_probes_on_trap_heavy_media(monkeypatch, budget):
+    # n = 8 media at alpha = 0 often hold traps: every brd walk from 0 and
+    # from a trap member, run without a sink analysis, gives the eager
+    # record, whatever the cap
+    if budget is not None:
+        monkeypatch.setattr(walkers, "classify_vertex", partial(sinks.classify_vertex, budget=budget))
+    terminals = set()
+    for i in range(30):
+        med = build_medium(8, 0.0, fold(2525, i))
+        starts = [0] + [members[-1] for members in sink_components(med).traps]
+        for start in starts:
+            for max_steps in (1, 2, 9, 40, 300, 2000):
+                cfg = WalkConfig(walk_seed=i, max_steps=max_steps, start=start, record_path=True)
+                want = eager_probe_walk(med, Policy.brd(), cfg, budget=budget)
+                assert run_walk(med, Policy.brd(), cfg) == want
+                terminals.add(want.terminal)
+    # a starved probe never closes over a trap, so every trapped walk caps
+    found = TERMINAL_IN_TRAP if budget is None else TERMINAL_UNKNOWN
+    assert terminals == {TERMINAL_ABSORBED, TERMINAL_STEP_CAP, found}
+
+
+@pytest.mark.parametrize(
+    "n, alpha, trials, analysed", [(12, 0.9, 200, 0), (12, 0.5, 200, 39), (8, 0.0, 100, 88)]
+)
+def test_exhaustive_brd_trials_analyse_only_what_a_lazy_walk_leaves_open(
+    monkeypatch, n, alpha, trials, analysed
+):
+    # An exhaustive brd trial builds its table and sink analysis exactly
+    # when its lazy twin's walk revisits a vertex or reaches its cap.  At
+    # theorem's alpha = 0.9 no walk does; at alpha = 0 most fall back.
+    calls = []
+    original = walkers.sink_components
+    monkeypatch.setattr(walkers, "sink_components", lambda m: calls.append(m) or original(m))
+    params = MediumParams(n, alpha, 7)
+    cfg = WalkConfig(walk_seed=7, stop_at_trap=True)
+    for trial in range(trials):
+        before = len(calls)
+        walk_trial(params, (Policy.brd(),), cfg, trial)
+        twin = trial_medium(replace(params, mode=MODE_LAZY), trial)
+        lazy_cfg = replace(cfg, walk_seed=fold(7, TAG_WALK, trial), record_path=True)
+        rec = run_walk(twin, Policy.brd(), lazy_cfg)
+        left_open = rec.terminal != TERMINAL_ABSORBED or len(set(rec.path)) < len(rec.path)
+        assert len(calls) - before == left_open
+    assert len(calls) == analysed
+
+
 def decision(record) -> str:
     """How figure1 and theorem read a record: which of tau and xi came first."""
     if record.tau is not None and (record.xi is None or record.tau < record.xi):
@@ -464,10 +554,12 @@ def test_lazy_walk_never_reprobes_a_found_trap(monkeypatch, tmp_path):
 
 
 def test_lazy_probes_stop_at_the_first_pne(monkeypatch, tmp_path):
-    # nwbench's lazy-n8 workload: 246 of its 250 closures are TRANSIENT
-    # probes, which stop at their first PNE since the budget covers the cube.
-    # The digest and the 49,840 visited vertices were recorded while every
-    # probe still explored its whole closure.
+    # nwbench's lazy-n8 workload.  A brd walk probes third visits only: 83
+    # TRANSIENT probes, which stop at their first PNE since the budget
+    # covers the cube, and 2 IN_TRAP probes with their trap closures make
+    # 87 closures, where a probe of every first revisit made 250.  The
+    # digest and the 49,840 visited vertices were recorded while every
+    # first revisit was probed and every probe explored its whole closure.
     visited = []
     original = sinks.forward_closure
 
@@ -485,7 +577,7 @@ def test_lazy_probes_stop_at_the_first_pne(monkeypatch, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "1de3a7900d1625d2e56fa49bc5976919f13537e05526f196b576256336cb4272"
     )
-    assert len(visited) == 250
+    assert len(visited) == 87
     assert sum(visited) <= 49_840 // 5
 
 
