@@ -47,21 +47,27 @@ Rows.  Every per-vertex query (``is_pne``, closures, walk steps,
 ``out_bits`` / ``in_bits`` set when v's axis-i edge points out of / into v
 (a tie sets neither).  Rows are memoized per medium in either storage mode,
 at most 2^min(n, 16) of them (the default closure budget, so the whole cube
-for n <= 16); a full memo is emptied before the next row is stored.  On a
-memo miss an exhaustive medium reads v's n table entries, and its per-edge
-reads (``orientation``, ``orientation_seen_from``) read one entry without a
-row.  A lazy medium answers its per-edge reads from ``row(v)`` as well, so
-the row is its one hasher: it hashes v's n edges in one Python int of n
-128-bit lanes.  Lane i starts as the base of v's axis-i edge,
-``h0 ^ (v & ~bit_i)`` (the seed's pass h0 is computed once per medium), and
+for n <= 16); a full memo is emptied before the next row is stored.  An
+exhaustive medium keeps a ``memoryview`` of its read-only table (a view,
+not a copy), whose items are Python ints, and n, 2^n and 2^(n-1) as ints:
+a row miss reads v's n entries from the view, and the per-edge reads
+(``orientation``, ``orientation_seen_from``) read one entry without a row,
+seen from the partner through a 3-tuple that swaps Up and Down.  A lazy
+medium answers its per-edge reads from ``row(v)`` as well, so the row is
+its one hasher: it hashes v's n edges in one Python int of n 128-bit lanes.
+Lane i starts as the base of v's axis-i edge, ``h0 ^ (v & ~bit_i)`` (the
+seed's pass h0 is computed once per medium), and
 :func:`~nashwalk.rng.mix64_lanes` mixes every lane at once, the vertex pass
 and then, after each lane is xored with its axis, the edge pass.  Adding
 ``(2^64 - t)`` to every lane carries into a lane's bit 64 exactly when its
-hash is >= t, so the tie and up thresholds give the row's non-tie and
-down-edge masks, read off the lanes' bytes.  For any n a row costs two
-mix passes and two threshold reads over one 16n-byte int.  Closure probes
-and walks revisit the same vertices many times, and with the memo those
-revisits read nothing.
+hash is >= t; the tie carry and the down carry are packed into bits 64 and
+65 of each lane, so one ``to_bytes`` of the sum gives each lane's byte 8,
+which two ``translate`` tables read as the row's non-tie and down-edge
+masks.  The lane constants, threshold adds included, are cached per
+(n, t_tie, t_up), so a lazy medium costs one lookup to build.  For any n a
+row costs two mix passes and one carry read over one 16n-byte int.
+Closure probes and walks revisit the same vertices many times, and with
+the memo those revisits read nothing.
 
 Files.  NWMEDIUM (a medium's 2-bit codes) and NWPERC (a percolation's
 1-bit open flags) are one codec: :func:`dump_edges` writes a
@@ -242,26 +248,27 @@ def edge_hashes(key: int, n: int):
         yield mix64_np(out, out=out, tmp=spare)
 
 
-@functools.cache
-def _row_lanes(n: int) -> tuple[int, int, int, int, int]:
-    """(ONE, LOW, GOLDEN, DIAG, AXES) for a lazy row's n 128-bit lanes:
-    :func:`lane_constants`, then bit i and the integer i in lane i."""
+@functools.lru_cache(maxsize=256)
+def _row_lanes(n: int, t_tie: int, t_up: int) -> tuple[int, ...]:
+    """(ONE, LOW, GOLDEN, DIAG, AXES, TIE_ADD, UP_ADD, CARRY) for a lazy
+    row's n 128-bit lanes: :func:`lane_constants`, bit i and the integer i
+    in lane i, 2^64 - t for each threshold in every lane, and bit 64 of
+    every lane.  Adding 2^64 - t to a lane below 2^64 carries into its bit
+    64 exactly when the lane is >= t (both t < 2^64, as alpha < 1)."""
     one, low, golden = lane_constants(n)
     diag = sum(1 << (129 * i) for i in range(n))
     axes = sum(i << (128 * i) for i in range(n))
-    return one, low, golden, diag, axes
+    return (one, low, golden, diag, axes,
+            ((1 << 64) - t_tie) * one, ((1 << 64) - t_up) * one, one << 64)
 
 
-# byte 0 -> "0", byte 1 -> "1": a lane's byte 8 read as a binary digit
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# a lane's byte 8 holds its tie carry in bit 0 and its down carry in bit 1;
+# these read each carry as a binary digit
+_NONTIE_DIGITS = bytes.maketrans(b"\x00\x01\x02\x03", b"0101")
+_DOWN_DIGITS = bytes.maketrans(b"\x00\x01\x02\x03", b"0011")
 
-
-def _lane_carries(x: int, n: int) -> int:
-    """n-bit mask of the lanes of `x` whose bit 64 is set, where each lane
-    is below 2^65.  Bit 64 is the low bit of the lane's byte 8, and every
-    other bit of that byte is clear."""
-    digits = x.to_bytes(16 * n, "little")[8::16][::-1].translate(_BINARY_DIGITS)
-    return int(digits, 2)
+# a code seen from the partner of its edge's base: Up and Down swap
+_FLIPPED = (TIE, DOWN, UP)
 
 
 def _tie_up_thresholds(alpha: float) -> tuple[int, int]:
@@ -300,24 +307,28 @@ class Medium:
     def __init__(self, params: MediumParams, table: np.ndarray | None):
         self.params = params
         self._table = table  # int8, axis-major, or None in lazy mode
-        if table is not None:
-            table.flags.writeable = False  # memoized rows must not go stale
         n = params.n_players
+        self._n = n
+        self._size = 1 << n
         self._half = 1 << (n - 1)
         self._rows: dict[int, tuple[int, int]] = {}
         self._row_cap = default_closure_budget(n)
         self._axis_bits = tuple(1 << axis for axis in range(n))
         if table is None:
-            t_tie, t_up = _tie_up_thresholds(params.alpha)
+            self._codes = None
             # fold(seed, base, axis) == mix64(mix64(h0 ^ base) ^ axis); the
             # seed's own pass is the same for every edge, so it is done once
             self._h0 = mix64(params.seed)
-            one, low, golden, diag, axes = _row_lanes(n)
-            # adding 2^64 - t to a lane carries into its bit 64 exactly when
-            # the lane's hash is >= t (both t < 2^64, as alpha < 1)
-            tie_add = ((1 << 64) - t_tie) * one
-            up_add = ((1 << 64) - t_up) * one
-            self._lanes = (one, low, golden, diag, axes, tie_add, up_add)
+            self._lanes = _row_lanes(n, *_tie_up_thresholds(params.alpha))
+        else:
+            table.flags.writeable = False  # memoized rows must not go stale
+            # the scalar reads index this read-only view of the table, whose
+            # items are Python ints
+            self._codes = memoryview(table)
+
+    def __reduce__(self):
+        # a memoryview does not pickle: rebuild the medium from its table
+        return type(self), (self.params, self._table)
 
     # -- construction -----------------------------------------------------
 
@@ -381,17 +392,19 @@ class Medium:
         row = self._rows.get(v)
         if row is not None:
             return row
-        n = self.params.n_players
-        if not 0 <= v < self._half << 1:
-            raise NonCanonicalEdge(f"vertex {v} outside the {n}-cube")
-        table = self._table
-        if table is None:
-            one, low, golden, diag, axes, tie_add, up_add = self._lanes
+        if not 0 <= v < self._size:
+            raise NonCanonicalEdge(f"vertex {v} outside the {self._n}-cube")
+        codes = self._codes
+        if codes is None:
+            one, low, golden, diag, axes, tie_add, up_add, carry = self._lanes
             # lane i holds the base of v's axis-i edge, h0 ^ (v & ~bit_i)
             x = ((self._h0 ^ v) * one) ^ ((v * one) & diag)
             x = mix64_lanes(mix64_lanes(x, golden, low) ^ axes, golden, low)
-            nontie = _lane_carries(x + tie_add, n)
-            down = _lane_carries(x + up_add, n)
+            # both carries in each lane's byte 8, most significant lane first
+            carries = ((x + tie_add) & carry) | (((x + up_add) & carry) << 1)
+            digits = carries.to_bytes(16 * self._n, "little")[8::16][::-1]
+            nontie = int(digits.translate(_NONTIE_DIGITS), 2)
+            down = int(digits.translate(_DOWN_DIGITS), 2)
             # UP runs from the base (bit clear) to the partner (bit set)
             out_bits = ((nontie ^ down) & ~v) | (down & v)
             in_bits = nontie ^ out_bits
@@ -401,7 +414,7 @@ class Medium:
             for axis, bit in enumerate(self._axis_bits):
                 # edge_index(v & ~bit, axis, n) with squeeze_bit inlined
                 squeezed = (v & (bit - 1)) | ((v >> (axis + 1)) << axis)
-                code = table.item(axis * half + squeezed)
+                code = codes[axis * half + squeezed]
                 if code == TIE:
                     continue
                 if (code == UP) == (not v & bit):
@@ -417,31 +430,29 @@ class Medium:
         """Edge state relative to v: UP = out of v, DOWN = into v, TIE = tie.
 
         The coupling's per-edge read: axis and v are checked once, then the
-        entry is read straight from the table.  A lazy medium decodes bit
+        entry is read straight from the table's view, and swapped through
+        a 3-tuple when v is the edge's partner.  A lazy medium decodes bit
         `axis` of :meth:`row` instead, so its edges are hashed in one place.
-        A numpy uint64 meeting a numpy int64 makes the table arithmetic raise
+        A numpy uint64 meeting a numpy int64 makes the index arithmetic raise
         TypeError; only then are v and axis read through ``operator.index``
         (as in :meth:`check_edge`) and the read retried, so the Python-int
         path does no extra work.  A non-integer raises NonCanonicalEdge or
         AxisOutOfRange.
         """
-        n = self.params.n_players
         try:
-            if not 0 <= axis < n:
-                raise AxisOutOfRange(f"axis {axis} outside [0, {n})")
-            if not 0 <= v < self._half << 1:
-                raise NonCanonicalEdge(f"vertex {v} outside the {n}-cube")
-            bit = 1 << axis
-            table = self._table
-            if table is None:
+            if not 0 <= axis < self._n:
+                raise AxisOutOfRange(f"axis {axis} outside [0, {self._n})")
+            if not 0 <= v < self._size:
+                raise NonCanonicalEdge(f"vertex {v} outside the {self._n}-cube")
+            codes = self._codes
+            if codes is None:
                 out_bits, in_bits = self.row(v)
+                bit = 1 << axis
                 return UP if out_bits & bit else DOWN if in_bits & bit else TIE
             # edge_index(base, axis, n) with squeeze_bit inlined
-            squeezed = (v & (bit - 1)) | ((v >> (axis + 1)) << axis)
-            code = table.item(axis * self._half + squeezed)
-            if code == TIE or not v & bit:
-                return code
-            return DOWN if code == UP else UP
+            squeezed = (v & ((1 << axis) - 1)) | ((v >> (axis + 1)) << axis)
+            code = codes[axis * self._half + squeezed]
+            return _FLIPPED[code] if v >> axis & 1 else code
         except TypeError:
             axis = as_index(axis, AxisOutOfRange, "axis")
             return self.orientation_seen_from(as_index(v, NonCanonicalEdge, "vertex"), axis)
@@ -452,7 +463,7 @@ class Medium:
         owns (a numpy integer v gives int neighbors too)."""
         v = as_index(v, NonCanonicalEdge, "vertex")
         out_bits, in_bits = self.row(v)
-        tie_bits = ((self._half << 1) - 1) ^ out_bits ^ in_bits
+        tie_bits = (self._size - 1) ^ out_bits ^ in_bits
         return NeighborPartition(
             neighbors(v, out_bits), neighbors(v, in_bits), neighbors(v, tie_bits)
         )

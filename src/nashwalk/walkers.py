@@ -25,18 +25,24 @@ it probes only a vertex's third visit and its cap, and one IN_TRAP verdict
 places the first revisit the eager rule would have stopped at.  Either way a
 step reads the current vertex's row once, for its PNE test and its step law,
 except in an exact srw walk, whose law ignores the row and which tests PNEs
-on the analysis's mask.  :func:`walk_trial` derives trial i (medium, walk
-seed, and the sink analysis when the medium is exhaustive) and walks every
-policy on it.  An exhaustive trial whose policies are all brd-like first
-walks the lazy twin without probes, and builds the table and its analysis
-only when a walk revisits a vertex or reaches its cap.  ``run_trials`` and
-every walk experiment sweep :func:`walk_trial` with
-:func:`nashwalk.parallel.map_ordered`.
+on the analysis's mask.  A step's law depends on the row only through v's
+out- and in-degree, so a walk draws its step by bisecting the running sums
+:func:`sample_categorical` would form, cached per (policy, n, out-degree,
+in-degree), and maps the index found to its neighbor;
+:func:`step_distribution` and :func:`sample_categorical` stay as the oracle.
+:func:`walk_trial` derives trial i (medium, walk seed, and the sink analysis
+when the medium is exhaustive) and walks every policy on it.  An exhaustive
+trial whose policies are all brd-like first walks the lazy twin without
+probes, and builds the table and its analysis only when a walk revisits a
+vertex or reaches its cap.  ``run_trials`` and every walk experiment sweep
+:func:`walk_trial` with :func:`nashwalk.parallel.map_ordered`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .errors import NonCanonicalEdge, PneInSample, StepCapZero
@@ -184,6 +190,52 @@ def sample_categorical(dist: list[tuple[Vertex, float]], u: float) -> Vertex:
     return dist[-1][0]
 
 
+def _running_sums(policy: Policy, n: int, k_out: int, k_in: int) -> tuple[float, ...]:
+    """The running sums :func:`sample_categorical` forms over
+    :func:`_distribution`'s probabilities at a vertex with `k_out` out-edges
+    and `k_in` in-edges, added in the same order.  The probabilities depend
+    on the row only through those two counts."""
+    acc = 0.0
+    sums = []
+    for _, p in _distribution(policy, n, 0, (1 << k_out) - 1, ((1 << k_in) - 1) << k_out):
+        acc += p
+        sums.append(acc)
+    return tuple(sums)
+
+
+@functools.lru_cache(maxsize=256)
+def _step_sampler(policy: Policy, n: int):
+    """`policy`'s step draw on the n-cube, ``draw(v, out_bits, in_bits, u)``,
+    equal to ``sample_categorical(_distribution(policy, n, v, out_bits,
+    in_bits), u)``.  It bisects the law's running sums, cached per (out, in)
+    degree pair, for the first one above u (capped at the last entry), and
+    maps that entry's index to its neighbor in :func:`_distribution`'s
+    order: axis order for srw, else the out-neighbors and then the
+    in-neighbors, each in axis order."""
+    laws: dict[tuple[int, int], tuple[float, ...]] = {}
+    srw = policy.kind == POLICY_SRW
+
+    def draw(v: Vertex, out_bits: int, in_bits: int, u: float) -> Vertex:
+        k_out = out_bits.bit_count()
+        key = (k_out, in_bits.bit_count())
+        sums = laws.get(key)
+        if sums is None:
+            sums = laws[key] = _running_sums(policy, n, *key)
+        j = bisect_right(sums, u)
+        if j == len(sums):
+            j -= 1
+        if srw:
+            return v ^ (1 << j)
+        bits = out_bits
+        if j >= k_out:
+            bits, j = in_bits, j - k_out
+        for _ in range(j):
+            bits &= bits - 1  # drop the lowest neighbor
+        return v ^ (bits & -bits)
+
+    return draw
+
+
 def verify_assumption(
     policy: Policy,
     medium: Medium,
@@ -282,6 +334,7 @@ def _walk(
     # step t + 1 draws fold(walk_seed, TAG_STEP, t); the first two of its
     # three mix passes do not depend on t
     step_key = fold(config.walk_seed, TAG_STEP)
+    draw = _step_sampler(policy, n)
     for t in range(max_steps + 1):
         if not t & 1023:
             check_deadline()
@@ -347,8 +400,7 @@ def _walk(
                 )
             terminal = TERMINAL_UNKNOWN if budget_blind else TERMINAL_STEP_CAP
             break
-        dist = _distribution(policy, n, v, out_bits, in_bits)
-        v = sample_categorical(dist, unit_interval(mix64(step_key ^ t)))
+        v = draw(v, out_bits, in_bits, unit_interval(mix64(step_key ^ t)))
         path.append(v)
 
     return WalkRecord(

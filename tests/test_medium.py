@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -760,6 +761,74 @@ def test_orientation_seen_from_rejects_bad_arguments(mode):
     # the axis is checked first when both are out of range
     with pytest.raises(AxisOutOfRange):
         med.orientation_seen_from(-1, -1)
+
+
+def scalar_read_media(n: int):
+    """(constructor, medium) for each way to make an exhaustive medium."""
+    hashed = build_medium(n, 0.4, 1000 + n)
+    codes = np.random.default_rng(n).integers(0, 3, size=edge_count(n))
+    game = sample_payoff_game(n, PayoffSpec("discrete_uniform", k=3), n)
+    return [
+        ("build_medium", hashed),
+        ("from_orientation_table", Medium.from_orientation_table(n, codes)),
+        ("load_bytes", Medium.load_bytes(hashed.dump_bytes())),
+        ("medium_from_payoffs", medium_from_payoffs(game)),
+    ]
+
+
+SCALAR_CASTS = (int, np.int64, np.uint64)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_scalar_reads_match_a_long_hand_table_read(n):
+    # Oracle: each entry read long hand at edge_index of require_table(),
+    # then seen from v (an Up edge points out of its base, the endpoint
+    # with the axis bit clear).  Every (v, axis) in int, np.int64 and
+    # np.uint64, mixed both ways, and a pickled copy, which must read the
+    # same and keep its table read-only.
+    for name, med in scalar_read_media(n):
+        table = med.require_table()
+        copy = pickle.loads(pickle.dumps(med))
+        for read in (med, copy):
+            for v in range(1 << n):
+                out_bits = in_bits = 0
+                for axis in range(n):
+                    bit = 1 << axis
+                    code = int(table[edge_index(v & ~bit, axis, n)])
+                    seen = code if code == TIE or not v & bit else UP + DOWN - code
+                    if seen == UP:
+                        out_bits |= bit
+                    elif seen == DOWN:
+                        in_bits |= bit
+                    for v_cast in SCALAR_CASTS:
+                        for axis_cast in SCALAR_CASTS:
+                            got = read.orientation_seen_from(v_cast(v), axis_cast(axis))
+                            assert got == seen, (name, v, axis, v_cast, axis_cast)
+                for v_cast in SCALAR_CASTS:
+                    assert read.row(v_cast(v)) == (out_bits, in_bits), (name, v, v_cast)
+        for read in (med, copy):
+            with pytest.raises(ValueError, match="read-only"):
+                read.require_table()[0] = TIE
+            for axis in (-1, n, np.int64(-1), np.uint64(n)):
+                with pytest.raises(AxisOutOfRange, match="outside"):
+                    read.orientation_seen_from(0, axis)
+            for axis in (0.0, np.float64(0.5)):
+                with pytest.raises(AxisOutOfRange, match="is not an integer"):
+                    read.orientation_seen_from(0, axis)
+            for v in (-1, 1 << n, np.int64(-1), np.uint64(1 << n)):
+                with pytest.raises(NonCanonicalEdge, match="outside"):
+                    read.orientation_seen_from(v, 0)
+                with pytest.raises(NonCanonicalEdge, match="outside"):
+                    read.row(v)
+            for v in (1.0, np.float64(0.5)):
+                with pytest.raises(NonCanonicalEdge, match="is not an integer"):
+                    read.orientation_seen_from(v, 0)
+                with pytest.raises(NonCanonicalEdge, match="is not an integer"):
+                    read.row(v)
+    lazy = build_medium(n, 0.4, 1000 + n, mode=MODE_LAZY)
+    lazy_copy = pickle.loads(pickle.dumps(lazy))
+    hashed = scalar_read_media(n)[0][1]
+    assert [lazy_copy.row(v) for v in range(1 << n)] == [hashed.row(v) for v in range(1 << n)]
 
 
 def test_lazy_medium_has_no_table():

@@ -136,6 +136,38 @@ def test_sample_categorical_extremes():
     assert picks == sorted(picks)
 
 
+STEP_POLICIES = (
+    Policy.brd(), Policy.srw(), *(Policy.lambda_walk(lam) for lam in (0.25, 0.5, 0.7, 1.0))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=62),
+       policy=st.sampled_from(STEP_POLICIES))
+def test_step_draws_equal_sample_categorical_at_every_boundary(data, n, policy):
+    # Oracle: sample_categorical over _distribution, the step law as a
+    # list.  The walk engine's draw bisects cached running sums instead; it
+    # must pick the same neighbor at each running sum, one ulp either side
+    # of it, and at the extremes of unit_interval.  An exact srw walk reads
+    # no row, so srw is also drawn with empty masks.
+    srw = policy.kind == "srw"
+    v = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    axis = st.integers(min_value=0, max_value=n - 1)
+    out_axes = data.draw(st.sets(axis, min_size=0 if srw else 1))
+    in_axes = data.draw(st.sets(axis)) - out_axes
+    out_bits = sum(1 << a for a in out_axes)
+    in_bits = sum(1 << a for a in in_axes)
+    dist = walkers._distribution(policy, n, v, out_bits, in_bits)
+    draw_step = walkers._step_sampler(policy, n)
+    us = {0.0, 1.0 - 2.0**-53}
+    acc = 0.0
+    for _, p in dist:
+        acc += p
+        us.update((math.nextafter(acc, -math.inf), acc, math.nextafter(acc, math.inf)))
+    for u in sorted(us):
+        assert draw_step(v, out_bits, in_bits, u) == sample_categorical(dist, u), u
+
+
 def exponential_race_step(dist, exponentials):
     """Pick argmin_i exponentials[i] / p_i -- the classic race construction.
 
