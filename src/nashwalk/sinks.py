@@ -315,7 +315,8 @@ class ClosureResult:
     status is CLOSED when ``visited`` is the whole forward closure,
     BUDGET_EXCEEDED when the search stopped at the budget (``visited`` is
     then a partial set), and PNE_REACHED when a ``stop_at_pne`` search
-    stopped at its first PNE (``visited`` is partial, ``contains_pne`` True).
+    stopped at a PNE or at a vertex known to reach one (``visited`` is
+    partial, ``contains_pne`` True).
     """
 
     status: str  # CLOSED, BUDGET_EXCEEDED or PNE_REACHED
@@ -324,41 +325,58 @@ class ClosureResult:
 
 
 def forward_closure(
-    medium: Medium, v: Vertex, budget: int | None = None, *, stop_at_pne: bool = False
+    medium: Medium,
+    v: Vertex,
+    budget: int | None = None,
+    *,
+    stop_at_pne: bool = False,
+    known: dict[int, VertexClass] | None = None,
 ) -> ClosureResult:
     """DFS along oriented out-edges from v, capped at `budget` visited vertices.
 
     Works in either storage mode; the default budget is 2^min(n, 16).  With
     `stop_at_pne`, a search whose budget covers the whole cube (so it can
-    never overrun) stops at the first PNE it pops and reports PNE_REACHED;
-    with a smaller budget the flag changes nothing, since a closure that
-    would overrun must still say so.
+    never overrun) stops at the first vertex it pops that is a PNE or that
+    the memo `known` (:func:`classify_vertex`) marks TRANSIENT, and reports
+    PNE_REACHED.  Such a search keeps each vertex's DFS parent, and
+    marks the tree path from v to where it stopped TRANSIENT in `known`,
+    since every vertex on it reaches a PNE.  With a smaller budget the flag
+    changes nothing, since a closure that would overrun must still say so,
+    and `known` is neither read nor written.
     """
     if budget is None:
         budget = default_closure_budget(medium.n_players)
-    stop_at_pne = stop_at_pne and budget >= 1 << medium.n_players
-    visited = {v}
     queue = [v]
+    if stop_at_pne and budget >= 1 << medium.n_players:
+        known = {} if known is None else known
+        parent = {v: None}
+        while queue:
+            u = queue.pop()
+            if known.get(u) == VertexClass.TRANSIENT or not (out_bits := medium.row(u)[0]):
+                # u is a PNE or reaches one, and so does its tree path from v
+                while (u := parent[u]) is not None:
+                    known[u] = VertexClass.TRANSIENT
+                return ClosureResult(PNE_REACHED, set(parent), True)
+            for w in neighbors(u, out_bits):
+                if w not in parent:
+                    parent[w] = u
+                    queue.append(w)
+        return ClosureResult(CLOSED, set(parent), False)
+    visited = {v}
     contains_pne = False
-    exceeded = False
     while queue:
         u = queue.pop()
         out_bits = medium.row(u)[0]
         if not out_bits:
-            if stop_at_pne:
-                return ClosureResult(PNE_REACHED, visited, True)
             contains_pne = True
             continue
         for w in neighbors(u, out_bits):
             if w not in visited:
                 if len(visited) >= budget:
-                    exceeded = True
-                    queue.clear()
-                    break
+                    return ClosureResult(BUDGET_EXCEEDED, visited, contains_pne)
                 visited.add(w)
                 queue.append(w)
-    status = BUDGET_EXCEEDED if exceeded else CLOSED
-    return ClosureResult(status, visited, contains_pne)
+    return ClosureResult(CLOSED, visited, contains_pne)
 
 
 class VertexClass(str, Enum):
@@ -369,7 +387,13 @@ class VertexClass(str, Enum):
     UNKNOWN = "unknown"
 
 
-def classify_vertex(medium: Medium, v: Vertex, budget: int | None = None) -> VertexClass:
+def classify_vertex(
+    medium: Medium,
+    v: Vertex,
+    budget: int | None = None,
+    *,
+    known: dict[int, VertexClass] | None = None,
+) -> VertexClass:
     """Classify v by its forward closure, without a global decomposition.
 
     Pne: no out-edge.  InTrap: closed, PNE-free closure whose every member
@@ -381,21 +405,33 @@ def classify_vertex(medium: Medium, v: Vertex, budget: int | None = None) -> Ver
     when the budget covers the whole cube the closure stops at its first
     PNE.  A smaller budget explores in full, so a closure that overruns it
     stays Unknown even when a PNE lies inside.
+
+    `known` is the caller's memo of verdicts under this same budget.  A
+    vertex it holds is answered from it without a probe (v is checked
+    first), and a probe stores what it learns there: v's verdict, IN_TRAP
+    for every member of an IN_TRAP closure (each member's closure is the
+    same trap), and, when the budget covers the cube, TRANSIENT for the DFS
+    path that led to a PNE (:func:`forward_closure`).  No verdict changes.
     """
     if is_pne(medium, v):
         return VertexClass.PNE
-    closure = forward_closure(medium, v, budget, stop_at_pne=True)
-    if closure.status == BUDGET_EXCEEDED:
-        return VertexClass.UNKNOWN
-    if closure.contains_pne:
-        return VertexClass.TRANSIENT
-    members = closure.visited
-    assert len(members) >= 2  # a non-PNE vertex has at least one out-neighbor
-    # Does every member reach v?  Paths from members cannot leave a closed
-    # set, so searching in-edges inside the closure is exact.
-    if len(reaching(medium, v, members)) == len(members):
-        return VertexClass.IN_TRAP
-    return VertexClass.DOOMED
+    known = {} if known is None else known
+    if v not in known:
+        closure = forward_closure(medium, v, budget, stop_at_pne=True, known=known)
+        if closure.status == BUDGET_EXCEEDED:
+            known[v] = VertexClass.UNKNOWN
+        elif closure.contains_pne:
+            known[v] = VertexClass.TRANSIENT
+        else:
+            members = closure.visited
+            assert len(members) >= 2  # a non-PNE vertex has at least one out-neighbor
+            # Does every member reach v?  Paths from members cannot leave a
+            # closed set, so searching in-edges inside the closure is exact.
+            if len(reaching(medium, v, members)) == len(members):
+                known.update(dict.fromkeys(members, VertexClass.IN_TRAP))
+            else:
+                known[v] = VertexClass.DOOMED
+    return known[v]
 
 
 def reaching(medium: Medium, v: Vertex, within: set[int] | None = None) -> set[int]:

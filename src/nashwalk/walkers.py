@@ -19,10 +19,13 @@ written as CSV or JSON lines by :mod:`nashwalk.experiments`.
 Trap detection follows from what a walk is given: :func:`run_walk` reads
 traps off a :class:`SinkAnalysis` when it has one, and otherwise probes
 revisits with a closure on the medium's rows, of the closures' default
-budget.  A walk that can leave a trap probes each first revisit outside the
-traps found so far.  A brd-like walk cannot, so a trap it enters holds it:
-it probes only a vertex's third visit and its cap, and one IN_TRAP verdict
-places the first revisit the eager rule would have stopped at.  Either way a
+budget, through one memo per walk that keeps what every probe learned
+(:func:`classify_vertex`).  A walk that can leave a trap probes each first
+revisit until it finds one.  A brd-like walk cannot, so a trap it enters
+holds it: it probes only a vertex's third visit and its cap, and one
+IN_TRAP verdict places the first revisit the eager rule would have stopped
+at.  Both settle the cap by probing the first revisits in order until one
+overruns its budget.  Either way a
 step reads the current vertex's row once, for its PNE test and its step law,
 except in an exact srw walk, whose law ignores the row and which tests PNEs
 on the analysis's mask.  A step's law depends on the row only through v's
@@ -59,7 +62,7 @@ from .medium import (
 )
 from .parallel import check_deadline, map_ordered
 from .rng import TAG_STEP, TAG_WALK, fold, mix64, unit_interval
-from .sinks import SinkAnalysis, VertexClass, classify_vertex, forward_closure, sink_components
+from .sinks import SinkAnalysis, VertexClass, classify_vertex, sink_components
 
 POLICY_BRD = "brd"
 POLICY_SRW = "srw"
@@ -278,17 +281,23 @@ def run_walk(
     tests PNEs on `sinks.pne_mask`.  Given `sinks`, traps are read off its
     trap_mask.  Without it, traps are found by closure probes of the default
     budget (:func:`classify_vertex`), and the walk stops at the first
-    revisit whose probe says IN_TRAP:
+    revisit whose probe says IN_TRAP.  The probes of one walk share a memo
+    of verdicts, so no vertex is probed twice: it also holds every member
+    of a trap found and, when the budget covers the cube, every vertex a
+    probe saw reach a PNE.
 
-    * A walk that is not brd-like probes each first revisit outside the
-      traps found already.
+    * A walk that is not brd-like probes each first revisit until one says
+      IN_TRAP.  After that the probes could change only the terminal at the
+      cap, so they wait for it.
     * A brd-like walk never leaves a trap, so it queues its first revisits
       unprobed.  A vertex's third visit, or the vertex at the cap, is probed
       alone: IN_TRAP cuts the walk back to the first queued revisit inside
       that trap, and any other verdict clears every queued vertex of being
-      in a trap.  At the cap, queued vertices are then probed in order until
-      one overruns its budget, which makes the terminal ``unknown``.  A walk
-      absorbed at a PNE drops its queue unprobed.
+      in a trap.
+
+    At the cap, the first revisits are probed in order until one overruns
+    its budget, which makes the terminal ``unknown``.  A walk absorbed at a
+    PNE drops what it has queued unprobed.
 
     Both rules give the same record.  Brd-like walks stop on confirmed trap
     entry, and so does every walk under ``config.stop_at_trap``; other walks
@@ -321,15 +330,14 @@ def _walk(
     pne_mask = None if sinks is None or policy.kind != POLICY_SRW else sinks.pne_mask
     stop_in_trap = policy.brd_like or config.stop_at_trap
     deferred = sinks is None and policy.brd_like
+    nth = 3 if deferred else 2  # a lazy walk probes a vertex on its nth visit
 
     path = [v]
     xi: int | None = None
     out_bits = in_bits = 0  # an exact srw walk keeps these: it reads no row
     visits: dict[int, int] = {}
-    trap_members: set[int] = set()  # the members of every trap found
-    budget_blind = False  # a lazy probe overran its budget
-    revisits: list[int] = []  # deferred: the indices of first revisits
-    verdicts: dict[int, VertexClass] = {}  # deferred: each vertex probed
+    revisits: list[int] = []  # the indices of first revisits
+    known: dict[int, VertexClass] = {}  # the probes' memo (classify_vertex)
 
     # step t + 1 draws fold(walk_seed, TAG_STEP, t); the first two of its
     # three mix passes do not depend on t
@@ -349,41 +357,27 @@ def _walk(
             break
         if trap_mask is not None:
             trapped = trap_mask[v]
-        elif deferred:
+        else:
             visits[v] = count = visits.get(v, 0) + 1
+            if first_pass and (count == 2 or t == max_steps):
+                return None
             if count == 2:
-                if first_pass:
-                    return None
                 revisits.append(t)
-            if (count == 3 or t == max_steps) and revisits and (
-                _verdict(medium, verdicts, v) == VertexClass.IN_TRAP
-            ):
-                # the walk entered v's trap and never left it, so its first
-                # revisit there is where a probe of every first revisit stops
-                members = forward_closure(medium, v).visited
+            # until the walk knows a trap; a brd-like walk also at its cap
+            probe = xi is None and (count == nth or deferred and t == max_steps and revisits)
+            trapped = False
+            if probe and classify_vertex(medium, v, known=known) == VertexClass.IN_TRAP:
+                # every IN_TRAP entry of `known` is this trap's, as the walk
+                # had found no trap before.  A brd-like walk entered it and
+                # never left, so its first revisit there is where a probe of
+                # every first revisit stops, and the walk is cut back to it;
+                # for other walks that revisit is t, and nothing is cut.
+                members = {x for x, c in known.items() if c == VertexClass.IN_TRAP}
                 cut = next((i for i in revisits if path[i] in members), None)
                 if cut is not None:
                     del path[cut + 1 :]
+                    t, trapped = cut, True
                     xi = next(i for i, x in enumerate(path) if x in members)
-                    t = cut
-                    terminal = TERMINAL_IN_TRAP
-                    break
-            trapped = False
-        else:
-            visits[v] = count = visits.get(v, 0) + 1
-            if count == 2 and v not in trap_members:
-                # a first revisit: does v sit inside a closed PNE-free set?
-                verdict = classify_vertex(medium, v)
-                if verdict == VertexClass.UNKNOWN:
-                    budget_blind = True
-                elif verdict == VertexClass.IN_TRAP:
-                    members = forward_closure(medium, v).visited
-                    # the trap is strongly connected and closed: probing any
-                    # member finds this same closure, so none is probed again
-                    trap_members.update(members)
-                    if xi is None:
-                        xi = next(i for i, x in enumerate(path) if x in members)
-            trapped = v in trap_members
         if trapped:
             if xi is None:
                 xi = t
@@ -391,14 +385,11 @@ def _walk(
                 terminal = TERMINAL_IN_TRAP
                 break
         if t == max_steps:
-            if first_pass:
-                return None
-            if deferred:
-                budget_blind = any(
-                    _verdict(medium, verdicts, path[i]) == VertexClass.UNKNOWN
-                    for i in revisits
-                )
-            terminal = TERMINAL_UNKNOWN if budget_blind else TERMINAL_STEP_CAP
+            # in order, until one overruns; through the memo, so an eager
+            # walk probes here only the revisits it made after xi
+            verdicts = (classify_vertex(medium, path[i], known=known) for i in revisits)
+            blind = VertexClass.UNKNOWN in verdicts
+            terminal = TERMINAL_UNKNOWN if blind else TERMINAL_STEP_CAP
             break
         v = draw(v, out_bits, in_bits, unit_interval(mix64(step_key ^ t)))
         path.append(v)
@@ -415,13 +406,6 @@ def _walk(
         terminal=terminal,
         path=path if config.record_path else None,
     )
-
-
-def _verdict(medium: Medium, verdicts: dict[int, VertexClass], v: Vertex) -> VertexClass:
-    """classify_vertex(medium, v), probed once per walk."""
-    if v not in verdicts:
-        verdicts[v] = classify_vertex(medium, v)
-    return verdicts[v]
 
 
 def walk_trial(

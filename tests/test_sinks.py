@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nashwalk.errors import AlphaOutOfRange, TimeBudgetExceeded
+from nashwalk.errors import AlphaOutOfRange, NonCanonicalEdge, TimeBudgetExceeded
 from nashwalk.medium import (
     DOWN, MODE_EXHAUSTIVE, MODE_LAZY, TIE, UP, Medium, build_medium, neighbors,
 )
@@ -474,6 +474,47 @@ def test_early_pne_exit_keeps_every_verdict(n, alpha, seed, mode):
             assert capped == full
         else:
             assert capped.status == BUDGET_EXCEEDED
+
+
+# Derandomized for a steady time, as above: n = 10 at alpha 0 takes longest.
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.sampled_from((0.0, 0.3, 0.9)),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.randoms(use_true_random=False),
+)
+def test_a_shared_memo_keeps_every_verdict(n, alpha, seed, rnd):
+    # Classifying every vertex in a shuffled order through one memo gives
+    # the memo-free verdicts, and every entry the probes store is its
+    # vertex's memo-free verdict: under the default budget, which covers
+    # the cube, so that a probe stops at a PNE or at a vertex marked
+    # TRANSIENT and marks its path; and under a starved budget of 5, where
+    # the memo keeps verdicts and the members of 4-cycle traps.
+    med = build_medium(n, alpha, seed)
+    closures = closure_sets(med)
+    pne_set = set(enumerate_pnes(med))
+    order = list(range(1 << n))
+    rnd.shuffle(order)
+    for budget in (None, 5):
+        want = {v: classify_vertex(med, v, budget) for v in order}
+        known = {}
+        for v in order:
+            got = classify_vertex(med, v, budget, known=known)
+            assert got == want[v]
+            if budget is None or v in pne_set or len(closures[v]) <= budget:
+                assert got == oracle_classify(med, closures, pne_set, v)
+            else:
+                assert got == VertexClass.UNKNOWN
+        assert set(known) == {v for v in order if want[v] != VertexClass.PNE}
+        assert all(verdict == want[v] for v, verdict in known.items())
+
+
+def test_a_memo_is_read_after_the_vertex_check(cyclic2_medium):
+    with pytest.raises(NonCanonicalEdge):
+        classify_vertex(cyclic2_medium, 1.0, known={1: VertexClass.TRANSIENT})
+    known = {1: VertexClass.TRANSIENT}  # a stored verdict is returned as it is
+    assert classify_vertex(cyclic2_medium, 1, known=known) == VertexClass.TRANSIENT
 
 
 # ---------------------------------------------------------------------------

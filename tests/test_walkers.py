@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -25,7 +26,7 @@ from nashwalk.experiments import (
 )
 from nashwalk.medium import MODE_EXHAUSTIVE, MODE_LAZY, MediumParams, build_medium, trial_medium
 from nashwalk.rng import TAG_WALK, fold, unit_interval
-from nashwalk.sinks import is_pne, sink_components
+from nashwalk.sinks import VertexClass, is_pne, sink_components
 from nashwalk.walkers import (
     TERMINAL_ABSORBED,
     TERMINAL_IN_TRAP,
@@ -393,20 +394,26 @@ def test_walk_trial_agrees_across_storage_modes(n, alpha):
 @given(
     n=st.integers(min_value=1, max_value=12),
     alpha=st.sampled_from([0.0, 0.0, 0.3, 0.9]),  # traps are common at alpha = 0
-    policies=st.sampled_from([("brd",), ("lambda:1",), ("brd", "lambda:1")]),
+    policies=st.sampled_from([
+        ("brd",), ("lambda:1",), ("brd", "lambda:1"), ("srw",), ("lambda:0.25",),
+        ("lambda:0.5",), ("lambda:0.9",), ("srw", "lambda:0.5", "brd"),
+    ]),
     max_steps=st.integers(min_value=1, max_value=2000),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     trial=st.integers(min_value=0, max_value=1000),
     trap_start=st.integers(min_value=-50, max_value=50),  # < 0: start at 0
-    starved=st.sampled_from([False, False, False, True]),
+    budget=st.sampled_from([None, None, None, None, 3, 5]),
+    stop_at_trap=st.booleans(),
 )
 def test_deferred_probes_and_lazy_first_trials_give_the_eager_records(
-    n, alpha, policies, max_steps, seed, trial, trap_start, starved
+    n, alpha, policies, max_steps, seed, trial, trap_start, budget, stop_at_trap
 ):
-    # A brd-like walk without a sink analysis probes third visits and its
-    # cap, not first revisits; an exhaustive brd-like trial walks its lazy
-    # twin first.  Neither may change a field of any record.  A starved
-    # closure budget turns probes UNKNOWN, which only the cap settles.
+    # A lazy walk's probes share one memo; a brd-like walk without a sink
+    # analysis probes third visits and its cap, not first revisits, and an
+    # exhaustive brd-like trial walks its lazy twin first.  None of it may
+    # change a field of any record, against the eager rule without a memo.
+    # A starved closure budget (3 or 5) turns probes UNKNOWN, which only
+    # the cap settles.
     params = MediumParams(n, alpha, seed)
     policies = tuple(map(parse_policy, policies))
     exhaustive = trial_medium(params, trial)
@@ -415,10 +422,12 @@ def test_deferred_probes_and_lazy_first_trials_give_the_eager_records(
     start = 0
     if trap_start >= 0 and analysis.traps:
         start = analysis.traps[trap_start % len(analysis.traps)][-1]
-    cfg = WalkConfig(walk_seed=seed, max_steps=max_steps, start=start, record_path=True)
-    budget = 3 if starved else None
+    cfg = WalkConfig(
+        walk_seed=seed, max_steps=max_steps, start=start, record_path=True,
+        stop_at_trap=stop_at_trap,
+    )
     with pytest.MonkeyPatch.context() as patch:
-        if starved:
+        if budget is not None:
             patch.setattr(walkers, "classify_vertex", partial(sinks.classify_vertex, budget=budget))
         for policy in policies:
             want = eager_probe_walk(lazy, policy, cfg, trial, budget)
@@ -450,6 +459,34 @@ def test_deferred_probes_on_trap_heavy_media(monkeypatch, budget):
     # a starved probe never closes over a trap, so every trapped walk caps
     found = TERMINAL_IN_TRAP if budget is None else TERMINAL_UNKNOWN
     assert terminals == {TERMINAL_ABSORBED, TERMINAL_STEP_CAP, found}
+
+
+@pytest.mark.parametrize("budget", [None, 5])
+def test_eager_probes_wait_for_the_cap_once_a_trap_is_found(monkeypatch, budget):
+    # A walk that can leave a trap stops probing once it has xi; its later
+    # first revisits are probed at the cap, in order until one overruns.
+    # These are the first six n = 6, alpha = 0.3 media (seeds fold(2727, i))
+    # with a 4-cycle trap, which a budget of 5 still closes over: such a
+    # walk finds its trap, leaves it, and caps on an UNKNOWN revisit.
+    if budget is not None:
+        monkeypatch.setattr(walkers, "classify_vertex", partial(sinks.classify_vertex, budget=budget))
+    seen = set()
+    for i in (193, 289, 549, 572, 842, 1236):
+        med = build_medium(6, 0.3, fold(2727, i))
+        starts = [0] + [members[-1] for members in sink_components(med).traps]
+        for start, policy, stop_at_trap, max_steps in itertools.product(
+            starts, ("srw", "lambda:0.5", "lambda:0.9"), (False, True), (40, 2000)
+        ):
+            policy = parse_policy(policy)
+            cfg = WalkConfig(
+                walk_seed=i, max_steps=max_steps, start=start, record_path=True,
+                stop_at_trap=stop_at_trap,
+            )
+            want = eager_probe_walk(med, policy, cfg, budget=budget)
+            assert run_walk(med, policy, cfg) == want
+            seen.add((want.xi is not None, want.terminal))
+    assert {(True, TERMINAL_IN_TRAP), (True, TERMINAL_STEP_CAP)} <= seen
+    assert budget is None or (True, TERMINAL_UNKNOWN) in seen
 
 
 @pytest.mark.parametrize(
@@ -547,24 +584,31 @@ def test_lazy_walks_do_not_depend_on_the_row_memo():
 
 
 def test_lazy_walk_never_reprobes_a_found_trap(monkeypatch, tmp_path):
-    # Once an IN_TRAP probe has closed over a trap, probing any member would
-    # find the same closure, so no member is probed again in that walk.  The
-    # digest was recorded while every first revisit was still probed.
+    # A walk's probes share one memo, which keeps each verdict, every member
+    # of a trap found and every vertex seen to reach a PNE.  So no vertex is
+    # probed twice in a walk, and no member of a trap found is probed at
+    # all.  The digest was recorded while every first revisit was still
+    # probed and every IN_TRAP verdict ran a second closure.
     walks = []  # per walk: ("probe", v) and ("trap", members) events
-    for name in ("run_walk", "classify_vertex", "forward_closure"):
-        original = getattr(walkers, name)
+    closures = []
+    run, classify, closure = walkers.run_walk, walkers.classify_vertex, sinks.forward_closure
 
-        def traced(medium, v, *args, _name=name, _original=original, **kwargs):
-            if _name == "run_walk":
-                walks.append([])
-            result = _original(medium, v, *args, **kwargs)
-            if _name == "classify_vertex":
-                walks[-1].append(("probe", v))
-            elif _name == "forward_closure":
-                walks[-1].append(("trap", result.visited))
-            return result
+    def traced_run(*args, **kwargs):
+        walks.append([])
+        return run(*args, **kwargs)
 
-        monkeypatch.setattr(walkers, name, traced)
+    def traced_classify(medium, v, *args, known, **kwargs):
+        before = len(closures)
+        verdict = classify(medium, v, *args, known=known, **kwargs)
+        if len(closures) > before:
+            walks[-1].append(("probe", v))
+            if verdict == VertexClass.IN_TRAP:
+                walks[-1].append(("trap", {u for u, c in known.items() if c == verdict}))
+        return verdict
+
+    monkeypatch.setattr(walkers, "run_walk", traced_run)
+    monkeypatch.setattr(walkers, "classify_vertex", traced_classify)
+    monkeypatch.setattr(sinks, "forward_closure", lambda *a, **k: closures.append(a) or closure(*a, **k))
     monkeypatch.delenv("NASHWALK_THREADS", raising=False)
     out = tmp_path / "walk.csv"
     argv = "walk --n 8 --alpha 0.0 --mode lazy --policy lambda:0.5 --trials 6 --seed 13"
@@ -574,24 +618,25 @@ def test_lazy_walk_never_reprobes_a_found_trap(monkeypatch, tmp_path):
     )
     assert len(walks) == 6
     for events in walks:
-        known = set()
+        probed, trapped = set(), set()
         for kind, x in events:
             if kind == "probe":
-                assert x not in known
+                assert x not in probed and x not in trapped
+                probed.add(x)
             else:
-                known |= x
+                trapped |= x
     probes = sum(kind == "probe" for events in walks for kind, _ in events)
     traps = sum(kind == "trap" for events in walks for kind, _ in events)
-    assert (probes, traps) == (310, 3)  # every first revisit probed: 1071, 764
+    assert len(closures) == probes
+    assert (probes, traps) == (153, 3)
 
 
 def test_lazy_probes_stop_at_the_first_pne(monkeypatch, tmp_path):
-    # nwbench's lazy-n8 workload.  A brd walk probes third visits only: 83
-    # TRANSIENT probes, which stop at their first PNE since the budget
-    # covers the cube, and 2 IN_TRAP probes with their trap closures make
-    # 87 closures, where a probe of every first revisit made 250.  The
-    # digest and the 49,840 visited vertices were recorded while every
-    # first revisit was probed and every probe explored its whole closure.
+    # nwbench's lazy-n8 workload.  A brd walk probes third visits only, and
+    # each probe stops at its first PNE, or at a vertex an earlier probe of
+    # the walk saw reach one, since the budget covers the cube.  The digest
+    # and the 49,840 visited vertices were recorded while every first
+    # revisit was probed and every probe explored its whole closure.
     visited = []
     original = sinks.forward_closure
 
@@ -601,7 +646,6 @@ def test_lazy_probes_stop_at_the_first_pne(monkeypatch, tmp_path):
         return result
 
     monkeypatch.setattr(sinks, "forward_closure", counted)
-    monkeypatch.setattr(walkers, "forward_closure", counted)
     monkeypatch.delenv("NASHWALK_THREADS", raising=False)
     out = tmp_path / "walk.csv"
     argv = "walk --n 8 --alpha 0.5 --mode lazy --max-steps 1000 --trials 700 --seed 300"
@@ -609,7 +653,7 @@ def test_lazy_probes_stop_at_the_first_pne(monkeypatch, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "1de3a7900d1625d2e56fa49bc5976919f13537e05526f196b576256336cb4272"
     )
-    assert len(visited) == 87
+    assert len(visited) == 41
     assert sum(visited) <= 49_840 // 5
 
 
