@@ -26,6 +26,11 @@ each word up with its partner.  The bitsets come from
 :meth:`Medium.out_mask`, one decode of the orientation table per analysis:
 the PNEs (no out-bit on any axis), the backward spread and the remainder's
 out-edges, which the trap search needs, are all read from them.
+
+Without a whole-cube analysis, :func:`classify_vertex` answers which
+obstacle a vertex can meet by one budgeted DFS of its forward closure
+(:func:`forward_closure`): the search stops at its first PNE, at its
+budget, or when a PNE-free closure is exhausted.
 """
 
 from __future__ import annotations
@@ -312,16 +317,14 @@ PNE_REACHED = "pne_reached"
 class ClosureResult:
     """Outcome of a budgeted forward closure.
 
-    status is CLOSED when ``visited`` is the whole forward closure,
-    BUDGET_EXCEEDED when the search stopped at the budget (``visited`` is
-    then a partial set), and PNE_REACHED when a ``stop_at_pne`` search
-    stopped at a PNE or at a vertex known to reach one (``visited`` is
-    partial, ``contains_pne`` True).
+    status is PNE_REACHED when the search stopped at a PNE or at a vertex
+    known to reach one, BUDGET_EXCEEDED when it stopped at the budget
+    (``visited`` is then partial in both cases), and CLOSED when
+    ``visited`` is the whole forward closure, which then holds no PNE.
     """
 
     status: str  # CLOSED, BUDGET_EXCEEDED or PNE_REACHED
     visited: set[int]
-    contains_pne: bool
 
 
 def forward_closure(
@@ -329,54 +332,41 @@ def forward_closure(
     v: Vertex,
     budget: int | None = None,
     *,
-    stop_at_pne: bool = False,
     known: dict[int, VertexClass] | None = None,
 ) -> ClosureResult:
     """DFS along oriented out-edges from v, capped at `budget` visited vertices.
 
-    Works in either storage mode; the default budget is 2^min(n, 16).  With
-    `stop_at_pne`, a search whose budget covers the whole cube (so it can
-    never overrun) stops at the first vertex it pops that is a PNE or that
-    the memo `known` (:func:`classify_vertex`) marks TRANSIENT, and reports
-    PNE_REACHED.  Such a search keeps each vertex's DFS parent, and
-    marks the tree path from v to where it stopped TRANSIENT in `known`,
-    since every vertex on it reaches a PNE.  With a smaller budget the flag
-    changes nothing, since a closure that would overrun must still say so,
-    and `known` is neither read nor written.
+    Works in either storage mode; the default budget is 2^min(n, 16).  The
+    search stops at the first vertex it pops that is a PNE (PNE_REACHED),
+    when it would visit more than `budget` vertices (BUDGET_EXCEEDED), or
+    when it has exhausted a PNE-free closure (CLOSED).  When the budget
+    covers the whole cube, it also stops at a vertex the memo `known`
+    (:func:`classify_vertex`) marks TRANSIENT, and marks the DFS tree path
+    from v to where it stopped TRANSIENT, since every vertex on it reaches
+    a PNE.  A smaller budget neither reads nor writes `known`: a mark could
+    then stop a search that would overrun without it, and turn an UNKNOWN
+    verdict into TRANSIENT.
     """
     if budget is None:
         budget = default_closure_budget(medium.n_players)
+    if known is None or budget < 1 << medium.n_players:
+        known = {}
+    parent = {v: None}
     queue = [v]
-    if stop_at_pne and budget >= 1 << medium.n_players:
-        known = {} if known is None else known
-        parent = {v: None}
-        while queue:
-            u = queue.pop()
-            if known.get(u) == VertexClass.TRANSIENT or not (out_bits := medium.row(u)[0]):
-                # u is a PNE or reaches one, and so does its tree path from v
-                while (u := parent[u]) is not None:
-                    known[u] = VertexClass.TRANSIENT
-                return ClosureResult(PNE_REACHED, set(parent), True)
-            for w in neighbors(u, out_bits):
-                if w not in parent:
-                    parent[w] = u
-                    queue.append(w)
-        return ClosureResult(CLOSED, set(parent), False)
-    visited = {v}
-    contains_pne = False
     while queue:
         u = queue.pop()
-        out_bits = medium.row(u)[0]
-        if not out_bits:
-            contains_pne = True
-            continue
+        if known.get(u) == VertexClass.TRANSIENT or not (out_bits := medium.row(u)[0]):
+            # u is a PNE or reaches one, and so does its tree path from v
+            while (u := parent[u]) is not None:
+                known[u] = VertexClass.TRANSIENT
+            return ClosureResult(PNE_REACHED, set(parent))
         for w in neighbors(u, out_bits):
-            if w not in visited:
-                if len(visited) >= budget:
-                    return ClosureResult(BUDGET_EXCEEDED, visited, contains_pne)
-                visited.add(w)
+            if w not in parent:
+                if len(parent) >= budget:
+                    return ClosureResult(BUDGET_EXCEEDED, set(parent))
+                parent[w] = u
                 queue.append(w)
-    return ClosureResult(CLOSED, visited, contains_pne)
+    return ClosureResult(CLOSED, set(parent))
 
 
 class VertexClass(str, Enum):
@@ -402,25 +392,26 @@ def classify_vertex(
     a trap.  Transient: closure contains a PNE.  Unknown: budget exceeded.
 
     One reachable PNE settles Transient (traps are closed and PNE-free), so
-    when the budget covers the whole cube the closure stops at its first
-    PNE.  A smaller budget explores in full, so a closure that overruns it
-    stays Unknown even when a PNE lies inside.
+    the search stops at the first PNE it pops (:func:`forward_closure`),
+    under any budget.  Unknown therefore means that the search visited
+    `budget` vertices without popping a PNE, not that the closure holds
+    none.
 
     `known` is the caller's memo of verdicts under this same budget.  A
     vertex it holds is answered from it without a probe (v is checked
     first), and a probe stores what it learns there: v's verdict, IN_TRAP
     for every member of an IN_TRAP closure (each member's closure is the
     same trap), and, when the budget covers the cube, TRANSIENT for the DFS
-    path that led to a PNE (:func:`forward_closure`).  No verdict changes.
+    path that led to a PNE.  No verdict changes.
     """
     if is_pne(medium, v):
         return VertexClass.PNE
     known = {} if known is None else known
     if v not in known:
-        closure = forward_closure(medium, v, budget, stop_at_pne=True, known=known)
+        closure = forward_closure(medium, v, budget, known=known)
         if closure.status == BUDGET_EXCEEDED:
             known[v] = VertexClass.UNKNOWN
-        elif closure.contains_pne:
+        elif closure.status == PNE_REACHED:
             known[v] = VertexClass.TRANSIENT
         else:
             members = closure.visited

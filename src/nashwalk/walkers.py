@@ -25,13 +25,13 @@ revisit until it finds one.  A brd-like walk cannot, so a trap it enters
 holds it: it probes only a vertex's third visit and its cap, and one
 IN_TRAP verdict places the first revisit the eager rule would have stopped
 at.  Both settle the cap by probing the first revisits in order until one
-overruns its budget.  Either way a
-step reads the current vertex's row once, for its PNE test and its step law,
-except in an exact srw walk, whose law ignores the row and which tests PNEs
-on the analysis's mask.  A step's law depends on the row only through v's
-out- and in-degree, so a walk draws its step by bisecting the running sums
-:func:`sample_categorical` would form, cached per (policy, n, out-degree,
-in-degree), and maps the index found to its neighbor;
+says UNKNOWN: its search visited the whole budget without meeting a PNE or
+closing.  Either way a step reads the current vertex's row once, for its
+PNE test and its step law, except in an exact srw walk, whose law ignores
+the row and which tests PNEs on the analysis's mask.  A step's law depends
+on the row only through v's out- and in-degree, so a walk draws its step by
+bisecting the running sums :func:`sample_categorical` would form, cached per
+(policy, n, out-degree, in-degree), and maps the index found to its neighbor;
 :func:`step_distribution` and :func:`sample_categorical` stay as the oracle.
 :func:`walk_trial` derives trial i (medium, walk seed, and the sink analysis
 when the medium is exhaustive) and walks every policy on it.  An exhaustive
@@ -295,9 +295,11 @@ def run_walk(
       that trap, and any other verdict clears every queued vertex of being
       in a trap.
 
-    At the cap, the first revisits are probed in order until one overruns
-    its budget, which makes the terminal ``unknown``.  A walk absorbed at a
-    PNE drops what it has queued unprobed.
+    At the cap, the first revisits are probed in order until one says
+    UNKNOWN, which makes the terminal ``unknown``.  A probe says that only
+    when its search visits the whole budget without popping a PNE, so a
+    revisit that reaches a PNE early is TRANSIENT at any n.  A walk absorbed
+    at a PNE drops what it has queued unprobed.
 
     Both rules give the same record.  Brd-like walks stop on confirmed trap
     entry, and so does every walk under ``config.stop_at_trap``; other walks
@@ -385,7 +387,7 @@ def _walk(
                 terminal = TERMINAL_IN_TRAP
                 break
         if t == max_steps:
-            # in order, until one overruns; through the memo, so an eager
+            # in order, until one says UNKNOWN; through the memo, so an eager
             # walk probes here only the revisits it made after xi
             verdicts = (classify_vertex(medium, path[i], known=known) for i in revisits)
             blind = VertexClass.UNKNOWN in verdicts

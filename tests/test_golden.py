@@ -52,9 +52,11 @@ PERC_GRID = [
 
 COUPLING_GRID = [(n, alpha, 1000 + n) for n in (1, 3, 6, 9) for alpha in (0.0, 0.5, 0.9)]
 
-# `walk --mode lazy` at alpha 0.5: (trials, --max-steps) per n.  The srw and
-# lambda cases at n=30 overrun the closure budget (terminal "unknown"); n=62
-# is the lazy cap, the widest lane-packed row.
+# `walk --mode lazy` at alpha 0.5: (trials, --max-steps) per n.  At n=30 and
+# n=62 the srw and lambda probes' closures outgrow the budget: a probe that
+# pops a PNE first settles its vertex (terminal "step_cap"), and one that
+# visits the whole budget without one gives terminal "unknown", in three
+# n=30 and five n=62 cases.  n=62 is the lazy cap, the widest lane-packed row.
 LAZY_WALK_SIZES = {3: (40, None), 8: (60, None), 11: (4, 2000), 30: (2, 60), 62: (2, 60)}
 
 LAZY_WALK_GRID = [
