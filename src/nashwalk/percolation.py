@@ -17,14 +17,16 @@ numpy (each label ends as its component's smallest vertex), and the same
 labels give the trial's largest component.  That labelling shares no code
 with the growth recursion or with the backward spread of
 :func:`reverse_accessible_from_zero`, so the identity compares three
-independent derivations.  :func:`connected_component`, a plain Python BFS
-over open edges, and scipy's ``connected_components`` stay
-in the tests as independent oracles for the labels.
+independent derivations, each a per-vertex bool mask: the identity and the
+lemma mismatch compare masks, and :class:`CouplingAudit` lists a set only
+when it is read.  :func:`connected_component`, a plain Python BFS over open
+edges, and scipy's ``connected_components`` stay in the tests as
+independent oracles for the labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -225,14 +227,15 @@ class FragmentStats:
 
 def largest_component(perc: PercolationGraph) -> np.ndarray:
     """Vertices of the largest open component, ties broken by smallest vertex."""
-    return _largest(_component_labels(perc))
+    return np.flatnonzero(_largest(_component_labels(perc)))
 
 
 def _largest(labels: np.ndarray) -> np.ndarray:
-    """The vertices of the largest component of :func:`_component_labels`
-    output; a label is its component's smallest vertex, so the first
-    maximum of the sizes breaks ties by smallest vertex."""
-    return np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+    """Per-vertex bool mask of the largest component of
+    :func:`_component_labels` output; a label is its component's smallest
+    vertex, so the first maximum of the sizes breaks ties by smallest
+    vertex."""
+    return labels == np.argmax(np.bincount(labels))
 
 
 def fragment_stats(perc: PercolationGraph) -> FragmentStats:
@@ -249,29 +252,61 @@ def fragment_stats(perc: PercolationGraph) -> FragmentStats:
 
 
 def reverse_accessible_from_zero(medium: Medium) -> set[int]:
-    """Vertices with an oriented (best-response) path into vertex 0."""
+    """Vertices with an oriented (best-response) path into vertex 0; a lazy
+    medium may have any n up to 62."""
     if medium.mode == MODE_EXHAUSTIVE:
-        zero = np.zeros(1 << medium.n_players, dtype=bool)
-        zero[0] = True
-        return set(np.flatnonzero(backward_reach(medium, zero)).tolist())
+        return set(np.flatnonzero(_reverse_accessible(medium)).tolist())
     return reaching(medium, 0)
 
 
-@dataclass(frozen=True)
+def _reverse_accessible(medium: Medium) -> np.ndarray:
+    """:func:`reverse_accessible_from_zero` as a per-vertex bool mask; a
+    lazy medium has no table for :func:`backward_reach`."""
+    mask = np.zeros(1 << medium.n_players, dtype=bool)
+    if medium.mode == MODE_EXHAUSTIVE:
+        mask[0] = True
+        return backward_reach(medium, mask)
+    mask[list(reaching(medium, 0))] = True
+    return mask
+
+
+@dataclass(frozen=True, eq=False)
 class CouplingAudit:
-    q_final: frozenset
-    component_of_zero: frozenset
-    reverse_accessible: frozenset
+    """One coupling run's three vertex sets, each a per-vertex bool mask;
+    the frozensets of Python ints are read off them when asked for."""
+
+    q_final_mask: np.ndarray = field(repr=False)
+    component_of_zero_mask: np.ndarray = field(repr=False)
+    reverse_accessible_mask: np.ndarray = field(repr=False)
     rounds_to_fixpoint: int
     identity_holds: bool
     # per vertex, the smallest vertex of its open component in the final
     # percolation, so callers need not label it again
     final_labels: np.ndarray = field(repr=False, compare=False)
 
+    def __eq__(self, other):
+        # the generated __eq__ would compare the masks elementwise
+        if not isinstance(other, CouplingAudit):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.compare)
 
-def _grow(medium: Medium, open_edges: np.ndarray) -> tuple[np.ndarray, frozenset, int]:
+    @property
+    def q_final(self) -> frozenset:
+        return frozenset(np.flatnonzero(self.q_final_mask).tolist())
+
+    @property
+    def component_of_zero(self) -> frozenset:
+        return frozenset(np.flatnonzero(self.component_of_zero_mask).tolist())
+
+    @property
+    def reverse_accessible(self) -> frozenset:
+        return frozenset(np.flatnonzero(self.reverse_accessible_mask).tolist())
+
+
+def _grow(medium: Medium, open_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The growth recursion of :func:`coupling_run`: (final open edges,
-    grown set, rounds to the fixpoint)."""
+    grown set as a per-vertex bool mask, rounds to the fixpoint)."""
     n = medium.n_players
     bits = 1 << np.arange(n)
     seen_from = medium.orientation_seen_from
@@ -298,7 +333,7 @@ def _grow(medium: Medium, open_edges: np.ndarray) -> tuple[np.ndarray, frozenset
         joined[(inside ^ bits[axes])[inward]] = True
         frontier = np.flatnonzero(joined)
         grown |= joined
-    return final_open, frozenset(np.flatnonzero(grown).tolist()), rounds
+    return final_open, grown, rounds
 
 
 def coupling_run(
@@ -324,17 +359,17 @@ def coupling_run(
         raise SeedCollision(
             "medium and initial percolation share a seed; use distinct streams"
         )
-    final_open, q_final, rounds = _grow(medium, initial.open_edges)
+    final_open, grown, rounds = _grow(medium, initial.open_edges)
     final = PercolationGraph(n, final_open, initial.beta, None)
     labels = _component_labels(final)
-    comp_zero = frozenset(np.flatnonzero(labels == 0).tolist())
-    rev = frozenset(reverse_accessible_from_zero(medium))
+    comp_zero = labels == 0
+    rev = _reverse_accessible(medium)
     audit = CouplingAudit(
-        q_final=q_final,
-        component_of_zero=comp_zero,
-        reverse_accessible=rev,
+        q_final_mask=grown,
+        component_of_zero_mask=comp_zero,
+        reverse_accessible_mask=rev,
         rounds_to_fixpoint=rounds,
-        identity_holds=(q_final == comp_zero == rev),
+        identity_holds=np.array_equal(grown, comp_zero) and np.array_equal(grown, rev),
         final_labels=labels,
     )
     return final, audit
@@ -361,8 +396,8 @@ def coupling_trial(args) -> CouplingTrial:
     return CouplingTrial(
         identity_holds=audit.identity_holds,
         open_edges=int(np.count_nonzero(final.open_edges)),
-        fragment_size=(1 << n) - len(big),
-        lemma_mismatch=frozenset(big.tolist()) != audit.reverse_accessible,
+        fragment_size=(1 << n) - int(np.count_nonzero(big)),
+        lemma_mismatch=not np.array_equal(big, audit.reverse_accessible_mask),
     )
 
 

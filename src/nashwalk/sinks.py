@@ -25,7 +25,8 @@ and the word array viewed through :func:`axis_view` along ``i - 6`` lines
 each word up with its partner.  The bitsets come from
 :meth:`Medium.out_mask`, one decode of the orientation table per analysis:
 the PNEs (no out-bit on any axis), the backward spread and the remainder's
-out-edges, which the trap search needs, are all read from them.
+out-edges, which the trap search needs, are all read from them.  The PNEs
+stay a mask; :attr:`SinkAnalysis.pnes` lists them only when read.
 
 Without a whole-cube analysis, :func:`classify_vertex` answers which
 obstacle a vertex can meet by one budgeted DFS of its forward closure
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -50,21 +51,33 @@ from .parallel import check_deadline
 @dataclass
 class SinkAnalysis:
     """Full absorbing-structure decomposition of an exhaustive medium: the
-    PNEs and the traps, each trap's members ascending and the traps ordered
-    by first member."""
+    PNEs as a per-vertex bool mask, which their list and count are read off,
+    and the traps, each trap's members ascending and the traps ordered by
+    first member."""
 
     n_players: int
     alpha: float
     seed: int
-    pnes: list[int]
     traps: list[list[int]]
-    # bool per vertex; the same facts as pnes and traps, so equality skips them
-    pne_mask: np.ndarray = field(compare=False)
-    trap_mask: np.ndarray = field(compare=False)
+    pne_mask: np.ndarray
+    trap_mask: np.ndarray  # the same facts as traps, so equality skips it
+
+    def __eq__(self, other):
+        # the generated __eq__ would compare the masks elementwise
+        if not isinstance(other, SinkAnalysis):
+            return NotImplemented
+        return (self.n_players, self.alpha, self.seed, self.traps) == (
+            other.n_players, other.alpha, other.seed, other.traps
+        ) and np.array_equal(self.pne_mask, other.pne_mask)
+
+    @property
+    def pnes(self) -> list[int]:
+        """The PNEs ascending, as Python ints."""
+        return np.flatnonzero(self.pne_mask).tolist()
 
     @property
     def pne_count(self) -> int:
-        return len(self.pnes)
+        return int(np.count_nonzero(self.pne_mask))
 
     def to_json(self) -> str:
         payload = {
@@ -131,8 +144,8 @@ def _out_words(medium: Medium) -> np.ndarray:
     return np.stack([_pack(medium.out_mask(axis, buf)) for axis in range(n)])
 
 
-def _reach_back(out_words: np.ndarray, seed: np.ndarray) -> tuple[np.ndarray, int]:
-    """Every vertex with an oriented path into `seed`, and the round count.
+def _reach_back(out_words: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Every vertex with an oriented path into `seed`.
 
     One round sweeps the axes in order, adding each vertex whose axis edge
     points out of it into an already reached partner; rounds repeat until
@@ -154,7 +167,6 @@ def _reach_back(out_words: np.ndarray, seed: np.ndarray) -> tuple[np.ndarray, in
             r, o = axis_view(reach, axis - 6), axis_view(out, axis - 6)
             h = half.reshape(r.shape[0], r.shape[2])
             across.append((r[:, 0, :], r[:, 1, :], o[:, 0, :], o[:, 1, :], h))
-    rounds = 0
     while True:
         check_deadline()
         np.copyto(before, reach)
@@ -171,17 +183,16 @@ def _reach_back(out_words: np.ndarray, seed: np.ndarray) -> tuple[np.ndarray, in
             r0 |= h
             np.bitwise_and(r0, o1, out=h)
             r1 |= h
-        rounds += 1
         before ^= reach
         if not before.any():
-            return reach, rounds
+            return reach
 
 
 def backward_reach(medium: Medium, targets: np.ndarray) -> np.ndarray:
     """Per-vertex bool mask of every vertex with an oriented path into the
     vertices set in the per-vertex bool mask `targets` (those included),
     spread on packed out-edge bitsets as in :func:`sink_components`."""
-    reach, _ = _reach_back(_out_words(medium), _pack(targets))
+    reach = _reach_back(_out_words(medium), _pack(targets))
     return _unpack(reach, 1 << medium.n_players)
 
 
@@ -278,8 +289,7 @@ def sink_components(medium: Medium) -> SinkAnalysis:
     # vertices, which the unpacking drops
     pne_mask = _unpack(~np.bitwise_or.reduce(out_words, axis=0), size)
 
-    reach, _ = _reach_back(out_words, _pack(pne_mask))
-    rest = np.flatnonzero(~_unpack(reach, size))
+    rest = np.flatnonzero(~_unpack(_reach_back(out_words, _pack(pne_mask)), size))
     trap_mask = np.zeros(size, dtype=bool)
     traps: list[list[int]] = []
     if rest.size:
@@ -301,7 +311,6 @@ def sink_components(medium: Medium) -> SinkAnalysis:
         n_players=n,
         alpha=medium.params.alpha,
         seed=medium.params.seed,
-        pnes=np.flatnonzero(pne_mask).tolist(),
         traps=traps,
         pne_mask=pne_mask,
         trap_mask=trap_mask,

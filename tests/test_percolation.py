@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,16 +209,24 @@ def test_component_labels_match_scipy(n, beta, seed):
 
 
 def test_coupling_trial_reads_the_largest_component_off_the_audit_labels():
-    n, alpha, seed = 8, 0.5, 11
-    for trial in range(6):
-        got = coupling_trial((MediumParams(n, alpha, seed), trial))
-        medium = trial_medium(MediumParams(n, alpha, seed), trial)
-        initial = sample_percolation(n, (1.0 - alpha) / 2.0, fold(seed, TAG_PERC, trial))
-        final, audit = coupling_run(medium, initial)
-        assert np.array_equal(audit.final_labels, _component_labels(final))
-        big = largest_component(final)
-        assert got.fragment_size == (1 << n) - big.size
-        assert got.lemma_mismatch == (frozenset(big.tolist()) != audit.reverse_accessible)
+    # the lemma mismatch compares masks; the sets it used to compare agree,
+    # in both storage modes, on trials with a mismatch (alpha 0.9) and
+    # without one (alpha 0)
+    n, seed = 8, 11
+    mismatches = []
+    for mode, alpha in itertools.product(("exhaustive", MODE_LAZY), (0.0, 0.5, 0.9)):
+        params = MediumParams(n, alpha, seed, mode)
+        for trial in range(6):
+            got = coupling_trial((params, trial))
+            medium = trial_medium(params, trial)
+            initial = sample_percolation(n, (1.0 - alpha) / 2.0, fold(seed, TAG_PERC, trial))
+            final, audit = coupling_run(medium, initial)
+            assert np.array_equal(audit.final_labels, _component_labels(final))
+            big = largest_component(final)
+            assert got.fragment_size == (1 << n) - big.size
+            assert got.lemma_mismatch == (frozenset(big.tolist()) != audit.reverse_accessible)
+            mismatches.append(got.lemma_mismatch)
+    assert any(mismatches) and not all(mismatches)
 
 
 def test_largest_component_tie_breaks_to_smallest_vertex():
@@ -339,6 +349,15 @@ def test_coupling_identity_random_media():
         assert set(connected_component(final, 0)) == set(audit.q_final)
 
 
+def test_coupling_audits_compare_by_their_sets():
+    # the generated __eq__ would compare the masks elementwise and raise
+    initial = sample_percolation(7, 0.25, 4)
+    audit = coupling_run(build_medium(7, 0.5, 3), initial)[1]
+    assert audit == coupling_run(build_medium(7, 0.5, 3, mode=MODE_LAZY), initial)[1]
+    assert audit != coupling_run(build_medium(7, 0.5, 5), initial)[1]
+    assert audit != replace(audit, rounds_to_fixpoint=audit.rounds_to_fixpoint + 1)
+
+
 def long_hand_coupling(medium, initial):
     """The growth recursion edge by edge, with numpy set-once bookkeeping and
     a BFS for the open component of 0: (final_open, q_final, rounds,
@@ -395,6 +414,9 @@ def test_coupling_run_matches_long_hand_oracle(n, alpha, seed, lazy):
     assert audit.q_final == q_final
     assert audit.rounds_to_fixpoint == rounds
     assert audit.component_of_zero == comp_zero
+    assert audit.reverse_accessible == q_final
+    for got in (audit.q_final, audit.component_of_zero, audit.reverse_accessible):
+        assert type(got) is frozenset and all(type(v) is int for v in got)
     assert audit.identity_holds
 
 

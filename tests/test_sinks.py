@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nashwalk.errors import AlphaOutOfRange, NonCanonicalEdge, TimeBudgetExceede
 from nashwalk.medium import (
     DOWN, MODE_EXHAUSTIVE, MODE_LAZY, TIE, UP, Medium, build_medium, neighbors,
 )
+from nashwalk import sinks
 from nashwalk.parallel import time_budget
 from nashwalk.rng import fold, TAG_MEDIUM
 from nashwalk.sinks import (
@@ -233,12 +235,22 @@ def test_sink_components_match_whole_graph_scc(n, source, seed):
                 assert (labels[u] == labels[w]) == same
 
 
-def test_no_pne_cube_leaves_the_whole_cube_to_the_scc():
+def counted_reach_back(monkeypatch, med: Medium, seed: np.ndarray):
+    """(reach, rounds) of :func:`_reach_back`, which checks the time budget
+    once before every round."""
+    rounds = []
+    monkeypatch.setattr(sinks, "check_deadline", lambda: rounds.append(1))
+    reach = _reach_back(_out_words(med), _pack(seed))
+    monkeypatch.undo()
+    return reach, len(rounds)
+
+
+def test_no_pne_cube_leaves_the_whole_cube_to_the_scc(monkeypatch):
     # n=8, alpha=0, seed 0 has no PNE: nothing reaches one, so the
     # remainder the SCC runs on is the whole cube.
     med = build_medium(8, 0.0, 0)
     assert enumerate_pnes(med) == []
-    reach, rounds = _reach_back(_out_words(med), _pack(np.zeros(256, dtype=bool)))
+    reach, rounds = counted_reach_back(monkeypatch, med, np.zeros(256, dtype=bool))
     assert not reach.any() and rounds == 1
     # with every vertex left, local indices are vertices: the remainder's
     # edges read from the bitsets are the whole cube's oriented edges
@@ -262,12 +274,12 @@ def test_cubes_below_64_vertices_fit_one_word(n):
 
 
 @pytest.mark.parametrize("n", [3, 6, 9])
-def test_snake_needs_many_rounds_and_still_matches(n):
+def test_snake_needs_many_rounds_and_still_matches(monkeypatch, n):
     med = snake_cube(n)
     last = (1 << n) - 1
     pne = last ^ (last >> 1)  # g(2^n - 1)
     assert enumerate_pnes(med) == [pne]
-    reach, rounds = _reach_back(_out_words(med), _pack(np.arange(1 << n) == pne))
+    reach, rounds = counted_reach_back(monkeypatch, med, np.arange(1 << n) == pne)
     assert rounds > (1 << n) // 4  # a random medium settles in under ten
     analysis = check_against_scc_oracle(med)
     assert analysis.pnes == [pne] and analysis.traps == []
@@ -378,6 +390,25 @@ def test_analyses_compare_by_their_sinks():
     all_tie = sink_components(make_all_tie(2))
     assert all_tie.pne_count == one_fewer.pne_count + 1
     assert all_tie != one_fewer
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pnes_are_read_off_the_mask(n):
+    # n < 6 packs the cube into one zero-padded word
+    for i, alpha in enumerate((0.0, 0.5, 0.9)):
+        med = build_medium(n, alpha, fold(29, TAG_MEDIUM, n, i))
+        analysis = sink_components(med)
+        want = np.flatnonzero(whole_graph_scc(med)[1])
+        assert analysis.pnes == want.tolist()
+        assert all(type(v) is int for v in analysis.pnes)
+        assert analysis.pne_count == len(analysis.pnes)
+        assert type(analysis.pne_count) is int
+        # equal by content, not identity; one PNE fewer compares unequal
+        assert analysis == replace(analysis, pne_mask=analysis.pne_mask.copy())
+        for v in analysis.pnes[:1] + analysis.pnes[-1:]:
+            fewer = analysis.pne_mask.copy()
+            fewer[v] = False
+            assert analysis != replace(analysis, pne_mask=fewer)
 
 
 # ---------------------------------------------------------------------------
