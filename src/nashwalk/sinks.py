@@ -19,14 +19,17 @@ the whole oriented graph stays in the tests as the oracle.
 
 Bitsets.  A per-vertex bool array packs into little-endian uint64 words,
 vertex v at bit ``v % 64`` of word ``v // 64`` (one word, zero-padded, for
-n < 6).  Crossing axis ``i < 6`` swaps bits within each word: a shift by
-``2^i`` under a constant mask.  Crossing axis ``i >= 6`` swaps whole words,
-and the word array viewed through :func:`axis_view` along ``i - 6`` lines
-each word up with its partner.  The bitsets come from
-:meth:`Medium.out_mask`, one decode of the orientation table per analysis:
-the PNEs (no out-bit on any axis), the backward spread and the remainder's
-out-edges, which the trap search needs, are all read from them.  The PNEs
-stay a mask; :attr:`SinkAnalysis.pnes` lists them only when read.
+n < 6).  Crossing axis ``i < 6`` moves bits within each word: a shift by
+``2^i``.  Crossing axis ``i >= 6`` moves whole words, by ``2^(i-6)``.  The
+bitsets come from :meth:`Medium.out_mask`, one decode of the orientation
+table per analysis: the PNEs (no out-bit on any axis), the backward spread
+and the remainder's out-edges, which the trap search needs, are all read
+from them.  The spread splits each axis's row once, by the axis bit, into
+the out-bits of the vertices below and above their partners; every
+operation of a round is then a shift or a plain slice of contiguous words
+under one of those halves, and the spread stops early once every vertex is
+reached (:func:`_reach_back`).  The PNEs stay a mask;
+:attr:`SinkAnalysis.pnes` lists them only when read.
 
 Without a whole-cube analysis, :func:`classify_vertex` answers which
 obstacle a vertex can meet by one budgeted DFS of its forward closure
@@ -121,6 +124,7 @@ _LOW_HALVES = np.array(
     dtype=np.uint64,
 )
 _SHIFTS = tuple(np.uint64(1 << axis) for axis in range(6))
+_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -145,44 +149,55 @@ def _out_words(medium: Medium) -> np.ndarray:
 
 
 def _reach_back(out_words: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Every vertex with an oriented path into `seed`.
+    """Every vertex with an oriented path into `seed` (packed words).
 
-    One round sweeps the axes in order, adding each vertex whose axis edge
-    points out of it into an already reached partner; rounds repeat until
-    one adds nothing.  Updates within a round are seen by later axes, so the
-    round count is at most one more than the longest shortest path to the
-    seed.  The word-axis views and the scratch words are made once, so a
-    round allocates nothing; the time budget is checked before every round
+    The out-edge rows are split once by the axis bit: ``lo[i]`` keeps row
+    i's bits of the vertices whose bit i is clear, ``hi[i]`` those whose bit
+    i is set.  One round sweeps the axes in order, adding each vertex whose
+    axis edge points out of it into an already reached partner: in-word
+    axes by a shift of the reach under ``lo`` or ``hi``, word axes by plain
+    contiguous slices at the word distance, where the zeroed halves of
+    ``lo`` and ``hi`` blank the words a slice pairs with a non-partner.
+    Rounds repeat until one adds nothing or, from 64 vertices on, until
+    every vertex is reached.  Updates within a round are seen by later
+    axes, so the round count is at most one more than the longest shortest
+    path to the seed, and a reach that fills the cube needs no confirming
+    round.  The slices and scratch words are made once, so a round
+    allocates nothing; the time budget is checked before every round
     (:func:`~nashwalk.parallel.check_deadline`).
     """
-    reach = seed.copy()
-    before, a, b = np.empty_like(reach), np.empty_like(reach), np.empty_like(reach)
-    half = b[: reach.size // 2]  # the word-axis scratch; `b` is free by then
-    in_word = []
-    across = []
-    for axis, out in enumerate(out_words):
+    lo = out_words.copy()
+    for axis, row in enumerate(lo):
         if axis < 6:
-            in_word.append((out, _LOW_HALVES[axis], _SHIFTS[axis]))
+            row &= _LOW_HALVES[axis]
         else:
-            r, o = axis_view(reach, axis - 6), axis_view(out, axis - 6)
-            h = half.reshape(r.shape[0], r.shape[2])
-            across.append((r[:, 0, :], r[:, 1, :], o[:, 0, :], o[:, 1, :], h))
+            axis_view(row, axis - 6)[:, 1, :] = 0
+    hi = out_words ^ lo
+    reach = seed.copy()
+    before, a = np.empty_like(reach), np.empty_like(reach)
+    in_word = [(_SHIFTS[i], lo[i], hi[i]) for i in range(min(len(lo), 6))]
+    across = []
+    for axis in range(6, len(lo)):
+        d = 1 << (axis - 6)
+        across.append((reach[:-d], reach[d:], lo[axis, :-d], hi[axis, d:], a[:-d]))
+    can_fill = len(lo) >= 6  # below that the padding bits never fill
     while True:
         check_deadline()
         np.copyto(before, reach)
-        for out, low, shift in in_word:
-            np.bitwise_and(reach, low, out=a)
-            a <<= shift
-            np.right_shift(reach, shift, out=b)
-            b &= low
-            a |= b
-            a &= out
+        for shift, low, high in in_word:
+            np.right_shift(reach, shift, out=a)
+            a &= low
             reach |= a
-        for r0, r1, o0, o1, h in across:
-            np.bitwise_and(r1, o0, out=h)
-            r0 |= h
-            np.bitwise_and(r0, o1, out=h)
-            r1 |= h
+            np.left_shift(reach, shift, out=a)
+            a &= high
+            reach |= a
+        for r0, r1, low, high, t in across:
+            np.bitwise_and(r1, low, out=t)
+            r0 |= t
+            np.bitwise_and(r0, high, out=t)
+            r1 |= t
+        if can_fill and np.bitwise_and.reduce(reach) == _FULL:
+            return reach
         before ^= reach
         if not before.any():
             return reach
@@ -202,18 +217,21 @@ def _remainder_edges(
     """Out-edges of the vertices `rest` (ascending) as local (src, dst)
     indices into `rest`, axis by axis, read from the packed out-edge bitsets
     in one pass over every axis.  Asserts that `rest` is closed: every
-    out-neighbour has a local index."""
+    out-neighbour has a local index.
+
+    A neighbour's local index is found by binary search in `rest`, so a
+    small remainder of a large cube needs no table over the cube."""
     n, k = len(out_words), rest.size
-    local = np.full(1 << n, -1, dtype=np.int64)
-    local[rest] = np.arange(k)
     # row i: bit `rest` of axis i's bitset, read byte-wise
     shift = (rest & 7).astype(np.uint8)
     bits = (np.take(out_words.view(np.uint8), rest >> 3, axis=1) >> shift & 1).view(bool)
     counts = np.count_nonzero(bits, axis=1)
     axes = np.arange(n)
     src = np.flatnonzero(bits) - np.repeat(axes * k, counts)
-    dst = local[rest[src] ^ np.repeat(1 << axes, counts)]
-    assert (dst >= 0).all(), "the vertices reaching no PNE are not closed"
+    nbr = rest[src] ^ np.repeat(1 << axes, counts)
+    dst = np.searchsorted(rest, nbr)
+    closed = (dst < k).all() and np.array_equal(rest[dst], nbr)
+    assert closed, "the vertices reaching no PNE are not closed"
     return src, dst
 
 
@@ -285,11 +303,12 @@ def sink_components(medium: Medium) -> SinkAnalysis:
     n = medium.n_players
     size = 1 << n
     out_words = _out_words(medium)
-    # no out-bit on any axis; `~` also sets the padding bits below 64
-    # vertices, which the unpacking drops
-    pne_mask = _unpack(~np.bitwise_or.reduce(out_words, axis=0), size)
+    pne_words = ~np.bitwise_or.reduce(out_words, axis=0)  # no out-bit on any axis
+    if n < 6:
+        pne_words &= np.uint64((1 << size) - 1)  # `~` set the padding bits
+    pne_mask = _unpack(pne_words, size)
 
-    rest = np.flatnonzero(~_unpack(_reach_back(out_words, _pack(pne_mask)), size))
+    rest = np.flatnonzero(_unpack(~_reach_back(out_words, pne_words), size))
     trap_mask = np.zeros(size, dtype=bool)
     traps: list[list[int]] = []
     if rest.size:
