@@ -9,26 +9,26 @@ have size 2 or 3 — that is asserted, not filtered.
 Traps are closed and hold no PNE, so every trap lies in the set of vertices
 that cannot reach a PNE, and that set is itself closed under out-edges.
 :func:`sink_components` therefore finds the vertices that reach a PNE first,
-on packed bitsets, and searches for sink SCCs only on the closed remainder
-(the reachability-then-SCC pruning of Fleischer, Hendrickson & Pinar, "On
-identifying strongly connected components in parallel", 2000).  Typical
-media leave a small remainder or none.  The search is numpy label
-propagation with pointer jumping on the remainder's edge list
-(:func:`_sink_sccs`), so the package needs numpy alone; one scipy SCC over
-the whole oriented graph stays in the tests as the oracle.
+on packed bitsets, and searches for sink SCCs only on the closed remainder.
+Both steps follow Fleischer, Hendrickson & Pinar ("On identifying strongly
+connected components in parallel", 2000): the pruning by reachability, and
+the forward-backward search itself (:func:`_trap_search`).  The search needs
+only a forward and a backward reach from one vertex, on Python vertex sets
+for a small remainder and on the packed bitsets for a large one, so the
+package needs numpy alone; one scipy SCC over the whole oriented graph stays
+in the tests as the oracle.
 
 Bitsets.  A per-vertex bool array packs into little-endian uint64 words,
 vertex v at bit ``v % 64`` of word ``v // 64`` (one word, zero-padded, for
 n < 6).  Crossing axis ``i < 6`` moves bits within each word: a shift by
 ``2^i``.  Crossing axis ``i >= 6`` moves whole words, by ``2^(i-6)``.  The
-bitsets come from :meth:`Medium.out_mask`, one decode of the orientation
-table per analysis: the PNEs (no out-bit on any axis), the backward spread
-and the remainder's out-edges, which the trap search needs, are all read
-from them.  The spread splits each axis's row once, by the axis bit, into
-the out-bits of the vertices below and above their partners; every
-operation of a round is then a shift or a plain slice of contiguous words
-under one of those halves, and the spread stops early once every vertex is
-reached (:func:`_reach_back`).  The PNEs stay a mask;
+out-edges are decoded from the orientation table once per analysis, into
+each axis's row split by the axis bit: the out-bits of the vertices below
+their partners and of those above (:func:`_split_rows`).  The PNEs (no
+out-bit on any axis), the backward spread and the trap search's backward
+reaches all read these rows; every operation of a round is then a shift or a
+plain slice of contiguous words under one half, and a reach stops early
+once every vertex is reached (:func:`_reach_back`).  The PNEs stay a mask;
 :attr:`SinkAnalysis.pnes` lists them only when read.
 
 Without a whole-cube analysis, :func:`classify_vertex` answers which
@@ -47,7 +47,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import AlphaOutOfRange
-from .medium import Medium, Vertex, axis_view, default_closure_budget, neighbors
+from .medium import DOWN, UP, Medium, Vertex, axis_view, default_closure_budget, neighbors
 from .parallel import check_deadline
 
 
@@ -140,39 +140,51 @@ def _unpack(words: np.ndarray, size: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), count=size, bitorder="little").view(bool)
 
 
-def _out_words(medium: Medium) -> np.ndarray:
-    """(n, words) bitsets: bit v of row i set when v's axis-i edge points
-    out of v (:meth:`Medium.out_mask`, packed)."""
+def _split_rows(
+    medium: Medium, base_code: int = UP, partner_code: int = DOWN
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): (n, words) bitsets of the out-edges, split by the axis bit.
+
+    Bit v of ``lo[i]`` is set when v's bit i is clear and v's axis-i edge
+    points out of v, bit v of ``hi[i]`` when v's bit i is set and it does,
+    so ``lo | hi`` is the packed :meth:`Medium.out_mask` row.  Axes < 6 mask
+    the row with ``_LOW_HALVES``; axes >= 6 zero the other half's words
+    through :func:`axis_view`.  With the codes swapped (``DOWN, UP``) they
+    are the rows of the reversed graph, whose out-edges are the in-edges.
+    """
     n = medium.n_players
     buf = np.empty(1 << n, dtype=bool)
-    return np.stack([_pack(medium.out_mask(axis, buf)) for axis in range(n)])
-
-
-def _reach_back(out_words: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Every vertex with an oriented path into `seed` (packed words).
-
-    The out-edge rows are split once by the axis bit: ``lo[i]`` keeps row
-    i's bits of the vertices whose bit i is clear, ``hi[i]`` those whose bit
-    i is set.  One round sweeps the axes in order, adding each vertex whose
-    axis edge points out of it into an already reached partner: in-word
-    axes by a shift of the reach under ``lo`` or ``hi``, word axes by plain
-    contiguous slices at the word distance, where the zeroed halves of
-    ``lo`` and ``hi`` blank the words a slice pairs with a non-partner.
-    Rounds repeat until one adds nothing or, from 64 vertices on, until
-    every vertex is reached.  Updates within a round are seen by later
-    axes, so the round count is at most one more than the longest shortest
-    path to the seed, and a reach that fills the cube needs no confirming
-    round.  The slices and scratch words are made once, so a round
-    allocates nothing; the time budget is checked before every round
-    (:func:`~nashwalk.parallel.check_deadline`).
-    """
-    lo = out_words.copy()
-    for axis, row in enumerate(lo):
+    lo = np.empty((n, _pack(buf).size), dtype=np.uint64)
+    hi = np.empty_like(lo)
+    for axis in range(n):
+        row = _pack(medium._code_mask(axis, buf, base_code, partner_code))
         if axis < 6:
-            row &= _LOW_HALVES[axis]
+            np.bitwise_and(row, _LOW_HALVES[axis], out=lo[axis])
         else:
-            axis_view(row, axis - 6)[:, 1, :] = 0
-    hi = out_words ^ lo
+            lo[axis] = row
+            axis_view(lo[axis], axis - 6)[:, 1, :] = 0
+        np.bitwise_xor(row, lo[axis], out=hi[axis])
+    return lo, hi
+
+
+def _reach_back(lo: np.ndarray, hi: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Every vertex with an oriented path into `seed` (packed words), on the
+    split rows `lo`, `hi` of :func:`_split_rows`.
+
+    One round sweeps the axes in order, adding each vertex whose axis edge
+    points out of it into an already reached partner: in-word axes by a
+    shift of the reach under ``lo`` or ``hi``, word axes by plain contiguous
+    slices at the word distance, where the zeroed halves of ``lo`` and
+    ``hi`` blank the words a slice pairs with a non-partner.  Rounds repeat
+    until one adds nothing or, from 64 vertices on, until every vertex is
+    reached.  Updates within a round are seen by later axes, so the round
+    count is at most one more than the longest shortest path to the seed,
+    and a reach that fills the cube needs no confirming round.  The slices
+    and scratch words are made once, so a round allocates nothing; the time
+    budget is checked before every round
+    (:func:`~nashwalk.parallel.check_deadline`).  On the rows of the
+    reversed graph it is the forward reach.
+    """
     reach = seed.copy()
     before, a = np.empty_like(reach), np.empty_like(reach)
     in_word = [(_SHIFTS[i], lo[i], hi[i]) for i in range(min(len(lo), 6))]
@@ -206,125 +218,104 @@ def _reach_back(out_words: np.ndarray, seed: np.ndarray) -> np.ndarray:
 def backward_reach(medium: Medium, targets: np.ndarray) -> np.ndarray:
     """Per-vertex bool mask of every vertex with an oriented path into the
     vertices set in the per-vertex bool mask `targets` (those included),
-    spread on packed out-edge bitsets as in :func:`sink_components`."""
-    reach = _reach_back(_out_words(medium), _pack(targets))
+    spread on the split rows as in :func:`sink_components`."""
+    reach = _reach_back(*_split_rows(medium), _pack(targets))
     return _unpack(reach, 1 << medium.n_players)
 
 
-def _remainder_edges(
-    out_words: np.ndarray, rest: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Out-edges of the vertices `rest` (ascending) as local (src, dst)
-    indices into `rest`, axis by axis, read from the packed out-edge bitsets
-    in one pass over every axis.  Asserts that `rest` is closed: every
-    out-neighbour has a local index.
+def _on_sets(count: int, n: int) -> bool:
+    """Whether the trap search runs on Python vertex sets (True) or on
+    packed words (False) for a remainder of `count` vertices of the n-cube.
 
-    A neighbour's local index is found by binary search in `rest`, so a
-    small remainder of a large cube needs no table over the cube."""
-    n, k = len(out_words), rest.size
-    # row i: bit `rest` of axis i's bitset, read byte-wise
-    shift = (rest & 7).astype(np.uint8)
-    bits = (np.take(out_words.view(np.uint8), rest >> 3, axis=1) >> shift & 1).view(bool)
-    counts = np.count_nonzero(bits, axis=1)
-    axes = np.arange(n)
-    src = np.flatnonzero(bits) - np.repeat(axes * k, counts)
-    nbr = rest[src] ^ np.repeat(1 << axes, counts)
-    dst = np.searchsorted(rest, nbr)
-    closed = (dst < k).all() and np.array_equal(rest[dst], nbr)
+    A set search reads a row per vertex of the remainder, about 15 us each;
+    a word search costs a few passes over all 2^n bits per iteration, about
+    2 ms at n = 12-15 (CPU medians on a 2-core Xeon).  ``count^2 <= 2^n``
+    puts the switch near 2^(n/2) vertices, so the small remainders of random
+    media (at most 126 vertices seen at n = 12-20, α = 0.7-0.9) stay on sets,
+    where words took 20-170 times longer, and whole-cube remainders (α = 0,
+    no PNE) run on words, where sets took 30-45 times longer at n = 12-14."""
+    return count * count <= 1 << n
+
+
+def _trap_search(
+    medium: Medium, rows: tuple[np.ndarray, np.ndarray], rest_mask: np.ndarray
+) -> list[list[int]]:
+    """The sink SCCs of the vertices set in `rest_mask`, which must be closed
+    under out-edges and hold no PNE, members ascending, ordered by first
+    member.  `rows` are the medium's split rows (:func:`_split_rows`).
+
+    A forward-backward search (Fleischer, Hendrickson & Pinar, 2000): take
+    p = min(rest), its forward closure F and the vertices B of the rest that
+    reach p.  While F is not within B, move p to min(F - B), whose closure
+    is strictly smaller.  Then F is a sink SCC: it is recorded, and B, every
+    vertex that reaches it, leaves the rest, which stays closed.  The two
+    reaches run on vertex sets (:func:`forward_closure`, :func:`reaching`)
+    or on packed words (:func:`_reach_back` on the rows and on those of the
+    reversed graph), as :func:`_on_sets` picks.  The rest is checked to be
+    closed first, and the time budget before every iteration.
+    """
+    n = medium.n_players
+    rest = set(np.flatnonzero(rest_mask).tolist())
+    if _on_sets(len(rest), n):
+        closed = all(w in rest for u in rest for w in neighbors(u, medium.row(u)[0]))
+
+        def reaches(p: int) -> tuple[set[int], set[int]]:
+            return forward_closure(medium, p, 1 << n).visited, reaching(medium, p, within=rest)
+    else:
+        rest_words, inward = _pack(rest_mask), _split_rows(medium, DOWN, UP)
+        closed = np.array_equal(_reach_back(*inward, rest_words), rest_words)
+
+        def reaches(p: int) -> tuple[set[int], set[int]]:
+            seed = np.zeros_like(rest_words)
+            seed[p >> 6] = np.uint64(1 << (p & 63))
+            # forward on the rows of the reversed graph, backward on the rows
+            f, b = (_unpack(_reach_back(*r, seed) & rest_words, 1 << n) for r in (inward, rows))
+            return set(np.flatnonzero(f).tolist()), set(np.flatnonzero(b).tolist())
     assert closed, "the vertices reaching no PNE are not closed"
-    return src, dst
-
-
-def _settle(op: np.ufunc, vals: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Pointer-jumping fixpoint: each round folds every edge's `dst` value
-    into its `src` (``op.at``), then jumps every pointer once
-    (``vals = op(vals, vals[vals])``), until a round changes nothing.
-
-    Each value is a vertex index that the caller's invariant keeps valid
-    under both steps; the jump only speeds the spread.  The time budget is
-    checked before every round.
-    """
-    while True:
+    traps: list[list[int]] = []
+    f = b = set()
+    while rest:
         check_deadline()
-        before = vals.copy()
-        op.at(vals, src, vals[dst])
-        vals = op(vals, vals[vals])
-        if np.array_equal(vals, before):
-            return vals
-
-
-def _sink_sccs(src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarray:
-    """Per vertex of the graph src -> dst on `size` vertices, the id of the
-    sink SCC that holds it, or -1; an SCC's id is its smallest member.
-
-    Three fixpoints of :func:`_settle` on the edge list:
-
-    - ``m[u]``, the smallest vertex u reaches (a jump stays in u's forward
-      closure, since ``m[u]`` lies in it);
-    - ``mx[u]``, the largest ``m`` over u's forward closure (``mx[u]`` is
-      itself a vertex of that closure, so the jump is valid too);
-    - ``p[u]``, the smallest vertex of u's class (the vertices sharing
-      ``m[u]``) that reaches u along edges inside the class.
-
-    A vertex s with ``m[s] == s == mx[s]`` is a root: everything s reaches
-    has ``m == s``, so reaches s back, and s's forward closure is a sink SCC
-    with smallest member s.  Every sink SCC has such a root.  A vertex u is
-    in root ``m[u]``'s SCC exactly when that root reaches u, i.e. when
-    ``p[u] == m[u]``; only edges inside root classes matter for that.
-    """
-    ids = np.arange(size, dtype=np.int32)  # narrow values halve the gathers' traffic
-    m = _settle(np.minimum, ids.copy(), src, dst)
-    mx = _settle(np.maximum, m.copy(), src, dst)
-    root = (m == ids) & (mx == ids)
-    inner = (m[src] == m[dst]) & root[m[src]]
-    p = _settle(np.minimum, ids.copy(), dst[inner], src[inner])
-    return np.where(root[m] & (p == m), m, -1)
+        # F - B is empty at the start and after a trap: p = min(rest) then
+        f, b = reaches(p := min(f - b or rest))
+        if f <= b:  # everything p reaches reaches p back
+            assert len(f) >= 4, f"a sink SCC of size {len(f)} violates bipartiteness"
+            traps.append(sorted(f))
+            rest -= b
+    return sorted(traps)
 
 
 def sink_components(medium: Medium) -> SinkAnalysis:
     """Find the PNEs and the traps (sink SCCs of size >= 4) of the medium.
 
-    Packed per-axis out-edge bitsets are built once, and the PNEs are the
-    vertices with no bit set on any axis.  The same bitsets then spread that
-    set backwards along oriented edges until it stops growing: the result is
-    every vertex that can reach a PNE.  The rest is closed under out-edges
-    and holds every trap, so the sink SCCs are searched on the rest's
-    out-edges alone (:func:`_sink_sccs`), read from the same bitsets.  The
-    rest holds no PNE, so no such sink is a single vertex; sizes 2 and 3 are
-    impossible (bipartiteness) and asserted absent.
+    The out-edges are split into packed bitset rows once
+    (:func:`_split_rows`), and the PNEs are the vertices with no bit set on
+    any axis.  The same rows then spread that set backwards along oriented
+    edges until it stops growing: the result is every vertex that can reach
+    a PNE.  The rest is closed under out-edges and holds every trap, and
+    the forward-backward search finds its sink SCCs (:func:`_trap_search`).
+    The rest holds no PNE, so no such sink is a single vertex; sizes 2 and
+    3 are impossible (bipartiteness) and asserted absent.
 
     The number of spread rounds is bounded by the longest shortest path to
     a PNE, so random media settle in a handful, while crafted snake-like
-    tables stay correct but cost more rounds; the trap search's pointer
-    jumping keeps its rounds few even along a snake.  The time budget
-    (:func:`nashwalk.parallel.time_budget`) is checked before every round of
-    both, and raises TimeBudgetExceeded once spent.
+    tables stay correct but cost more rounds.  The time budget
+    (:func:`nashwalk.parallel.time_budget`) is checked before every round
+    and every search iteration, and raises TimeBudgetExceeded once spent.
     """
     n = medium.n_players
     size = 1 << n
-    out_words = _out_words(medium)
-    pne_words = ~np.bitwise_or.reduce(out_words, axis=0)  # no out-bit on any axis
+    lo, hi = rows = _split_rows(medium)
+    pne_words = ~(np.bitwise_or.reduce(lo, axis=0) | np.bitwise_or.reduce(hi, axis=0))
     if n < 6:
         pne_words &= np.uint64((1 << size) - 1)  # `~` set the padding bits
     pne_mask = _unpack(pne_words, size)
 
-    rest = np.flatnonzero(_unpack(~_reach_back(out_words, pne_words), size))
+    rest_mask = ~_unpack(_reach_back(*rows, pne_words), size)
+    traps = _trap_search(medium, rows, rest_mask)
     trap_mask = np.zeros(size, dtype=bool)
-    traps: list[list[int]] = []
-    if rest.size:
-        sink = _sink_sccs(*_remainder_edges(out_words, rest), rest.size)
-        in_trap = np.flatnonzero(sink >= 0)
-        ids = sink[in_trap]
-        counts = np.bincount(ids)
-        sizes = counts[counts > 0]  # ascending by id
-        assert (sizes >= 4).all(), (
-            f"sink SCCs of size {sizes[sizes < 4].tolist()} violate bipartiteness"
-        )
-        trap_mask[rest[in_trap]] = True
-        # ids are smallest members and `rest` ascends, so sorting by id
-        # orders the traps by first member, members ascending
-        members = rest[in_trap[np.argsort(ids, kind="stable")]]
-        traps = [t.tolist() for t in np.split(members, np.cumsum(sizes)[:-1])]
+    if traps:
+        trap_mask[np.concatenate(traps)] = True
 
     return SinkAnalysis(
         n_players=n,

@@ -94,6 +94,19 @@ def escape_cube_medium() -> Medium:
     return Medium.from_orientation_table(3, table)
 
 
+def cube_from_edges(n: int, edges) -> Medium:
+    """The n-cube with the oriented edges `edges`, (u, w) pairs one bit
+    apart, every other edge a tie."""
+    table = np.zeros(n << (n - 1), dtype=np.int8)
+    half = 1 << (n - 1)
+    for u, w in edges:
+        axis = (u ^ w).bit_length() - 1
+        base = min(u, w)
+        squeezed = (base & ((1 << axis) - 1)) | ((base >> (axis + 1)) << axis)
+        table[axis * half + squeezed] = UP if u == base else DOWN
+    return Medium.from_orientation_table(n, table)
+
+
 def snake_cube(n: int, loop: int = 0) -> Medium:
     """Gray-code Hamiltonian path g(0) -> g(1) -> ... -> g(2^n - 1), all
     other edges ties: one PNE at the end, 2^n - 1 steps from the start.
@@ -102,19 +115,11 @@ def snake_cube(n: int, loop: int = 0) -> Medium:
     to g(2^n - loop), one bit away, so the last `loop` vertices form the only
     trap, every other vertex is doomed to reach it, and there is no PNE.
     """
-    table = np.zeros(n << (n - 1), dtype=np.int8)
-    half = 1 << (n - 1)
     last = (1 << n) - 1
     steps = [(i, i + 1) for i in range(last)]
     if loop:
         steps.append((last, last + 1 - loop))
-    for i, j in steps:
-        u, w = i ^ (i >> 1), j ^ (j >> 1)
-        axis = (u ^ w).bit_length() - 1
-        base = min(u, w)
-        squeezed = (base & ((1 << axis) - 1)) | ((base >> (axis + 1)) << axis)
-        table[axis * half + squeezed] = UP if u == base else DOWN
-    return Medium.from_orientation_table(n, table)
+    return cube_from_edges(n, [(i ^ (i >> 1), j ^ (j >> 1)) for i, j in steps])
 
 
 def whole_graph_scc(medium: Medium) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -315,8 +315,9 @@ def test_time_budget_stops_analyze_inside_the_sink_analysis(tmp_path, capsys):
 def test_time_budget_stops_analyze_inside_the_trap_search(monkeypatch, capsys):
     # n=11, alpha=0, seed 1 has no PNE: the backward spread makes one round
     # and checks the budget once, then the trap search runs on the whole
-    # cube.  The spread is slowed past the budget, so the trap search's
-    # first round must be the one that stops the run.
+    # cube, on sets or on words as the patched size rule says.  The spread
+    # is slowed past the budget, so the trap search's first check must be
+    # the one that stops the run.
     reach_back = sinks._reach_back
 
     def slow_reach_back(*args):
@@ -337,9 +338,12 @@ def test_time_budget_stops_analyze_inside_the_trap_search(monkeypatch, capsys):
     monkeypatch.setattr(sinks, "_reach_back", slow_reach_back)
     monkeypatch.setattr(sinks, "check_deadline", watched_check_deadline)
     argv = ["analyze", "--n", "11", "--alpha", "0", "--seed", "1", "--time-budget", "0.5"]
-    assert run_cli(argv) == 3
-    assert raised == [False, True]
-    assert capsys.readouterr().out == ""
+    for on_sets in (True, False):
+        monkeypatch.setattr(sinks, "_on_sets", lambda count, n: on_sets)
+        raised.clear()
+        assert run_cli(argv) == 3
+        assert raised == [False, True]
+        assert capsys.readouterr().out == ""
 
 
 # Blocks scipy from import, imports the CLI, runs each command line in

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -17,9 +18,7 @@ from nashwalk.medium import (
 from nashwalk import sinks
 from nashwalk.parallel import time_budget
 from nashwalk.rng import fold, TAG_MEDIUM
-from nashwalk.sinks import (
-    _out_words, _pack, _reach_back, _remainder_edges, _sink_sccs, _unpack,
-)
+from nashwalk.sinks import _pack, _reach_back, _split_rows, _trap_search, _unpack
 from nashwalk.sinks import (
     BUDGET_EXCEEDED,
     CLOSED,
@@ -35,7 +34,7 @@ from nashwalk.sinks import (
     sink_components,
 )
 
-from conftest import make_all_tie, snake_cube, whole_graph_scc
+from conftest import cube_from_edges, make_all_tie, snake_cube, whole_graph_scc
 
 
 def doomed_cube() -> Medium:
@@ -201,6 +200,18 @@ def check_against_scc_oracle(med: Medium):
     return analysis
 
 
+REACHES = ("sets", "words")
+
+
+@contextmanager
+def forced(reach: str):
+    """The trap search runs on `reach` whatever the remainder's size: the
+    size rule (:func:`sinks._on_sets`) is patched for the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sinks, "_on_sets", lambda count, n: reach == "sets")
+        yield
+
+
 def random_table(n: int, weights, seed: int) -> Medium:
     rng = np.random.default_rng(seed)
     return Medium.from_orientation_table(n, rng.choice(3, n << (n - 1), p=weights))
@@ -236,29 +247,50 @@ def test_sink_components_match_whole_graph_scc(n, source, seed):
 
 
 def counted_reach_back(monkeypatch, med: Medium, seed: np.ndarray):
-    """(reach, rounds) of :func:`_reach_back`, which checks the time budget
-    once before every round."""
+    """(reach, rounds) of :func:`_reach_back` on the medium's split rows,
+    which checks the time budget once before every round."""
     rounds = []
     monkeypatch.setattr(sinks, "check_deadline", lambda: rounds.append(1))
-    reach = _reach_back(_out_words(med), _pack(seed))
+    reach = _reach_back(*_split_rows(med), _pack(seed))
     monkeypatch.undo()
     return reach, len(rounds)
 
 
+def row_edges(lo: np.ndarray, hi: np.ndarray, n: int) -> set[tuple[int, int]]:
+    """The (src, dst) edges that split rows hold: bit v of row i is an edge
+    from v to v ^ 2^i."""
+    edges = set()
+    for axis in range(n):
+        assert not (lo[axis] & hi[axis]).any()  # each vertex on one side
+        for v in np.flatnonzero(_unpack(lo[axis] | hi[axis], 1 << n)).tolist():
+            edges.add((v, v ^ 1 << axis))
+    return edges
+
+
 def test_no_pne_cube_leaves_the_whole_cube_to_the_scc(monkeypatch):
     # n=8, alpha=0, seed 0 has no PNE: nothing reaches one, so the
-    # remainder the SCC runs on is the whole cube.
+    # remainder the trap search runs on is the whole cube.
     med = build_medium(8, 0.0, 0)
     assert enumerate_pnes(med) == []
     reach, rounds = counted_reach_back(monkeypatch, med, np.zeros(256, dtype=bool))
     assert not reach.any() and rounds == 1
-    # with every vertex left, local indices are vertices: the remainder's
-    # edges read from the bitsets are the whole cube's oriented edges
-    src, dst = _remainder_edges(_out_words(med), np.arange(256))
-    want_src, want_dst = med.oriented_edge_arrays()
-    assert len(src) == len(want_src)
-    assert set(zip(src.tolist(), dst.tolist())) == set(zip(want_src.tolist(), want_dst.tolist()))
+    # the rows the search reads are the whole cube's oriented edges, and
+    # with the codes swapped the same edges reversed
+    src, dst = med.oriented_edge_arrays()
+    edges = set(zip(src.tolist(), dst.tolist()))
+    assert len(edges) == len(src)
+    assert row_edges(*_split_rows(med), 8) == edges
+    assert row_edges(*_split_rows(med, DOWN, UP), 8) == {(w, u) for u, w in edges}
+    searched = []
+    search = sinks._trap_search
+
+    def watched(medium, rows, rest_mask):
+        searched.append(rest_mask.copy())
+        return search(medium, rows, rest_mask)
+
+    monkeypatch.setattr(sinks, "_trap_search", watched)
     analysis = check_against_scc_oracle(med)
+    assert len(searched) == 1 and searched[0].all()
     assert analysis.pnes == [] and analysis.traps
     assert analysis.trap_mask.sum() == sum(map(len, analysis.traps))
 
@@ -304,7 +336,7 @@ def test_cubes_below_64_vertices_fit_one_word(n):
     for i in range(40):
         alpha = (0.0, 0.3, 0.8)[i % 3]
         med = build_medium(n, alpha, fold(606, TAG_MEDIUM, i))
-        assert _out_words(med).shape == (n, 1)
+        assert all(rows.shape == (n, 1) for rows in _split_rows(med))
         check_against_scc_oracle(med)
         check_against_scc_oracle(random_table(n, (1 / 3, 1 / 3, 1 / 3), i))
 
@@ -326,42 +358,147 @@ def test_no_pne_whole_cube_media_match_the_oracle(n, seed):
     # alpha=0 media with no PNE: the trap search runs on the whole cube,
     # which holds one trap and a few vertices doomed to fall into it
     med = build_medium(n, 0.0, seed)
-    analysis = check_against_scc_oracle(med)
-    assert analysis.pnes == [] and len(analysis.traps) == 1
-    assert 0 < len(analysis.traps[0]) < 1 << n
+    for reach in REACHES:
+        with forced(reach):
+            analysis = check_against_scc_oracle(med)
+        assert analysis.pnes == [] and len(analysis.traps) == 1
+        assert 0 < len(analysis.traps[0]) < 1 << n
 
 
 @pytest.mark.parametrize("n,loop", [(3, 4), (3, 8), (6, 4), (6, 64), (9, 4), (9, 16), (9, 512)])
 def test_snake_into_a_trap_matches_the_oracle(n, loop):
-    # every vertex reaches the trap only along the snake, so the trap
-    # search's minima travel the whole path
-    analysis = check_against_scc_oracle(snake_cube(n, loop))
-    last = 1 << n
-    assert analysis.pnes == []
-    assert analysis.traps == [sorted(i ^ (i >> 1) for i in range(last - loop, last))]
+    # every vertex reaches the trap only along the snake, whose start is
+    # the search's first p, and every reach runs the whole path
+    for reach in REACHES:
+        with forced(reach):
+            analysis = check_against_scc_oracle(snake_cube(n, loop))
+        last = 1 << n
+        assert analysis.pnes == []
+        assert analysis.traps == [sorted(i ^ (i >> 1) for i in range(last - loop, last))]
 
 
 def test_an_open_remainder_is_refused():
     # n=8, alpha=0, seed 0 has no PNE, so every vertex has an out-edge: a
     # single vertex is never closed, nor is the cube less a vertex with an
-    # in-edge.  The missing neighbour falls inside and past the end of the
-    # searched remainder.
+    # in-edge.  The closedness check runs before the search, so it does not
+    # depend on whether a forward closure happens to leave the remainder.
     med = build_medium(8, 0.0, 0)
-    out_words = _out_words(med)
-    for v in range(256):
-        with pytest.raises(AssertionError, match="not closed"):
-            _remainder_edges(out_words, np.array([v]))
-    for v in np.flatnonzero(med.degrees()[1]):
-        with pytest.raises(AssertionError, match="not closed"):
-            _remainder_edges(out_words, np.delete(np.arange(256), v))
+    rows = _split_rows(med)
+    for reach in REACHES:
+        with forced(reach):
+            for v in range(256):
+                with pytest.raises(AssertionError, match="not closed"):
+                    _trap_search(med, rows, np.arange(256) == v)
+            for v in np.flatnonzero(med.degrees()[1]):
+                with pytest.raises(AssertionError, match="not closed"):
+                    _trap_search(med, rows, np.arange(256) != v)
 
 
-def test_the_trap_search_is_a_sink_scc_search():
-    # 0 <-> 1 -> 2 <-> 3 and 4 -> 5 <-> 6: {2, 3} and {5, 6} are the sink
-    # SCCs with smallest members 2 and 5; 0, 1 and 4 reach them
-    src = np.array([0, 1, 1, 2, 3, 4, 5, 6])
-    dst = np.array([1, 0, 2, 3, 2, 5, 6, 5])
-    assert _sink_sccs(src, dst, 7).tolist() == [-1, -1, 2, 2, -1, 5, 5]
+def watch_starts(monkeypatch, med: Medium) -> list[int]:
+    """The vertices whose forward closures the trap search takes, in order,
+    on either reach: a closure's start on sets, and on words the seed of a
+    one-vertex reach on the rows of the reversed graph."""
+    out_lo = _split_rows(med)[0]
+    starts = []
+    closure, reach_back = sinks.forward_closure, sinks._reach_back
+
+    def watched_reach(lo, hi, seed):
+        vertices = np.flatnonzero(_unpack(seed, 1 << med.n_players)).tolist()
+        if len(vertices) == 1 and not np.array_equal(lo, out_lo):
+            starts.extend(vertices)
+        return reach_back(lo, hi, seed)
+
+    monkeypatch.setattr(sinks, "forward_closure", lambda *a: starts.append(a[1]) or closure(*a))
+    monkeypatch.setattr(sinks, "_reach_back", watched_reach)
+    return starts
+
+
+def two_traps_and_a_detour() -> Medium:
+    """4-cube with no PNE and two traps, found out of order.
+
+    Trap {1, 3, 5, 7} (a square on axes 1 and 2), trap {12, 13, 14, 15} (a
+    square on axes 0 and 1), the square {8, 9, 10, 11}, a strongly
+    connected set that is no sink since 10 -> 14, and the doomed 0 -> 8,
+    2 -> 3, 4 -> 5 and 6 -> 7.
+    """
+    squares = [(1, 3), (3, 7), (7, 5), (5, 1), (12, 13), (13, 15), (15, 14), (14, 12),
+               (8, 9), (9, 11), (11, 10), (10, 8)]
+    return cube_from_edges(4, squares + [(10, 14), (0, 8), (2, 3), (4, 5), (6, 7)])
+
+
+def test_the_trap_search_is_a_sink_scc_search(monkeypatch):
+    # p = 0 closes over the detour and the far trap, but nothing there
+    # reaches 0 back, so p moves to 8, which the far trap does not reach
+    # either, then to 12: the far trap, found first.  Its backward reach
+    # (0 and the detour with it) leaves the rest; p = 1 then closes over
+    # the other trap.  The traps are reported by first member.
+    med = two_traps_and_a_detour()
+    starts = watch_starts(monkeypatch, med)
+    for reach in REACHES:
+        starts.clear()
+        with forced(reach):
+            traps = _trap_search(med, _split_rows(med), np.ones(16, dtype=bool))
+        assert traps == [[1, 3, 5, 7], [12, 13, 14, 15]]
+        assert starts == [0, 8, 12, 1]
+        with forced(reach):
+            assert check_against_scc_oracle(med).traps == traps
+
+
+@pytest.mark.parametrize("reach", REACHES)
+@pytest.mark.parametrize("n", range(1, 14))
+def test_each_reach_matches_the_oracle(n, reach):
+    # alpha 0 leaves media with no PNE and a whole-cube remainder, alpha
+    # 0.7 and 0.9 small remainders with several traps
+    media = [build_medium(n, alpha, fold(901, TAG_MEDIUM, i))
+             for alpha in (0.0, 0.3, 0.7, 0.9) for i in range(3 if n < 11 else 1)]
+    media.append(random_table(n, (0.1, 0.45, 0.45), n))
+    with forced(reach):
+        for med in media:
+            check_against_scc_oracle(med)
+
+
+def test_the_remainder_size_picks_the_reach(monkeypatch):
+    # a whole-cube remainder runs on words, with no closure on sets ...
+    closures, reaches = [], []
+    closure, reach_back = sinks.forward_closure, sinks._reach_back
+    monkeypatch.setattr(sinks, "forward_closure", lambda *a: closures.append(a[1]) or closure(*a))
+    monkeypatch.setattr(sinks, "_reach_back", lambda *a: reaches.append(1) or reach_back(*a))
+    assert sink_components(build_medium(13, 0.0, 2)).traps
+    assert closures == [] and len(reaches) > 1
+    # ... and the small remainders of n = 15, alpha = 0.9 on sets: the PNE
+    # reach is the only word reach
+    searched = 0
+    for i in range(6):
+        reaches.clear()
+        analysis = sink_components(build_medium(15, 0.9, fold(301, TAG_MEDIUM, i)))
+        assert len(reaches) == 1
+        searched += bool(analysis.traps)
+    assert searched >= 2 and closures
+
+
+@pytest.mark.parametrize("reach", REACHES)
+def test_the_deadline_stops_the_trap_search_itself(monkeypatch, reach):
+    # the detour cube's search needs four iterations (p = 0, 8, 12, 1); a
+    # budget that runs out once the third closure has started stops the
+    # search before a fourth, after the PNE reach's rounds
+    med = two_traps_and_a_detour()
+    starts = watch_starts(monkeypatch, med)
+    checks, search_at = [], []
+    search = sinks._trap_search
+
+    def deadline():
+        checks.append(1)
+        if len(starts) == 3:
+            raise TimeBudgetExceeded("time budget exceeded")
+
+    monkeypatch.setattr(sinks, "check_deadline", deadline)
+    monkeypatch.setattr(
+        sinks, "_trap_search", lambda *a: search_at.append(len(checks)) or search(*a)
+    )
+    with forced(reach), pytest.raises(TimeBudgetExceeded):
+        sink_components(med)
+    assert search_at[0] >= 1  # the PNE reach checked the budget first
+    assert starts == [0, 8, 12]
 
 
 def test_an_exceeded_deadline_stops_the_sink_analysis():
