@@ -49,23 +49,25 @@ Rows.  Every per-vertex query (``is_pne``, closures, walk steps,
 at most 2^min(n, 16) of them (the default closure budget, so the whole cube
 for n <= 16); a full memo is emptied before the next row is stored.  An
 exhaustive medium keeps a ``memoryview`` of its read-only table (a view,
-not a copy), whose items are Python ints, and n, 2^n and 2^(n-1) as ints:
-a row miss reads v's n entries from the view, and the per-edge reads
+not a copy), whose items are Python ints, and n and 2^n as ints.  A row
+miss reads v's n entries from the view, at positions it takes from per-axis
+masks and offsets cached per n (:func:`_axes`), and the per-edge reads
 (``orientation``, ``orientation_seen_from``) read one entry without a row,
 seen from the partner through a 3-tuple that swaps Up and Down.  A lazy
 medium answers its per-edge reads from ``row(v)`` as well, so the row is
 its one hasher: it hashes v's n edges in one Python int of n 128-bit lanes.
 Lane i starts as the base of v's axis-i edge, ``h0 ^ (v & ~bit_i)`` (the
-seed's pass h0 is computed once per medium), and
+seed's pass h0 is computed once per medium, in every lane), and
 :func:`~nashwalk.rng.mix64_lanes` mixes every lane at once, the vertex pass
 and then, after each lane is xored with its axis, the edge pass.  Adding
 ``(2^64 - t)`` to every lane carries into a lane's bit 64 exactly when its
 hash is >= t; the tie carry and the down carry are packed into bits 64 and
 65 of each lane, so one ``to_bytes`` of the sum gives each lane's byte 8,
 which two ``translate`` tables read as the row's non-tie and down-edge
-masks.  The lane constants, threshold adds included, are cached per
-(n, t_tie, t_up), so a lazy medium costs one lookup to build.  For any n a
-row costs two mix passes and one carry read over one 16n-byte int.
+masks.  The thresholds are cached per alpha and the lane constants,
+threshold adds included, per (n, t_tie, t_up), so a lazy medium costs two
+lookups to build.  For any n a row costs two mix passes and one carry read
+over one 16n-byte int.
 Closure probes and walks revisit the same vertices many times, and with
 the memo those revisits read nothing.
 
@@ -101,6 +103,7 @@ from .errors import (
 )
 from .rng import (
     MASK64, TAG_MEDIUM, fold, lane_constants, mix64, mix64_lanes, mix64_np, threshold,
+    trial_seed,
 )
 
 Vertex = int
@@ -248,17 +251,29 @@ def edge_hashes(key: int, n: int):
         yield mix64_np(out, out=out, tmp=spare)
 
 
+@functools.cache  # one entry per n, at most LAZY_CAP
+def _axes(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Per axis i of the n-cube, (bit, low, above, offset): bit i, the masks
+    of the n - 1 bits below and from bit i, and the start of axis i's table
+    block.  For a vertex v, ``offset + (v & low | v >> 1 & above)`` is
+    ``edge_index(v & ~bit, i, n)``, the position of v's axis-i edge."""
+    return tuple(
+        (1 << i, (1 << i) - 1, (1 << (n - 1)) - (1 << i), i << (n - 1)) for i in range(n)
+    )
+
+
 @functools.lru_cache(maxsize=256)
 def _row_lanes(n: int, t_tie: int, t_up: int) -> tuple[int, ...]:
-    """(ONE, LOW, GOLDEN, DIAG, AXES, TIE_ADD, UP_ADD, CARRY) for a lazy
-    row's n 128-bit lanes: :func:`lane_constants`, bit i and the integer i
-    in lane i, 2^64 - t for each threshold in every lane, and bit 64 of
-    every lane.  Adding 2^64 - t to a lane below 2^64 carries into its bit
-    64 exactly when the lane is >= t (both t < 2^64, as alpha < 1)."""
+    """(ONE, LOW, GOLDEN, BASES, AXES, TIE_ADD, UP_ADD, CARRY) for a lazy
+    row's n 128-bit lanes: :func:`lane_constants`, the low 64 bits less bit
+    i and the integer i in lane i, 2^64 - t for each threshold in every
+    lane, and bit 64 of every lane.  Adding 2^64 - t to a lane below 2^64
+    carries into its bit 64 exactly when the lane is >= t (both t < 2^64, as
+    alpha < 1)."""
     one, low, golden = lane_constants(n)
-    diag = sum(1 << (129 * i) for i in range(n))
+    bases = low ^ sum(1 << (129 * i) for i in range(n))
     axes = sum(i << (128 * i) for i in range(n))
-    return (one, low, golden, diag, axes,
+    return (one, low, golden, bases, axes,
             ((1 << 64) - t_tie) * one, ((1 << 64) - t_up) * one, one << 64)
 
 
@@ -271,6 +286,7 @@ _DOWN_DIGITS = bytes.maketrans(b"\x00\x01\x02\x03", b"0011")
 _FLIPPED = (TIE, DOWN, UP)
 
 
+@functools.lru_cache(maxsize=256)
 def _tie_up_thresholds(alpha: float) -> tuple[int, int]:
     # [0, t_tie) -> Tie, [t_tie, t_up) -> Up, [t_up, 2^64) -> Down.  The
     # Up/Down split is the exact integer midpoint of the non-tie mass.
@@ -310,16 +326,16 @@ class Medium:
         n = params.n_players
         self._n = n
         self._size = 1 << n
-        self._half = 1 << (n - 1)
         self._rows: dict[int, tuple[int, int]] = {}
         self._row_cap = default_closure_budget(n)
-        self._axis_bits = tuple(1 << axis for axis in range(n))
+        self._axes = _axes(n)
         if table is None:
             self._codes = None
-            # fold(seed, base, axis) == mix64(mix64(h0 ^ base) ^ axis); the
-            # seed's own pass is the same for every edge, so it is done once
-            self._h0 = mix64(params.seed)
             self._lanes = _row_lanes(n, *_tie_up_thresholds(params.alpha))
+            # fold(seed, base, axis) == mix64(mix64(h0 ^ base) ^ axis); the
+            # seed's own pass is the same for every edge, so it is done once,
+            # and kept in every lane
+            self._h0 = mix64(params.seed) * self._lanes[0]
         else:
             table.flags.writeable = False  # memoized rows must not go stale
             # the scalar reads index this read-only view of the table, whose
@@ -396,13 +412,14 @@ class Medium:
             raise NonCanonicalEdge(f"vertex {v} outside the {self._n}-cube")
         codes = self._codes
         if codes is None:
-            one, low, golden, diag, axes, tie_add, up_add, carry = self._lanes
+            one, low, golden, bases, axes, tie_add, up_add, carry = self._lanes
             # lane i holds the base of v's axis-i edge, h0 ^ (v & ~bit_i)
-            x = ((self._h0 ^ v) * one) ^ ((v * one) & diag)
+            x = self._h0 ^ ((v * one) & bases)
             x = mix64_lanes(mix64_lanes(x, golden, low) ^ axes, golden, low)
-            # both carries in each lane's byte 8, most significant lane first
+            # both carries in each lane's byte 8, read most significant lane
+            # first: a lane's byte 8 is its byte 7 from the top
             carries = ((x + tie_add) & carry) | (((x + up_add) & carry) << 1)
-            digits = carries.to_bytes(16 * self._n, "little")[8::16][::-1]
+            digits = carries.to_bytes(16 * self._n, "big")[7::16]
             nontie = int(digits.translate(_NONTIE_DIGITS), 2)
             down = int(digits.translate(_DOWN_DIGITS), 2)
             # UP runs from the base (bit clear) to the partner (bit set)
@@ -410,17 +427,15 @@ class Medium:
             in_bits = nontie ^ out_bits
         else:
             out_bits = in_bits = 0
-            half = self._half
-            for axis, bit in enumerate(self._axis_bits):
-                # edge_index(v & ~bit, axis, n) with squeeze_bit inlined
-                squeezed = (v & (bit - 1)) | ((v >> (axis + 1)) << axis)
-                code = codes[axis * half + squeezed]
-                if code == TIE:
-                    continue
-                if (code == UP) == (not v & bit):
-                    out_bits |= bit
-                else:
-                    in_bits |= bit
+            shifted = v >> 1
+            for bit, low, above, offset in self._axes:
+                code = codes[offset + (v & low | shifted & above)]
+                if code != TIE:
+                    # an Up edge leaves its base, whose bit is clear
+                    if (code == UP) == (not v & bit):
+                        out_bits |= bit
+                    else:
+                        in_bits |= bit
         if len(self._rows) >= self._row_cap:
             self._rows.clear()
         row = self._rows[v] = (out_bits, in_bits)
@@ -430,11 +445,12 @@ class Medium:
         """Edge state relative to v: UP = out of v, DOWN = into v, TIE = tie.
 
         The coupling's per-edge read: axis and v are checked once, then the
-        entry is read straight from the table's view, and swapped through
-        a 3-tuple when v is the edge's partner.  A lazy medium decodes bit
-        `axis` of :meth:`row` instead, so its edges are hashed in one place.
-        A numpy uint64 meeting a numpy int64 makes the index arithmetic raise
-        TypeError; only then are v and axis read through ``operator.index``
+        entry is read straight from the table's view, at the position
+        :meth:`row` reads it from, and swapped through a 3-tuple when v is
+        the edge's partner.  A lazy medium decodes bit `axis` of :meth:`row`
+        instead, so its edges are hashed in one place.  Numpy integers index
+        and mask like ints; a non-integer v or axis makes the read raise
+        TypeError, and only then are v and axis read through ``operator.index``
         (as in :meth:`check_edge`) and the read retried, so the Python-int
         path does no extra work.  A non-integer raises NonCanonicalEdge or
         AxisOutOfRange.
@@ -444,15 +460,13 @@ class Medium:
                 raise AxisOutOfRange(f"axis {axis} outside [0, {self._n})")
             if not 0 <= v < self._size:
                 raise NonCanonicalEdge(f"vertex {v} outside the {self._n}-cube")
+            bit, low, above, offset = self._axes[axis]
             codes = self._codes
             if codes is None:
                 out_bits, in_bits = self.row(v)
-                bit = 1 << axis
                 return UP if out_bits & bit else DOWN if in_bits & bit else TIE
-            # edge_index(base, axis, n) with squeeze_bit inlined
-            squeezed = (v & ((1 << axis) - 1)) | ((v >> (axis + 1)) << axis)
-            code = codes[axis * self._half + squeezed]
-            return _FLIPPED[code] if v >> axis & 1 else code
+            code = codes[offset + (v & low | v >> 1 & above)]
+            return _FLIPPED[code] if v & bit else code
         except TypeError:
             axis = as_index(axis, AxisOutOfRange, "axis")
             return self.orientation_seen_from(as_index(v, NonCanonicalEdge, "vertex"), axis)
@@ -696,12 +710,15 @@ def build_medium(
     return Medium(params, table)
 
 
-def trial_medium(params: MediumParams, trial: int) -> Medium:
+def trial_medium(params: MediumParams, trial: int, mode: str | None = None) -> Medium:
     """Trial `trial`'s medium of an experiment seeded ``params.seed``: the
-    seed is fold(params.seed, "medium", trial), so every trial draws a fresh,
-    independent cube and any trial can be rebuilt on its own."""
+    seed is fold(params.seed, "medium", trial) (:func:`~nashwalk.rng.trial_seed`),
+    so every trial draws a fresh, independent cube and any trial can be
+    rebuilt on its own.  `mode`, when given, stores it in that mode instead
+    of ``params.mode``: the same edges, as a lazy twin of a table."""
     return build_medium(
-        params.n_players, params.alpha, fold(params.seed, TAG_MEDIUM, trial), params.mode
+        params.n_players, params.alpha, trial_seed(params.seed, TAG_MEDIUM, trial),
+        mode or params.mode,
     )
 
 

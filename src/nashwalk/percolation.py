@@ -58,7 +58,7 @@ from .medium import (
     trial_medium,
 )
 from .parallel import map_ordered
-from .rng import MASK64, TAG_PERC, fold, threshold
+from .rng import MASK64, TAG_PERC, fold, threshold, trial_seed
 from .sinks import backward_reach, reaching
 
 PERC_MAGIC = b"NWPERC\x00\x00"  # 8-byte field, name NUL-padded
@@ -390,7 +390,7 @@ def coupling_trial(args) -> CouplingTrial:
     params, trial = args
     n = params.n_players
     medium = trial_medium(params, trial)
-    initial = sample_percolation(n, params.beta, fold(params.seed, TAG_PERC, trial))
+    initial = sample_percolation(n, params.beta, trial_seed(params.seed, TAG_PERC, trial))
     final, audit = coupling_run(medium, initial)
     big = _largest(audit.final_labels)
     return CouplingTrial(

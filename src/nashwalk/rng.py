@@ -12,9 +12,18 @@ the same pass on numpy uint64 arrays, and :func:`mix64_lanes` on every
 Vectorized callers fold the scalar coordinates with :func:`fold` and absorb
 the array word last with one :func:`mix64_np` pass, since
 ``fold(seed, *words, x) == mix64(fold(seed, *words) ^ x)``.
+
+Trial sweeps use the same prefix property.  Trial i's medium, walk and
+percolation seeds are ``fold(seed, tag, i)``: :func:`trial_seed` takes the
+prefix ``fold(seed, tag)`` from a bounded cache, so it is computed once per
+sweep (and once per pool worker), and each trial pays one mix pass.  A walk
+derives its step key ``fold(walk_seed, "step")`` once, and step t + 1 costs
+one more pass, ``mix64(key ^ t)``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -46,6 +55,16 @@ def fold(seed: int, *words: int) -> int:
     for w in words:
         h = mix64(h ^ (w & MASK64))
     return h
+
+
+# fold(seed, tag) of the sweeps seen last
+_sweep_prefix = functools.lru_cache(maxsize=256)(fold)
+
+
+def trial_seed(seed: int, tag: int, trial: int) -> int:
+    """``fold(seed, tag, trial)``, trial `trial`'s seed of a sweep seeded
+    `seed`: one mix pass over the cached prefix ``fold(seed, tag)``."""
+    return mix64(_sweep_prefix(seed, tag) ^ (trial & MASK64))
 
 
 def mix64_np(

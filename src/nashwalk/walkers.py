@@ -39,6 +39,15 @@ trial whose policies are all brd-like first walks the lazy twin without
 probes, and builds the table and its analysis only when a walk revisits a
 vertex or reaches its cap.  ``run_trials`` and every walk experiment sweep
 :func:`walk_trial` with :func:`nashwalk.parallel.map_ordered`.
+
+A sweep's trials share what does not depend on the trial, derived once per
+process (each pool worker fills its own caches): the seed prefixes
+fold(seed, "medium") and fold(seed, "walk") (:func:`~nashwalk.rng.trial_seed`),
+the media's per-(n, alpha) constants and the step sampler per (policy, n),
+keyed by the policy's fields.  A trial pays one mix pass per seed, its
+medium and, per walk, the step key fold(walk_seed, "step"); it copies no
+config, and its walks take its walk seed as an argument.  A step pays a row
+read and one mix pass, turned into its uniform draw in line.
 """
 
 from __future__ import annotations
@@ -46,22 +55,22 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NonCanonicalEdge, PneInSample, StepCapZero
 from .medium import (
+    EXHAUSTIVE_CAP,
     MODE_EXHAUSTIVE,
     MODE_LAZY,
     Medium,
     MediumParams,
     Vertex,
-    _validate_params,
     as_index,
     neighbors,
     trial_medium,
 )
 from .parallel import check_deadline, map_ordered
-from .rng import TAG_STEP, TAG_WALK, fold, mix64, unit_interval
+from .rng import TAG_STEP, TAG_WALK, fold, mix64, trial_seed
 from .sinks import SinkAnalysis, VertexClass, classify_vertex, sink_components
 
 POLICY_BRD = "brd"
@@ -207,23 +216,26 @@ def _running_sums(policy: Policy, n: int, k_out: int, k_in: int) -> tuple[float,
 
 
 @functools.lru_cache(maxsize=256)
-def _step_sampler(policy: Policy, n: int):
-    """`policy`'s step draw on the n-cube, ``draw(v, out_bits, in_bits, u)``,
-    equal to ``sample_categorical(_distribution(policy, n, v, out_bits,
-    in_bits), u)``.  It bisects the law's running sums, cached per (out, in)
-    degree pair, for the first one above u (capped at the last entry), and
-    maps that entry's index to its neighbor in :func:`_distribution`'s
-    order: axis order for srw, else the out-neighbors and then the
-    in-neighbors, each in axis order."""
+def _step_sampler(kind: str, lam: float | None, n: int):
+    """The step draw of ``Policy(kind, lam)`` on the n-cube,
+    ``draw(v, out_bits, in_bits, u)``, equal to
+    ``sample_categorical(_distribution(policy, n, v, out_bits, in_bits), u)``.
+    It is cached by the policy's fields, which hash in C, where a frozen
+    Policy would run its generated ``__hash__`` on every lookup.
+    It bisects the law's running sums, cached per (out, in) degree pair, for
+    the first one above u (capped at the last entry), and maps that entry's
+    index to its neighbor in :func:`_distribution`'s order: axis order for
+    srw, else the out-neighbors and then the in-neighbors, each in axis
+    order."""
     laws: dict[tuple[int, int], tuple[float, ...]] = {}
-    srw = policy.kind == POLICY_SRW
+    srw = kind == POLICY_SRW
 
     def draw(v: Vertex, out_bits: int, in_bits: int, u: float) -> Vertex:
         k_out = out_bits.bit_count()
         key = (k_out, in_bits.bit_count())
         sums = laws.get(key)
         if sums is None:
-            sums = laws[key] = _running_sums(policy, n, *key)
+            sums = laws[key] = _running_sums(Policy(kind, lam), n, *key)
         j = bisect_right(sums, u)
         if j == len(sums):
             j -= 1
@@ -272,6 +284,7 @@ def run_walk(
     config: WalkConfig,
     sinks: SinkAnalysis | None = None,
     trial: int = 0,
+    walk_seed: int | None = None,
 ) -> WalkRecord:
     """Simulate one trajectory and record (tau, xi, steps, terminal).
 
@@ -305,8 +318,10 @@ def run_walk(
     entry, and so does every walk under ``config.stop_at_trap``; other walks
     keep moving and may leave the trap.  The time budget
     (:func:`nashwalk.parallel.time_budget`) is checked every 1024 steps.
+    `walk_seed`, when given, stands in for ``config.walk_seed``, so
+    :func:`walk_trial` passes each trial's seed without copying the config.
     """
-    return _walk(medium, policy, config, sinks, trial)
+    return _walk(medium, policy, config, sinks, trial, walk_seed)
 
 
 def _walk(
@@ -315,6 +330,7 @@ def _walk(
     config: WalkConfig,
     sinks: SinkAnalysis | None,
     trial: int,
+    walk_seed: int | None,
     first_pass: bool = False,
 ) -> WalkRecord | None:
     """:func:`run_walk`'s engine.  With `first_pass`, a brd-like walk without
@@ -341,10 +357,10 @@ def _walk(
     revisits: list[int] = []  # the indices of first revisits
     known: dict[int, VertexClass] = {}  # the probes' memo (classify_vertex)
 
-    # step t + 1 draws fold(walk_seed, TAG_STEP, t); the first two of its
-    # three mix passes do not depend on t
-    step_key = fold(config.walk_seed, TAG_STEP)
-    draw = _step_sampler(policy, n)
+    # step t + 1 draws u = unit_interval(fold(walk_seed, TAG_STEP, t)); the
+    # first two of its three mix passes do not depend on t
+    step_key = fold(config.walk_seed if walk_seed is None else walk_seed, TAG_STEP)
+    draw = _step_sampler(policy.kind, policy.lam, n)
     for t in range(max_steps + 1):
         if not t & 1023:
             check_deadline()
@@ -393,7 +409,7 @@ def _walk(
             blind = VertexClass.UNKNOWN in verdicts
             terminal = TERMINAL_UNKNOWN if blind else TERMINAL_STEP_CAP
             break
-        v = draw(v, out_bits, in_bits, unit_interval(mix64(step_key ^ t)))
+        v = draw(v, out_bits, in_bits, (mix64(step_key ^ t) >> 11) * 2.0**-53)
         path.append(v)
 
     return WalkRecord(
@@ -425,22 +441,21 @@ def walk_trial(
     table is built.  Otherwise the trial runs exactly: the table, its sink
     analysis, and every walk again on it.
     """
-    cfg = replace(config, walk_seed=fold(config.walk_seed, TAG_WALK, trial))
+    walk_seed = trial_seed(config.walk_seed, TAG_WALK, trial)
     exhaustive = params.mode == MODE_EXHAUSTIVE
-    if exhaustive and all(policy.brd_like for policy in policies):
-        _validate_params(params)  # the lazy twin would accept n > 24
-        twin = trial_medium(replace(params, mode=MODE_LAZY), trial)
-        records = []
-        for policy in policies:
-            record = _walk(twin, policy, cfg, None, trial, first_pass=True)
-            if record is None:
-                break
-            records.append(record)
-        else:
+    # past the exhaustive cap the lazy twin would build; the table raises
+    lazy_first = exhaustive and params.n_players <= EXHAUSTIVE_CAP
+    if lazy_first and all(policy.brd_like for policy in policies):
+        twin = trial_medium(params, trial, MODE_LAZY)
+        records = [
+            _walk(twin, policy, config, None, trial, walk_seed, first_pass=True)
+            for policy in policies
+        ]
+        if all(records):  # no walk gave up
             return records
     medium = trial_medium(params, trial)
     sinks = sink_components(medium) if exhaustive else None
-    return [run_walk(medium, policy, cfg, sinks=sinks, trial=trial) for policy in policies]
+    return [run_walk(medium, policy, config, sinks, trial, walk_seed) for policy in policies]
 
 
 def _trial_worker(args) -> WalkRecord:

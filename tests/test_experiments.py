@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +211,76 @@ def test_absorption_trend_decides_each_trial_by_the_first_of_tau_and_xi(monkeypa
     (row,) = absorption_trend([6], 0.5, "srw", len(outcomes), seed=0, n_workers=1)
     assert (row.trials, row.successes, row.excluded_step_cap) == (5, 2, 2)
     assert row.p_hat == pytest.approx(2 / 5)
+
+
+def binomial_quantile(trials: int, p: float, q: float) -> int:
+    """The smallest k with P(Binomial(trials, p) <= k) >= q, from the pmf."""
+    acc = 0.0
+    for k in range(trials + 1):
+        log_choose = math.lgamma(trials + 1) - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+        acc += math.exp(log_choose + k * math.log(p) + (trials - k) * math.log1p(-p))
+        if acc >= q:
+            return k
+    return trials
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_n2_absorption_matches_the_exact_law(alpha):
+    # At n = 2 the only trap is the square oriented as a directed 4-cycle
+    # (either way round), and brd from vertex 0 reaches a PNE on every other
+    # square: P(absorbed) = 1 - 2 beta^4, 0.875 at alpha 0 and 0.9921875 at
+    # alpha 0.5.  The success count must fall in the exact two-sided 99.9%
+    # binomial interval around that law.
+    trials = 10_000
+    exact = 1.0 - 2.0 * ((1.0 - alpha) / 2.0) ** 4
+    (row,) = absorption_trend([2], alpha, "brd", trials, seed=0)
+    assert (row.trials, row.excluded_step_cap) == (trials, 0)
+    low, high = (binomial_quantile(trials, exact, q) for q in (0.0005, 0.9995))
+    assert low <= row.successes <= high, (row.p_hat, exact, low, high)
+
+
+# Sweeps that share a process share its caches (trial-seed prefixes, lane
+# constants, thresholds, axis tuples, step laws).  Interleaved with sweeps of
+# other seeds, n, alpha and storage modes, each must print what it prints
+# alone in a fresh process.
+CACHE_SWEEPS = (
+    "figure1 --n 8 --alpha 0.5 --alpha 0.9 --trials 12 --seed 3",
+    "walk --n 8 --alpha 0.5 --mode lazy --trials 60 --seed 7",
+    "theorem --n 6 --n 8 --alpha 0.9 --trials 60 --seed 3",
+    "walk --n 6 --alpha 0 --trials 30 --seed 7 --policy lambda:0.5 --max-steps 300",
+    "figure1 --n 6 --alpha 0 --policy brd --trials 12 --seed 5",
+    "walk --n 8 --alpha 0.5 --mode lazy --trials 60 --seed 8",
+    "theorem --n 8 --alpha 0.5 --trials 60 --seed 7",
+)
+
+SWEEP_CHILD = """
+import contextlib, io, json, sys
+from nashwalk.cli import main
+outputs = []
+for argv in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv.split() + ["--threads", "1"]) == 0, argv
+    outputs.append(out.getvalue())
+print(json.dumps(outputs))
+"""
+
+
+def _sweeps_in_one_process(*argvs: str) -> list[str]:
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", SWEEP_CHILD, *argvs], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_interleaved_sweeps_match_fresh_processes():
+    together = _sweeps_in_one_process(*CACHE_SWEEPS)
+    alone = [_sweeps_in_one_process(argv)[0] for argv in CACHE_SWEEPS]
+    assert all(alone)
+    assert together == alone
 
 
 def test_absorption_trend_all_trials_censored():

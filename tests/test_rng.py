@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
+import nashwalk.percolation as percolation
+from nashwalk.medium import MODE_LAZY, MediumParams, build_medium, trial_medium
 from nashwalk.rng import (
-    MASK64, fold, lane_constants, mix64, mix64_lanes, mix64_np, threshold, unit_interval,
+    MASK64, TAG_MEDIUM, TAG_PERC, TAG_STEP, TAG_WALK, fold, lane_constants, mix64,
+    mix64_lanes, mix64_np, threshold, trial_seed, unit_interval,
+)
+from nashwalk.walkers import (
+    Policy, WalkConfig, sample_categorical, step_distribution, walk_trial,
 )
 
 
@@ -99,3 +106,39 @@ def test_threshold_monotone(p):
     assert 0 <= t <= 2**64
     if p < 1.0:
         assert threshold(p) <= threshold(min(1.0, p + 0.01))
+
+
+@pytest.mark.parametrize("trial", [0, 1, 2**32])
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_per_trial_seeds_equal_the_long_hand_fold(monkeypatch, seed, trial):
+    # Trial seeds come from a cached prefix fold(seed, tag) and one mix
+    # pass; every consumer must still see fold(seed, tag, trial) long hand,
+    # and every step t of the trial's walk fold(walk seed, "step", t).
+    for tag in (TAG_MEDIUM, TAG_WALK, TAG_PERC):
+        assert trial_seed(seed, tag, trial) == fold(seed, tag, trial)
+    n, alpha, steps = 6, 0.0, 40
+    walk_seed = fold(seed, TAG_WALK, trial)
+    # a lazy srw walk steps to its cap or a PNE; an exhaustive brd trial
+    # walks the lazy twin first
+    for mode, policy in ((MODE_LAZY, Policy.srw()), ("exhaustive", Policy.brd())):
+        params = MediumParams(n, alpha, seed, mode)
+        medium = trial_medium(params, trial)
+        assert medium.params.seed == fold(seed, TAG_MEDIUM, trial)
+        config = WalkConfig(seed, steps, record_path=True)
+        (record,) = walk_trial(params, (policy,), config, trial)
+        oracle = build_medium(n, alpha, fold(seed, TAG_MEDIUM, trial), mode)
+        path = [0]
+        for t in range(record.steps_taken):
+            u = unit_interval(fold(walk_seed, TAG_STEP, t))
+            path.append(sample_categorical(step_distribution(policy, oracle, path[-1]), u))
+        assert record.path == path
+    seen = []
+    sample = percolation.sample_percolation
+
+    def spy(n, beta, perc_seed):
+        seen.append(perc_seed)
+        return sample(n, beta, perc_seed)
+
+    monkeypatch.setattr(percolation, "sample_percolation", spy)
+    percolation.coupling_trial((MediumParams(n, alpha, seed), trial))
+    assert seen == [fold(seed, TAG_PERC, trial)]

@@ -159,7 +159,7 @@ def test_step_draws_equal_sample_categorical_at_every_boundary(data, n, policy):
     out_bits = sum(1 << a for a in out_axes)
     in_bits = sum(1 << a for a in in_axes)
     dist = walkers._distribution(policy, n, v, out_bits, in_bits)
-    draw_step = walkers._step_sampler(policy, n)
+    draw_step = walkers._step_sampler(policy.kind, policy.lam, n)
     us = {0.0, 1.0 - 2.0**-53}
     acc = 0.0
     for _, p in dist:
