@@ -220,8 +220,8 @@ def _step_sampler(kind: str, lam: float | None, n: int):
     """The step draw of ``Policy(kind, lam)`` on the n-cube,
     ``draw(v, out_bits, in_bits, u)``, equal to
     ``sample_categorical(_distribution(policy, n, v, out_bits, in_bits), u)``.
-    It is cached by the policy's fields, which hash in C, where a frozen
-    Policy would run its generated ``__hash__`` on every lookup.
+    It is cached by the policy's fields: a frozen Policy would run its
+    generated ``__hash__`` on every lookup.
     It bisects the law's running sums, cached per (out, in) degree pair, for
     the first one above u (capped at the last entry), and maps that entry's
     index to its neighbor in :func:`_distribution`'s order: axis order for
@@ -333,9 +333,10 @@ def _walk(
     walk_seed: int | None,
     first_pass: bool = False,
 ) -> WalkRecord | None:
-    """:func:`run_walk`'s engine.  With `first_pass`, a brd-like walk without
-    `sinks` probes nothing and gives up, returning None, at its first
-    revisit or at its cap: only an absorbed walk is decided without a probe.
+    """:func:`run_walk`'s engine, stepping on `walk_seed` (None: the
+    config's).  With `first_pass`, a brd-like walk without `sinks` probes
+    nothing and gives up, returning None, at its first revisit or at its
+    cap: only an absorbed walk is decided without a probe.
     """
     n = medium.n_players
     max_steps = 1000 * n * n if config.max_steps is None else config.max_steps

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nashwalk.percolation as percolation
-from nashwalk.medium import MODE_LAZY, MediumParams, build_medium, trial_medium
+from nashwalk.medium import MODE_EXHAUSTIVE, MODE_LAZY, MediumParams, build_medium, trial_medium
 from nashwalk.rng import (
     MASK64, TAG_MEDIUM, TAG_PERC, TAG_STEP, TAG_WALK, fold, lane_constants, mix64,
     mix64_lanes, mix64_np, threshold, trial_seed, unit_interval,
@@ -120,7 +120,7 @@ def test_per_trial_seeds_equal_the_long_hand_fold(monkeypatch, seed, trial):
     walk_seed = fold(seed, TAG_WALK, trial)
     # a lazy srw walk steps to its cap or a PNE; an exhaustive brd trial
     # walks the lazy twin first
-    for mode, policy in ((MODE_LAZY, Policy.srw()), ("exhaustive", Policy.brd())):
+    for mode, policy in ((MODE_LAZY, Policy.srw()), (MODE_EXHAUSTIVE, Policy.brd())):
         params = MediumParams(n, alpha, seed, mode)
         medium = trial_medium(params, trial)
         assert medium.params.seed == fold(seed, TAG_MEDIUM, trial)
