@@ -43,7 +43,7 @@ passes instead of n * 2^n.  Lazy rows instead hash one vertex's n edges
 side by side (below).
 
 Rows.  Every per-vertex query (``is_pne``, closures, walk steps,
-``neighbor_partition``) reads ``row(v)``: two n-bit masks, bit i of
+:func:`neighbor_partition`) reads ``row(v)``: two n-bit masks, bit i of
 ``out_bits`` / ``in_bits`` set when v's axis-i edge points out of / into v
 (a tie sets neither).  Rows are memoized per medium in either storage mode,
 at most 2^min(n, 16) of them (the default closure budget, so the whole cube
@@ -52,7 +52,7 @@ exhaustive medium keeps a ``memoryview`` of its read-only table (a view,
 not a copy), whose items are Python ints, and n and 2^n as ints.  A row
 miss reads v's n entries from the view, at positions it takes from per-axis
 masks and offsets cached per n (:func:`_axes`), and the per-edge reads
-(``orientation``, ``orientation_seen_from``) read one entry without a row,
+(:func:`orientation`, ``orientation_seen_from``) read one entry without a row,
 seen from the partner through a 3-tuple that swaps Up and Down.  A lazy
 medium answers its per-edge reads from ``row(v)`` as well, so the row is
 its one hasher: it hashes v's n edges in one Python int of n 128-bit lanes.
@@ -374,25 +374,6 @@ class Medium:
     def mode(self) -> str:
         return self.params.mode
 
-    def check_edge(self, edge: EdgeRef) -> tuple[int, int]:
-        """(base, axis) of a canonical edge as Python ints; numpy integers
-        read like Python ints."""
-        n = self.params.n_players
-        axis = as_index(edge.axis, AxisOutOfRange, "axis")
-        if not (0 <= axis < n):
-            raise AxisOutOfRange(f"axis {axis} outside [0, {n})")
-        base = as_index(edge.base, NonCanonicalEdge, "base")
-        if not (0 <= base < (1 << n)):
-            raise NonCanonicalEdge(f"base {base} outside the {n}-cube")
-        if (base >> axis) & 1:
-            raise NonCanonicalEdge(f"base {base:#x} has bit {axis} set; not canonical")
-        return base, axis
-
-    def orientation(self, edge: EdgeRef) -> int:
-        """Orientation code of a canonical edge (TIE / UP / DOWN)."""
-        # seen from its canonical base, an edge's state is its own code
-        return self.orientation_seen_from(*self.check_edge(edge))
-
     def row(self, v: Vertex) -> tuple[int, int]:
         """(out_bits, in_bits) of v: bit i set when v's axis-i edge points
         out of / into v; neither bit for a tie.  Memoized.
@@ -451,7 +432,7 @@ class Medium:
         instead, so its edges are hashed in one place.  Numpy integers index
         and mask like ints; a non-integer v or axis makes the read raise
         TypeError, and only then are v and axis read through ``operator.index``
-        (as in :meth:`check_edge`) and the read retried, so the Python-int
+        (as in :func:`orientation`) and the read retried, so the Python-int
         path does no extra work.  A non-integer raises NonCanonicalEdge or
         AxisOutOfRange.
         """
@@ -471,17 +452,6 @@ class Medium:
             axis = as_index(axis, AxisOutOfRange, "axis")
             return self.orientation_seen_from(as_index(v, NonCanonicalEdge, "vertex"), axis)
 
-    def neighbor_partition(self, v: Vertex) -> NeighborPartition:
-        """Split v's n neighbors into (out, inward, tie), ordered by axis:
-        a decode of :meth:`row` into fresh lists of ints, which the caller
-        owns (a numpy integer v gives int neighbors too)."""
-        v = as_index(v, NonCanonicalEdge, "vertex")
-        out_bits, in_bits = self.row(v)
-        tie_bits = (self._size - 1) ^ out_bits ^ in_bits
-        return NeighborPartition(
-            neighbors(v, out_bits), neighbors(v, in_bits), neighbors(v, tie_bits)
-        )
-
     # -- vectorized views (exhaustive only) --------------------------------
 
     def require_table(self) -> np.ndarray:
@@ -496,18 +466,13 @@ class Medium:
         with ``axis_view(per_vertex, axis)[:, 0, :]``."""
         return edge_block(self.require_table(), axis, self.n_players)
 
-    def out_mask(self, axis: int, out: np.ndarray) -> np.ndarray:
+    def out_mask(self, axis: int, out: np.ndarray, reverse: bool = False) -> np.ndarray:
         """Fill the per-vertex bool buffer `out` (length 2^n) with "v's
         axis-`axis` edge points out of v" and return it: an Up edge leaves
-        its base, a Down edge its partner, a tie neither."""
-        return self._code_mask(axis, out, UP, DOWN)
-
-    def _code_mask(
-        self, axis: int, out: np.ndarray, base_code: int, partner_code: int
-    ) -> np.ndarray:
-        """Fill `out` with "the axis-`axis` edge's code is `base_code`" at the
-        edge's base and "is `partner_code`" at its partner, by two compares
-        of the table block (through :func:`long_inner`), and return it."""
+        its base, a Down edge its partner, a tie neither.  With `reverse`,
+        "points into v" instead, the out-edge of the reversed graph.  Two
+        compares of the table block, through :func:`long_inner`."""
+        base_code, partner_code = (DOWN, UP) if reverse else (UP, DOWN)
         block = long_inner(self.axis_block(axis), axis)
         view = axis_view(out, axis)
         np.equal(block, base_code, out=long_inner(view[:, 0, :], axis), order="C")
@@ -518,11 +483,11 @@ class Medium:
         """(out_degree, in_degree, tie_degree) int16 arrays over all vertices.
 
         Per axis, two per-vertex bool buffers are filled by compares of the
-        table block: :meth:`out_mask`, and "into v", where a Down edge
-        points into its base and an Up edge into its partner.  Both are
-        added to the counts as contiguous arrays.  The counts are int8,
-        which holds any degree of an exhaustive cube (n <= 24), and are
-        widened once at the end.
+        table block: :meth:`out_mask` ("out of v") and its ``reverse`` ("into
+        v", where a Down edge points into its base and an Up edge into its
+        partner).  Both are added to the counts as contiguous arrays.  The
+        counts are int8, which holds any degree of an exhaustive cube
+        (n <= 24), and are widened once at the end.
         """
         n = self.n_players
         out_deg = np.zeros(1 << n, dtype=np.int8)
@@ -531,7 +496,7 @@ class Medium:
         in_b = np.empty(1 << n, dtype=bool)
         for axis in range(n):
             out_deg += self.out_mask(axis, out_b).view(np.int8)
-            in_deg += self._code_mask(axis, in_b, DOWN, UP).view(np.int8)
+            in_deg += self.out_mask(axis, in_b, reverse=True).view(np.int8)
         out_deg = out_deg.astype(np.int16)
         in_deg = in_deg.astype(np.int16)
         return out_deg, in_deg, n - out_deg - in_deg
@@ -829,11 +794,34 @@ def medium_from_payoffs(game: PayoffGame) -> Medium:
     return Medium(params, table)
 
 
-# module-level operation aliases matching the functional interface
+# -- per-edge and per-vertex reads -----------------------------------------
+
 
 def orientation(medium: Medium, edge: EdgeRef) -> int:
-    return medium.orientation(edge)
+    """Orientation code (TIE / UP / DOWN) of a canonical edge.  Numpy
+    integers read like Python ints; an axis outside the cube raises
+    AxisOutOfRange, a base outside it or with the axis bit set
+    NonCanonicalEdge."""
+    n = medium.n_players
+    axis = as_index(edge.axis, AxisOutOfRange, "axis")
+    if not 0 <= axis < n:
+        raise AxisOutOfRange(f"axis {axis} outside [0, {n})")
+    base = as_index(edge.base, NonCanonicalEdge, "base")
+    if not 0 <= base < 1 << n:
+        raise NonCanonicalEdge(f"base {base} outside the {n}-cube")
+    if base >> axis & 1:
+        raise NonCanonicalEdge(f"base {base:#x} has bit {axis} set; not canonical")
+    # seen from its canonical base, an edge's state is its own code
+    return medium.orientation_seen_from(base, axis)
 
 
 def neighbor_partition(medium: Medium, v: Vertex) -> NeighborPartition:
-    return medium.neighbor_partition(v)
+    """Split v's n neighbors into (out, inward, tie), ordered by axis: a
+    decode of :meth:`Medium.row` into fresh lists of ints, which the caller
+    owns (a numpy integer v gives int neighbors too)."""
+    v = as_index(v, NonCanonicalEdge, "vertex")
+    out_bits, in_bits = medium.row(v)
+    tie_bits = ((1 << medium.n_players) - 1) ^ out_bits ^ in_bits
+    return NeighborPartition(
+        neighbors(v, out_bits), neighbors(v, in_bits), neighbors(v, tie_bits)
+    )

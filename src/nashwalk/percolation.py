@@ -103,15 +103,6 @@ class PercolationGraph:
         self._check_vertex(base)
         return bool(self.open_edges[edge_index(base, axis, self.n)])
 
-    def open_neighbors(self, v: Vertex) -> list[Vertex]:
-        """v's neighbors across open edges, as ints, in ascending axis order."""
-        v = as_index(v, NonCanonicalEdge, "vertex")
-        self._check_vertex(v)
-        n = self.n
-        return [
-            v ^ (1 << axis) for axis in range(n) if self.open_edges[edge_index(v, axis, n)]
-        ]
-
     # -- serialization ----------------------------------------------------
 
     def header(self) -> dict:
@@ -205,13 +196,19 @@ def _component_labels(perc: PercolationGraph) -> np.ndarray:
 
 
 def connected_component(perc: PercolationGraph, v: Vertex) -> set[int]:
-    """Open-edge component of v."""
+    """Open-edge component of v, as Python ints: a BFS over
+    ``open_edges``.  A numpy integer v reads like an int; a vertex outside
+    the cube raises NonCanonicalEdge."""
+    v = as_index(v, NonCanonicalEdge, "vertex")
+    perc._check_vertex(v)
+    n, open_edges = perc.n, perc.open_edges
     seen = {v}
     queue = [v]
     while queue:
         u = queue.pop()
-        for w in perc.open_neighbors(u):
-            if w not in seen:
+        for axis in range(n):
+            w = u ^ (1 << axis)
+            if w not in seen and open_edges[edge_index(u, axis, n)]:
                 seen.add(w)
                 queue.append(w)
     return seen

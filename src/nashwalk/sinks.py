@@ -47,7 +47,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import AlphaOutOfRange
-from .medium import DOWN, UP, Medium, Vertex, axis_view, default_closure_budget, neighbors
+from .medium import Medium, Vertex, axis_view, default_closure_budget, neighbors
 from .parallel import check_deadline
 
 
@@ -140,24 +140,22 @@ def _unpack(words: np.ndarray, size: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), count=size, bitorder="little").view(bool)
 
 
-def _split_rows(
-    medium: Medium, base_code: int = UP, partner_code: int = DOWN
-) -> tuple[np.ndarray, np.ndarray]:
+def _split_rows(medium: Medium, reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi): (n, words) bitsets of the out-edges, split by the axis bit.
 
     Bit v of ``lo[i]`` is set when v's bit i is clear and v's axis-i edge
     points out of v, bit v of ``hi[i]`` when v's bit i is set and it does,
     so ``lo | hi`` is the packed :meth:`Medium.out_mask` row.  Axes < 6 mask
     the row with ``_LOW_HALVES``; axes >= 6 zero the other half's words
-    through :func:`axis_view`.  With the codes swapped (``DOWN, UP``) they
-    are the rows of the reversed graph, whose out-edges are the in-edges.
+    through :func:`axis_view`.  With `reverse` they are the rows of the
+    reversed graph, whose out-edges are the in-edges.
     """
     n = medium.n_players
     buf = np.empty(1 << n, dtype=bool)
     lo = np.empty((n, _pack(buf).size), dtype=np.uint64)
     hi = np.empty_like(lo)
     for axis in range(n):
-        row = _pack(medium._code_mask(axis, buf, base_code, partner_code))
+        row = _pack(medium.out_mask(axis, buf, reverse))
         if axis < 6:
             np.bitwise_and(row, _LOW_HALVES[axis], out=lo[axis])
         else:
@@ -262,7 +260,7 @@ def _trap_search(
         def reaches(p: int) -> tuple[set[int], set[int]]:
             return forward_closure(medium, p, 1 << n).visited, reaching(medium, p, within=rest)
     else:
-        rest_words, inward = _pack(rest_mask), _split_rows(medium, DOWN, UP)
+        rest_words, inward = _pack(rest_mask), _split_rows(medium, reverse=True)
         closed = np.array_equal(_reach_back(*inward, rest_words), rest_words)
 
         def reaches(p: int) -> tuple[set[int], set[int]]:

@@ -28,6 +28,8 @@ from nashwalk.medium import (
     PayoffSpec,
     build_medium,
     medium_from_payoffs,
+    neighbor_partition,
+    orientation,
     sample_payoff_game,
 )
 from nashwalk.percolation import (
@@ -191,7 +193,7 @@ def test_criterion_09_structural_invariants():
                 failures.append((i, f"trap of size {len(trap)}"))
                 break
             closed = all(
-                w in members for v in trap for w in medium.neighbor_partition(v).out
+                w in members for v in trap for w in neighbor_partition(medium, v).out
             )
             if not closed:
                 failures.append((i, "trap has an escaping edge"))
@@ -218,7 +220,7 @@ def _reachable_within(medium, start, members):
     stack = [start]
     while stack:
         v = stack.pop()
-        for w in medium.neighbor_partition(v).out:
+        for w in neighbor_partition(medium, v).out:
             if w in members and w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -242,7 +244,7 @@ def test_criterion_10_payoff_oracle_equivalence():
                 z_b = game.payoffs[axis, base]
                 z_p = game.payoffs[axis, partner]
                 want = DOWN if z_b > z_p else UP if z_p > z_b else TIE
-                if medium.orientation(EdgeRef(base, axis)) != want:
+                if orientation(medium, EdgeRef(base, axis)) != want:
                     ok = False
         brute_pnes = [
             v

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +34,12 @@ from nashwalk.experiments import (
     walk_fields,
     walk_length_quantiles,
 )
-from nashwalk.medium import MediumParams, build_medium
+from nashwalk.medium import (
+    DOWN, TIE, UP, Medium, MediumParams, build_medium, edge_count, edge_index,
+)
 from nashwalk.parallel import time_budget
 from nashwalk.rng import fold, TAG_MEDIUM, TAG_WALK
-from nashwalk.sinks import expected_pne_count, sink_components
+from nashwalk.sinks import enumerate_pnes, expected_pne_count, sink_components
 from nashwalk.walkers import (
     TERMINAL_ABSORBED,
     TERMINAL_IN_TRAP,
@@ -237,6 +241,64 @@ def test_n2_absorption_matches_the_exact_law(alpha):
     assert (row.trials, row.excluded_step_cap) == (trials, 0)
     low, high = (binomial_quantile(trials, exact, q) for q in (0.0005, 0.9995))
     assert low <= row.successes <= high, (row.p_hat, exact, low, high)
+
+
+@functools.cache
+def three_cube_law() -> tuple[np.ndarray, np.ndarray]:
+    """Over all 3^12 orientation tables of the 3-cube, grouped by their tie
+    count k: (the tables' summed PNE count, the number with no PNE), each
+    indexed by k.  A table with k ties has probability
+    alpha^k ((1 - alpha) / 2)^(12 - k)."""
+    n, edges = 3, edge_count(3)
+    tables = (np.arange(3**edges)[:, None] // 3 ** np.arange(edges) % 3).astype(np.int8)
+    counts = np.zeros(len(tables), dtype=np.int64)
+    for v in range(1 << n):
+        pne = np.ones(len(tables), dtype=bool)
+        for axis in range(n):
+            code = tables[:, edge_index(v & ~(1 << axis), axis, n)]
+            # v's edge points out of v: Up from the base, Down from the partner
+            pne &= code != (DOWN if v >> axis & 1 else UP)
+        counts += pne
+    # the package's own PNE pass agrees on a spread of tables
+    for i in range(0, len(tables), 2657):
+        medium = Medium.from_orientation_table(n, tables[i])
+        assert len(enumerate_pnes(medium)) == counts[i], tables[i]
+    ties = np.count_nonzero(tables == TIE, axis=1)
+    summed = np.bincount(ties, weights=counts, minlength=edges + 1).astype(np.int64)
+    none = np.bincount(ties[counts == 0], minlength=edges + 1)
+    return summed, none
+
+
+def under_tie_law(per_ties: np.ndarray, alpha: Fraction) -> Fraction:
+    beta = (1 - alpha) / 2
+    edges = len(per_ties) - 1
+    return sum(int(c) * alpha**k * beta ** (edges - k) for k, c in enumerate(per_ties))
+
+
+@pytest.mark.parametrize("alpha", ["0", "1/2", "9/10", "1/3"])
+def test_three_cube_mean_pne_count_is_exact(alpha):
+    # E[#PNE] = (1 + alpha)^n, here summed exactly over every table
+    alpha = Fraction(alpha)
+    summed, _ = three_cube_law()
+    assert under_tie_law(summed, alpha) == (1 + alpha) ** 3
+    assert expected_pne_count(3, float(alpha)) == pytest.approx(float((1 + alpha) ** 3))
+
+
+@pytest.mark.parametrize(
+    "alpha, p_none", [("0", 0.234863), ("0.5", 0.004068)]
+)
+def test_n3_prob_zero_matches_the_enumerated_law(alpha, p_none, capsys):
+    # pne-stats' share of PNE-free media must fall in the exact two-sided
+    # 99.9% binomial interval around P(no PNE), enumerated over all tables
+    _, none = three_cube_law()
+    exact = float(under_tie_law(none, Fraction(alpha)))
+    assert exact == pytest.approx(p_none, abs=5e-7)
+    trials = 10_000
+    argv = f"pne-stats --n 3 --alpha {alpha} --trials {trials} --seed 0"
+    assert main(argv.split()) == 0
+    zero = round(json.loads(capsys.readouterr().out)["prob_zero"] * trials)
+    low, high = (binomial_quantile(trials, exact, q) for q in (0.0005, 0.9995))
+    assert low <= zero <= high, (zero / trials, exact, low, high)
 
 
 # Sweeps that share a process share its caches (trial-seed prefixes, lane

@@ -22,7 +22,8 @@ from nashwalk.errors import (
     SeedCollision,
 )
 from nashwalk.medium import (
-    DOWN, MODE_LAZY, Medium, MediumParams, build_medium, edge_index, squeeze_bit, trial_medium,
+    DOWN, MODE_LAZY, Medium, MediumParams, build_medium, edge_index, neighbor_partition,
+    squeeze_bit, trial_medium,
 )
 from nashwalk.percolation import (
     PercolationGraph,
@@ -98,14 +99,6 @@ def test_sampling_validation():
         sample_percolation(25, 0.5, 1)
 
 
-def test_open_neighbors_are_symmetric():
-    g = sample_percolation(6, 0.5, 9)
-    for v in range(1 << 6):
-        for w in g.open_neighbors(v):
-            assert v in g.open_neighbors(w)
-            assert (v ^ w).bit_count() == 1
-
-
 def test_percolations_compare_by_value():
     # The generated __eq__ used to compare the open-edge arrays elementwise
     # and raise ValueError.
@@ -121,15 +114,15 @@ def test_percolations_compare_by_value():
 
 def test_vertex_and_axis_are_checked():
     # A vertex outside the cube used to read another axis's edge (is_open)
-    # or raise a bare IndexError (open_neighbors, connected_component).
+    # or raise a bare IndexError (connected_component).
     g = sample_percolation(4, 0.5, 3)
     for v in (-1, 16, 1 << 40):
         with pytest.raises(NonCanonicalEdge, match=f"vertex {v} outside"):
             g.is_open(v, 0)
         with pytest.raises(NonCanonicalEdge, match=f"vertex {v} outside"):
-            g.open_neighbors(v)
-    with pytest.raises(NonCanonicalEdge):
-        connected_component(g, 16)
+            connected_component(g, v)
+    with pytest.raises(NonCanonicalEdge, match="is not an integer"):
+        connected_component(g, 1.0)
     for axis in (-1, 4):
         with pytest.raises(AxisOutOfRange):
             g.is_open(0, axis)
@@ -173,6 +166,13 @@ def test_connected_component_matches_union_find():
     by_vertex = {v: grp for grp in groups for v in grp}
     for v in (0, 17, 40, 63):
         assert connected_component(g, v) == by_vertex[v]
+    # a numpy integer start reads like an int: every member is a Python int
+    # (the start itself used to stay a numpy integer in the set)
+    g = sample_percolation(6, 0.5, 3)
+    for cast in (np.int64, np.uint64):
+        component = connected_component(g, cast(5))
+        assert component == connected_component(g, 5)
+        assert {type(w) for w in component} == {int}
 
 
 def open_edge_list(g: PercolationGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +271,7 @@ def forward_reaches_zero(medium):
             if u == 0:
                 hit = True
                 break
-            for w in medium.neighbor_partition(u).out:
+            for w in neighbor_partition(medium, u).out:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)

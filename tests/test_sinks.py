@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nashwalk.errors import AlphaOutOfRange, NonCanonicalEdge, TimeBudgetExceeded
 from nashwalk.medium import (
-    DOWN, MODE_EXHAUSTIVE, MODE_LAZY, TIE, UP, Medium, axis_view, build_medium, neighbors,
+    DOWN, MODE_EXHAUSTIVE, MODE_LAZY, TIE, UP, Medium, axis_view, build_medium,
+    neighbor_partition, neighbors,
 )
 from nashwalk import sinks
 from nashwalk.parallel import time_budget
@@ -138,7 +139,7 @@ def test_trap_mask_matches_trap_lists():
 def closure_sets(medium: Medium):
     """Forward-reachable set for every vertex, by plain BFS."""
     size = 1 << medium.n_players
-    outs = [medium.neighbor_partition(v).out for v in range(size)]
+    outs = [neighbor_partition(medium, v).out for v in range(size)]
     sets = []
     for v in range(size):
         seen = {v}
@@ -157,7 +158,7 @@ def oracle_sink_structure(medium: Medium):
     """Sink components computed from scratch via mutual reachability."""
     size = 1 << medium.n_players
     closures = closure_sets(medium)
-    pnes = [v for v in range(size) if len(medium.neighbor_partition(v).out) == 0]
+    pnes = [v for v in range(size) if len(neighbor_partition(medium, v).out) == 0]
     pne_set = set(pnes)
     trap_vertices = set()
     for v in range(size):
@@ -280,7 +281,7 @@ def test_no_pne_cube_leaves_the_whole_cube_to_the_scc(monkeypatch):
     edges = set(zip(src.tolist(), dst.tolist()))
     assert len(edges) == len(src)
     assert row_edges(*_split_rows(med), 8) == edges
-    assert row_edges(*_split_rows(med, DOWN, UP), 8) == {(w, u) for u, w in edges}
+    assert row_edges(*_split_rows(med, reverse=True), 8) == {(w, u) for u, w in edges}
     searched = []
     search = sinks._trap_search
 
@@ -634,7 +635,7 @@ def test_classify_vertex_unknown_under_tiny_budget(cyclic2_medium):
 
 
 def oracle_classify(medium: Medium, closures, pne_set, v):
-    if len(medium.neighbor_partition(v).out) == 0:
+    if len(neighbor_partition(medium, v).out) == 0:
         return VertexClass.PNE
     c = closures[v]
     if c & pne_set:
@@ -671,7 +672,7 @@ def test_early_pne_exit_keeps_every_verdict(n, alpha, seed, mode):
     # what that search visited.
     med = build_medium(n, alpha, seed, mode)
     closures = closure_sets(med)
-    pne_set = {v for v in range(1 << n) if not med.neighbor_partition(v).out}
+    pne_set = {v for v in range(1 << n) if not neighbor_partition(med, v).out}
     for v in range(1 << n):
         want = oracle_classify(med, closures, pne_set, v)
         closure = closures[v]
