@@ -7,6 +7,14 @@ audit), walk (raw walk records), analyze (sink decomposition), generate
 --threads below 1, a NASHWALK_THREADS value that is set but not an integer of
 at least 1, and a NaN or negative --time-budget), 3 wall-clock budget
 exceeded.
+
+Every subcommand's flags and help live in one table, ``_COMMANDS``, which
+one builder turns into a parser.  A run whose first argument names a
+subcommand builds only that subcommand's parser (argparse builds each
+subparser in full, so a run would otherwise pay for all seven); any other
+run (no argument, ``-h``, an option or an unknown word first) builds the
+full parser.  Both give the same help, usage and error text for the same
+arguments.
 """
 
 from __future__ import annotations
@@ -39,79 +47,23 @@ from .sinks import sink_components
 from .walkers import WalkConfig, parse_policy, run_trials
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default NASHWALK_THREADS or 1)")
-    p.add_argument("--time-budget", type=float, default=None, metavar="SECONDS",
-                   help="abort with exit code 3 if exceeded")
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand, or only `command`'s.  A parser of
+    one subcommand gives that subcommand's help and errors as the full one
+    does; its usage names every subcommand, as the full parser's does."""
     parser = argparse.ArgumentParser(
         prog="nashwalk",
         description="best-response and random walks on randomly oriented cubes",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("figure1", help="walk-length quantiles per (policy, alpha)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, action="append", required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--policy", action="append", default=None,
-                   help="brd, srw or lambda:<v>; repeatable (default brd and srw)")
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(p)
-
-    p = sub.add_parser("theorem", help="absorption-before-trap trend across n")
-    p.add_argument("--n", type=int, action="append", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--policy", default="brd")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(p)
-
-    p = sub.add_parser("pne-stats", help="PNE count moments over fresh media")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("percolation", help="coupling identity and marginals audit")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("walk", help="raw walk records")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--policy", default="brd")
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--mode", choices=(MODE_EXHAUSTIVE, MODE_LAZY),
-                   default=MODE_EXHAUSTIVE)
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    _add_common(p)
-
-    p = sub.add_parser("analyze", help="sink decomposition of one medium")
-    p.add_argument("--n", type=int, default=None, help="required unless --in is given")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="required unless --in is given")
-    p.add_argument("--in", dest="infile", type=str, default=None,
-                   help="read a dumped medium instead of building one")
-    _add_common(p)
-
-    p = sub.add_parser("generate", help="build a medium and write it out")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--mode", choices=(MODE_EXHAUSTIVE, MODE_LAZY),
-                   default=MODE_EXHAUSTIVE)
-    _add_common(p)
-
+    # a one-subcommand parser's usage would name that subcommand alone; the
+    # full parser keeps argparse's own choices, which its errors also print
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        _, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments + _COMMON:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -250,25 +202,63 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "figure1": _cmd_figure1,
-    "theorem": _cmd_theorem,
-    "pne-stats": _cmd_pne_stats,
-    "percolation": _cmd_percolation,
-    "walk": _cmd_walk,
-    "analyze": _cmd_analyze,
-    "generate": _cmd_generate,
+# (flag, add_argument options) of each subcommand, in help order; every
+# subcommand takes the _COMMON flags last
+_N = ("--n", dict(type=int, required=True))
+_ALPHA = ("--alpha", dict(type=float, required=True))
+_TRIALS = ("--trials", dict(type=int, required=True))
+_MAX_STEPS = ("--max-steps", dict(type=int, default=None))
+_MODE = ("--mode", dict(choices=(MODE_EXHAUSTIVE, MODE_LAZY), default=MODE_EXHAUSTIVE))
+_CSV_JSON = ("--format", dict(choices=("csv", "json"), default="csv"))
+_COMMON = (
+    ("--seed", dict(type=int, default=0, help="base seed (default 0)")),
+    ("--out", dict(type=str, default=None, help="output path (default stdout)")),
+    ("--threads", dict(type=int, default=None,
+                       help="worker processes (default NASHWALK_THREADS or 1)")),
+    ("--time-budget", dict(type=float, default=None, metavar="SECONDS",
+                           help="abort with exit code 3 if exceeded")),
+)
+
+# name: (handler, help, arguments), in the order the full parser lists them
+_COMMANDS = {
+    "figure1": (_cmd_figure1, "walk-length quantiles per (policy, alpha)", (
+        _N, ("--alpha", dict(type=float, action="append", required=True)), _TRIALS,
+        ("--policy", dict(action="append", default=None,
+                          help="brd, srw or lambda:<v>; repeatable (default brd and srw)")),
+        _MAX_STEPS, _CSV_JSON,
+    )),
+    "theorem": (_cmd_theorem, "absorption-before-trap trend across n", (
+        ("--n", dict(type=int, action="append", required=True)), _ALPHA,
+        ("--policy", dict(default="brd")), _TRIALS, _MAX_STEPS, _CSV_JSON,
+    )),
+    "pne-stats": (_cmd_pne_stats, "PNE count moments over fresh media",
+                  (_N, _ALPHA, _TRIALS)),
+    "percolation": (_cmd_percolation, "coupling identity and marginals audit",
+                    (_N, _ALPHA, _TRIALS)),
+    "walk": (_cmd_walk, "raw walk records", (
+        _N, _ALPHA, ("--trials", dict(type=int, default=1)), ("--policy", dict(default="brd")),
+        _MAX_STEPS, _MODE, ("--format", dict(choices=("csv", "jsonl"), default="csv")),
+    )),
+    "analyze": (_cmd_analyze, "sink decomposition of one medium", (
+        ("--n", dict(type=int, default=None, help="required unless --in is given")),
+        ("--alpha", dict(type=float, default=None, help="required unless --in is given")),
+        ("--in", dict(dest="infile", type=str, default=None,
+                      help="read a dumped medium instead of building one")),
+    )),
+    "generate": (_cmd_generate, "build a medium and write it out", (_N, _ALPHA, _MODE)),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run that names its subcommand first builds that subcommand's parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     keep_freed_pages()
     try:
         _check_common(args)
         with time_budget(args.time_budget):
-            return _HANDLERS[args.command](args)
+            return _COMMANDS[args.command][0](args)
     except TimeBudgetExceeded as exc:
         print(f"nashwalk: {exc}", file=sys.stderr)
         return 3

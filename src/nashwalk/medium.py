@@ -57,17 +57,17 @@ seen from the partner through a 3-tuple that swaps Up and Down.  A lazy
 medium answers its per-edge reads from ``row(v)`` as well, so the row is
 its one hasher: it hashes v's n edges in one Python int of n 128-bit lanes.
 Lane i starts as the base of v's axis-i edge, ``h0 ^ (v & ~bit_i)`` (the
-seed's pass h0 is computed once per medium, in every lane), and
-:func:`~nashwalk.rng.mix64_lanes` mixes every lane at once, the vertex pass
-and then, after each lane is xored with its axis, the edge pass.  Adding
+seed's pass h0 is computed once per medium, in every lane), and one call
+of :func:`~nashwalk.rng.fold_lanes` hashes every lane at once: the vertex
+pass, the xor with the lane's axis, and the edge pass.  Adding
 ``(2^64 - t)`` to every lane carries into a lane's bit 64 exactly when its
 hash is >= t; the tie carry and the down carry are packed into bits 64 and
 65 of each lane, so one ``to_bytes`` of the sum gives each lane's byte 8,
 which two ``translate`` tables read as the row's non-tie and down-edge
 masks.  The thresholds are cached per alpha and the lane constants,
 threshold adds included, per (n, t_tie, t_up), so a lazy medium costs two
-lookups to build.  For any n a row costs two mix passes and one carry read
-over one 16n-byte int.
+lookups to build.  For any n a row miss costs one kernel call (two mix
+passes) and one carry read over one 16n-byte int.
 Closure probes and walks revisit the same vertices many times, and with
 the memo those revisits read nothing.
 
@@ -102,7 +102,7 @@ from .errors import (
     NonCanonicalEdge,
 )
 from .rng import (
-    MASK64, TAG_MEDIUM, fold, lane_constants, mix64, mix64_lanes, mix64_np, threshold,
+    MASK64, TAG_MEDIUM, fold, fold_lanes, lane_constants, mix64, mix64_np, threshold,
     trial_seed,
 )
 
@@ -394,9 +394,9 @@ class Medium:
         codes = self._codes
         if codes is None:
             one, low, golden, bases, axes, tie_add, up_add, carry = self._lanes
-            # lane i holds the base of v's axis-i edge, h0 ^ (v & ~bit_i)
-            x = self._h0 ^ ((v * one) & bases)
-            x = mix64_lanes(mix64_lanes(x, golden, low) ^ axes, golden, low)
+            # lane i holds the base of v's axis-i edge, h0 ^ (v & ~bit_i),
+            # and becomes that edge's hash, fold(h0 ^ base, i)
+            x = fold_lanes(self._h0 ^ ((v * one) & bases), axes, golden, low)
             # both carries in each lane's byte 8, read most significant lane
             # first: a lane's byte 8 is its byte 7 from the top
             carries = ((x + tie_add) & carry) | (((x + up_add) & carry) << 1)

@@ -7,8 +7,9 @@ state, so lazy and exhaustive media agree edge-for-edge, walks replay exactly,
 and trials can be computed in any order or process without changing results.
 
 Scalar helpers use plain Python ints masked to 64 bits; :func:`mix64_np` does
-the same pass on numpy uint64 arrays, and :func:`mix64_lanes` on every
-128-bit lane of one Python int; tests pin both against the scalar pass.
+the same pass on numpy uint64 arrays, and :func:`fold_lanes` a one-word fold
+(two passes) on every 128-bit lane of one Python int; tests pin both against
+the scalar pass.
 Vectorized callers fold the scalar coordinates with :func:`fold` and absorb
 the array word last with one :func:`mix64_np` pass, since
 ``fold(seed, *words, x) == mix64(fold(seed, *words) ^ x)``.
@@ -92,15 +93,22 @@ def lane_constants(lanes: int) -> tuple[int, int, int]:
     return one, one * MASK64, one * _GOLDEN
 
 
-def mix64_lanes(x: int, golden: int, low: int) -> int:
-    """mix64 on every lane of a lane-packed int at once, each lane holding a
-    64-bit word (`golden` and `low` from :func:`lane_constants`).
+def fold_lanes(x: int, words: int, golden: int, low: int) -> int:
+    """``fold(x_i, w_i) = mix64(mix64(x_i) ^ w_i)`` in every lane i of a
+    lane-packed int at once, lane i of `x` and of `words` holding the 64-bit
+    words x_i and w_i (`golden` and `low` from :func:`lane_constants`).
 
-    The steps are mix64's.  A lane's 128 bits hold any 64 x 64-bit product,
-    so a multiply never carries into the next lane; each right shift would
-    pull the next lane's low bits into the lane's high half, and each product
-    fills it, so both are masked back to the low 64 bits."""
+    Both passes are mix64's steps, the xor with `words` between them.  A
+    lane's 128 bits hold any 64 x 64-bit product, so a multiply never carries
+    into the next lane; each right shift would pull the next lane's low bits
+    into the lane's high half, and each product fills it, so both are masked
+    back to the low 64 bits.  The shift by 31 between the passes needs no
+    mask: the bits it pulls in land in bits 97-127, above the add's carry
+    into an empty bit 64, and the mask after the add drops them."""
     x = (x + golden) & low
+    x = ((x ^ ((x >> 30) & low)) * _MIX1) & low
+    x = ((x ^ ((x >> 27) & low)) * _MIX2) & low
+    x = ((x ^ (x >> 31) ^ words) + golden) & low
     x = ((x ^ ((x >> 30) & low)) * _MIX1) & low
     x = ((x ^ ((x >> 27) & low)) * _MIX2) & low
     return x ^ ((x >> 31) & low)

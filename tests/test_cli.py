@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from nashwalk import sinks
+from nashwalk import cli, sinks
 from nashwalk.cli import main
 from nashwalk.errors import TimeBudgetExceeded
 from nashwalk.medium import Medium, build_medium
@@ -400,3 +400,87 @@ def test_module_runs_as_script():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["samples"] == 5
+
+
+# -- the parser: one subcommand's gives the full parser's text ----------------
+
+# the smallest valid flags of each subcommand
+VALID = {
+    "figure1": ["--n", "3", "--alpha", "0.5", "--trials", "1"],
+    "theorem": ["--n", "3", "--alpha", "0.5", "--trials", "1"],
+    "pne-stats": ["--n", "3", "--alpha", "0.5", "--trials", "1"],
+    "percolation": ["--n", "3", "--alpha", "0.5", "--trials", "1"],
+    "walk": ["--n", "3", "--alpha", "0.5"],
+    "analyze": [],
+    "generate": ["--n", "3", "--alpha", "0.5"],
+}
+
+
+def parse(parser, argv, capsys):
+    """(exit code, stdout, stderr) of parsing argv; code None on success."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_every_subcommand_is_in_the_parsers_table():
+    assert list(cli._COMMANDS) == list(VALID)
+
+
+@pytest.mark.parametrize("command", list(VALID))
+def test_one_subcommand_parser_matches_the_full_parser(command, capsys):
+    valid = VALID[command]
+    cases = {
+        "help": ([command, "--help"], 0),
+        # analyze requires no flag: there this parses
+        "missing required flag": ([command], None if command == "analyze" else 2),
+        "bad type": ([command, *valid, "--seed", "x"], 2),
+        "bad choice": ([command, *valid, "--mode", "x"] if command in ("walk", "generate")
+                       else [command, *valid, "--format", "x"], 2),
+        "unrecognized argument": ([command, *valid, "--bogus"], 2),
+        # a second subcommand is an unrecognized argument too
+        "second subcommand": ([command, *valid, "walk"], 2),
+    }
+    for case, (argv, code) in cases.items():
+        one = parse(cli._build_parser(command), argv, capsys)
+        assert one == parse(cli._build_parser(), argv, capsys), case
+        assert one[0] == code, case
+        if code is not None:  # help on stdout, an error on stderr
+            assert one[1 if code == 0 else 2], case
+    # an extra argument prints the usage that names every subcommand
+    usage = one[2].replace("\n", "").replace(" ", "")
+    assert "usage:nashwalk[-h]{" + ",".join(VALID) + "}..." in usage
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["--seed", "1", "walk", "--n", "3", "--alpha", "0.5"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_runs_without_a_subcommand_first_build_the_full_parser(argv, capsys, monkeypatch):
+    expected = parse(cli._build_parser(), argv, capsys)
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command)
+                        or build(command))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert built == [None]
+    assert (exc.value.code, *capsys.readouterr()) == expected
+    assert expected[0] == (0 if argv == ["-h"] else 2)
+
+
+def test_main_reads_sys_argv_and_parses_one_subcommand(capsys, monkeypatch):
+    argv = ["walk", "--n", "4", "--alpha", "0.5", "--trials", "2", "--mode", "lazy"]
+    assert run_cli(argv) == 0
+    expected = capsys.readouterr().out
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command)
+                        or build(command))
+    monkeypatch.setattr(sys, "argv", ["nashwalk", *argv])
+    assert main() == 0
+    assert built == ["walk"]
+    assert capsys.readouterr().out == expected

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 import nashwalk.percolation as percolation
 from nashwalk.medium import MODE_EXHAUSTIVE, MODE_LAZY, MediumParams, build_medium, trial_medium
 from nashwalk.rng import (
-    MASK64, TAG_MEDIUM, TAG_PERC, TAG_STEP, TAG_WALK, fold, lane_constants, mix64,
-    mix64_lanes, mix64_np, threshold, trial_seed, unit_interval,
+    MASK64, TAG_MEDIUM, TAG_PERC, TAG_STEP, TAG_WALK, fold, fold_lanes, lane_constants,
+    mix64, mix64_np, threshold, trial_seed, unit_interval,
 )
 from nashwalk.walkers import (
     Policy, WalkConfig, sample_categorical, step_distribution, walk_trial,
@@ -36,14 +36,36 @@ def test_mix64_matches_reference(x):
     assert mix64(x) == reference_mix(x)
 
 
-@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=62))
-def test_mix64_lanes_matches_scalar(words):
-    _, low, golden = lane_constants(len(words))
-    packed = sum(w << (128 * i) for i, w in enumerate(words))
-    mixed = mix64_lanes(packed, golden, low)
-    # whole 128-bit lanes, so a carry or a stray bit in a lane's high half shows
-    assert [(mixed >> (128 * i)) & ((1 << 128) - 1) for i in range(len(words))] == [
-        reference_mix(w) for w in words
+def lanes_of(packed: int, lanes: int) -> list[int]:
+    """Each whole 128-bit lane, so a carry or a stray bit in a lane's high
+    half shows."""
+    return [(packed >> (128 * i)) & ((1 << 128) - 1) for i in range(lanes)]
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 8, 31, 62])
+def test_fold_lanes_matches_scalar_with_the_axes(lanes):
+    # the row's call: lane i xored with i between the passes.  Lane words 0
+    # and 2^64 - 1 come first (either one alone at one lane), the rest
+    # spread over the 64-bit range
+    _, low, golden = lane_constants(lanes)
+    axes = sum(i << (128 * i) for i in range(lanes))
+    for first in (0, MASK64):
+        words = ([first, MASK64 - first] + [reference_mix(i) for i in range(lanes)])[:lanes]
+        packed = sum(w << (128 * i) for i, w in enumerate(words))
+        assert lanes_of(fold_lanes(packed, axes, golden, low), lanes) == [
+            reference_mix(reference_mix(w) ^ i) for i, w in enumerate(words)
+        ]
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=2**64 - 1),
+                          st.integers(min_value=0, max_value=2**64 - 1)),
+                min_size=1, max_size=62))
+def test_fold_lanes_matches_scalar(pairs):
+    _, low, golden = lane_constants(len(pairs))
+    packed = sum(x << (128 * i) for i, (x, _) in enumerate(pairs))
+    words = sum(w << (128 * i) for i, (_, w) in enumerate(pairs))
+    assert lanes_of(fold_lanes(packed, words, golden, low), len(pairs)) == [
+        reference_mix(reference_mix(x) ^ w) for x, w in pairs
     ]
 
 
