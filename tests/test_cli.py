@@ -427,6 +427,19 @@ def parse(parser, argv, capsys):
     return code, out, err
 
 
+def record_parser_builds(monkeypatch) -> list:
+    """The `command` argument of each _build_parser call main makes."""
+    built = []
+    build = cli._build_parser
+
+    def recorded(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "_build_parser", recorded)
+    return built
+
+
 def test_every_subcommand_is_in_the_parsers_table():
     assert list(cli._COMMANDS) == list(VALID)
 
@@ -461,10 +474,7 @@ def test_one_subcommand_parser_matches_the_full_parser(command, capsys):
 ], ids=lambda argv: " ".join(argv) or "no arguments")
 def test_runs_without_a_subcommand_first_build_the_full_parser(argv, capsys, monkeypatch):
     expected = parse(cli._build_parser(), argv, capsys)
-    built = []
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command)
-                        or build(command))
+    built = record_parser_builds(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert built == [None]
@@ -476,10 +486,7 @@ def test_main_reads_sys_argv_and_parses_one_subcommand(capsys, monkeypatch):
     argv = ["walk", "--n", "4", "--alpha", "0.5", "--trials", "2", "--mode", "lazy"]
     assert run_cli(argv) == 0
     expected = capsys.readouterr().out
-    built = []
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command)
-                        or build(command))
+    built = record_parser_builds(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["nashwalk", *argv])
     assert main() == 0
     assert built == ["walk"]
